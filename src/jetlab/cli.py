@@ -40,9 +40,10 @@ EXIT_AUDIT = 3
 
 def _worker_count() -> int:
     env = os.environ.get("JETLAB_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    try:
+        return max(1, int(env)) if env else os.cpu_count() or 1
+    except ValueError:
+        raise ConfigError("JETLAB_WORKERS", f"expected a whole number, got {env!r}") from None
 
 
 def _cmd_run_model(args) -> int:
@@ -113,12 +114,12 @@ def _cmd_sweep(args) -> int:
     try:
         for _, doc in jobs:
             parse_config(json.dumps(doc))
+        workers = min(_worker_count(), len(jobs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     preflight_output_dir(base)
-    workers = min(_worker_count(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one_sweep, jobs))

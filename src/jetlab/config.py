@@ -8,6 +8,7 @@ the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,28 +17,14 @@ import numpy as np
 from .evolve import StepperConfig
 from .grid import PeriodicGrid, reflect_values
 from .initial_data import build_field
-from .models import ClosureParams, EvolutionState, ModelSpec, closure_coefficient
+from .models import HALF_LINE, LOCAL, MODEL_TABLE, EvolutionState, ModelSpec
 
-DEFAULTS = {
-    "n": 1024,
-    "L": 2.0,
-    "cfl": 0.4,
-    "dt_min": 1e-10,
-    "dt_max": 0.05,
-    "t_end": 10.0,
-    "omega_sup_cap": 1e6,
-    "record_every": 10,
-    "dealias": False,
-}
+DEFAULTS = {"n": 1024, "L": 2.0, "t_end": 10.0}  # the other defaults are StepperConfig's
 
 THEOREM_TAG = "theorem-hypotheses"
 _SYMMETRY_TOL = 1e-12
 
-_MODEL_NAMES = {
-    "clm": ModelSpec.clm,
-    "degregorio": ModelSpec.de_gregorio,
-    "ccf": ModelSpec.ccf,
-}
+_KIND_BY_NAME = {kind.replace("_", ""): kind for kind in MODEL_TABLE}
 
 
 class ConfigError(ValueError):
@@ -58,6 +45,7 @@ class ExperimentConfig:
     output_dir: str
     snapshot_times: tuple
     tags: tuple
+    initial: EvolutionState = field(repr=False, compare=False)
     raw: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -65,15 +53,7 @@ class ExperimentConfig:
         return THEOREM_TAG in self.tags
 
     def initial_state(self) -> EvolutionState:
-        omega0 = build_field(self.grid, self.omega0_spec)
-        theta0 = (
-            build_field(self.grid, self.theta0_spec)
-            if self.theta0_spec is not None
-            else None
-        )
-        if self.theorem_tagged:
-            _check_theorem_symmetries(omega0, theta0)
-        return EvolutionState(omega0, theta0, 0.0)
+        return self.initial
 
 
 def _check_theorem_symmetries(omega0, theta0) -> None:
@@ -87,36 +67,52 @@ def _check_theorem_symmetries(omega0, theta0) -> None:
         raise ConfigError("initial_data.theta", "theta0 must be even about 0 and L/2")
 
 
+def _number(section: dict, key: str, default, path: str, whole: bool = False):
+    """``section[key]`` (else ``default``) as a finite float, or an int if ``whole``."""
+    raw = section.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value) or (whole and not value.is_integer()):
+        kind = "whole number" if whole else "finite number"
+        raise ConfigError(path, f"expected a {kind}, got {raw!r}")
+    return int(value) if whole else value
+
+
+def _field(grid: PeriodicGrid, spec, path: str):
+    try:
+        return build_field(grid, spec)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(path, f"cannot build {spec!r}: {exc!r}") from None
+
+
 def _parse_model(doc: dict) -> ModelSpec:
     section = doc.get("model")
     if not isinstance(section, dict) or "name" not in section:
         raise ConfigError("model.name", "a model name is required")
-    name = str(section["name"]).lower().replace("_", "").replace("-", "")
+    kind = _KIND_BY_NAME.get(str(section["name"]).lower().replace("_", "").replace("-", ""))
+    if kind is None:
+        raise ConfigError("model.name", f"unknown model name {section['name']!r}")
+    row = MODEL_TABLE[kind]
+    params = {}
+    if row.transport is None:
+        params["a_ok"] = _number(section, "a_ok", 1.0, "model.a_ok")
+    if row.law == HALF_LINE:
+        params["truncation_X"] = _number(section, "X", None, "model.X")
+    if row.law == LOCAL and "c" in section:
+        params["c"] = _number(section, "c", None, "model.c")
+    elif row.law == LOCAL:
+        m = _number(section, "m", 1, "model.m", whole=True)
+        a_jet = _number(section, "a", 0.0, "model.a")
+        try:
+            return ModelSpec.q0_from_closure(m, a_jet)
+        except ValueError as exc:
+            raise ConfigError("model.a", str(exc)) from None
     try:
-        if name in _MODEL_NAMES:
-            return _MODEL_NAMES[name]()
-        if name == "okamoto":
-            return ModelSpec.okamoto(float(section.get("a_ok", 1.0)))
-        if name == "houluo":
-            return ModelSpec.hou_luo()
-        if name == "cky":
-            if "X" not in section:
-                raise ConfigError("model.X", "CKY requires a truncation bound X")
-            return ModelSpec.cky(float(section["X"]))
-        if name == "q0":
-            if "c" in section:
-                return ModelSpec.q0(float(section["c"]))
-            m = int(section.get("m", 1))
-            a_jet = float(section.get("a", 0.0))
-            try:
-                return ModelSpec.q0(closure_coefficient(ClosureParams(m, a_jet)))
-            except ValueError as exc:
-                raise ConfigError("model.a", str(exc)) from None
-    except ConfigError:
-        raise
+        return ModelSpec(kind, **params)
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from None
-    raise ConfigError("model.name", f"unknown model name {section['name']!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -131,44 +127,33 @@ def parse_config(text: str) -> ExperimentConfig:
     model = _parse_model(doc)
 
     grid_doc = doc.get("grid", {})
-    n = int(grid_doc.get("n", DEFAULTS["n"]))
-    L = float(grid_doc.get("L", DEFAULTS["L"]))
-    if n <= 0 or n % 2 != 0:
-        raise ConfigError("grid.n", "n must be a positive even integer")
-    if L <= 0:
-        raise ConfigError("grid.L", "L must be positive")
+    n = _number(grid_doc, "n", DEFAULTS["n"], "grid.n", whole=True)
+    L = _number(grid_doc, "L", DEFAULTS["L"], "grid.L")
     try:
         grid = PeriodicGrid(n, L)
     except ValueError as exc:
-        raise ConfigError("grid", str(exc)) from None
-
-    if model.kind == "cky":
-        cells = model.truncation_X / grid.dx
-        if abs(cells - round(cells)) > 1e-8 * n or not 2 <= round(cells) <= n // 2:
-            raise ConfigError(
-                "model.X",
-                "truncation bound must coincide with a grid node in (0, L/2]",
-            )
+        path = "grid.L" if str(exc).startswith("period_L") else "grid.n"
+        raise ConfigError(path, str(exc)) from None
+    try:
+        model.check_grid(grid)
+    except ValueError as exc:
+        raise ConfigError("model.X", str(exc)) from None
 
     init_doc = doc.get("initial_data", {})
     omega0_spec = init_doc.get("omega", {"name": "sin_fundamental"})
-    theta0_spec = init_doc.get("theta", {"name": "zero"} if model.has_theta else None)
+    theta0_spec = init_doc.get("theta") if model.has_theta else None
     if model.has_theta and theta0_spec is None:
         theta0_spec = {"name": "zero"}
-    if not model.has_theta:
-        theta0_spec = None
+    omega0 = _field(grid, omega0_spec, "initial_data.omega")
+    theta0 = None if theta0_spec is None else _field(grid, theta0_spec, "initial_data.theta")
 
     step_doc = doc.get("stepper", {})
+    args = {"t_end": DEFAULTS["t_end"], "dealias": bool(step_doc.get("dealias", False))}
+    for key in ("t_end", "cfl", "dt_min", "dt_max", "omega_sup_cap", "record_every"):
+        if key in step_doc:
+            args[key] = _number(step_doc, key, None, f"stepper.{key}", whole=key == "record_every")
     try:
-        stepper = StepperConfig(
-            t_end=float(step_doc.get("t_end", DEFAULTS["t_end"])),
-            cfl=float(step_doc.get("cfl", DEFAULTS["cfl"])),
-            dt_min=float(step_doc.get("dt_min", DEFAULTS["dt_min"])),
-            dt_max=float(step_doc.get("dt_max", DEFAULTS["dt_max"])),
-            omega_sup_cap=float(step_doc.get("omega_sup_cap", DEFAULTS["omega_sup_cap"])),
-            record_every=int(step_doc.get("record_every", DEFAULTS["record_every"])),
-            dealias=bool(step_doc.get("dealias", DEFAULTS["dealias"])),
-        )
+        stepper = StepperConfig(**args)
     except ValueError as exc:
         raise ConfigError("stepper", str(exc)) from None
 
@@ -177,8 +162,10 @@ def parse_config(text: str) -> ExperimentConfig:
     snapshot_times = tuple(float(t) for t in out_doc.get("snapshot_times", ()))
 
     tags = tuple(str(t) for t in doc.get("tags", ()))
+    if THEOREM_TAG in tags:
+        _check_theorem_symmetries(omega0, theta0)
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         model=model,
         grid=grid,
         omega0_spec=omega0_spec,
@@ -187,8 +174,6 @@ def parse_config(text: str) -> ExperimentConfig:
         output_dir=output_dir,
         snapshot_times=snapshot_times,
         tags=tags,
+        initial=EvolutionState(omega0, theta0, 0.0),
         raw=doc,
     )
-    if config.theorem_tagged:
-        config.initial_state()  # validates the generated symmetries up front
-    return config

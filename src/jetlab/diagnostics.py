@@ -12,7 +12,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .grid import PeriodicField, reflect_values
-from .models import Q0, EvolutionState, ModelSpec
+from .models import LOCAL, EvolutionState, ModelSpec
 from .spectral import (
     half_period_weighted_integral,
     spectral_derivative,
@@ -68,7 +68,7 @@ assert tuple(f.name for f in fields(DiagnosticRecord)) == CSV_COLUMNS
 
 def diagnostic_coupling(model: ModelSpec) -> float:
     """Coupling constant used in E/F/G: the model's c for Q0, 1 otherwise."""
-    return model.c if model.kind == Q0 else 1.0
+    return model.c if model.row.law == LOCAL else 1.0
 
 
 def energy(s: EvolutionState, c: float) -> float:

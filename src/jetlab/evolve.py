@@ -9,7 +9,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticRecord, compute_record, diagnostic_coupling, fill_margin_fields
 from .grid import PeriodicField
-from .models import EvolutionState, ModelSpec, StateRate, biot_savart, rhs
+from .models import EvolutionState, ModelSpec, _evaluate, biot_savart, state_rows
 
 REACHED_T_END = "reached_t_end"
 SUP_CAP_HIT = "sup_cap_hit"
@@ -51,46 +51,32 @@ class RunResult:
         return np.array([(r.t, r.sup_omega) for r in self.diagnostics])
 
 
-def _check_finite(values: np.ndarray, stage: int) -> None:
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError(f"numerical overflow in stage {stage}")
-
-
-def _finite_field(s: EvolutionState, values: np.ndarray, stage: int) -> PeriodicField:
-    _check_finite(values, stage)
-    return PeriodicField(s.grid, values)
-
-
-def _advanced(s: EvolutionState, rate: StateRate, coef: float, stage: int) -> EvolutionState:
-    omega = _finite_field(s, s.omega.values + coef * rate.d_omega, stage)
-    theta = None
-    if s.theta is not None:
-        theta = _finite_field(s, s.theta.values + coef * rate.d_theta, stage)
-    return EvolutionState(omega, theta, s.time)
-
-
 def step_rk4(
     model: ModelSpec, s: EvolutionState, dt: float, dealias: bool = False
 ) -> EvolutionState:
-    """One classical 4-stage explicit step of the model's dynamics."""
+    """One classical 4-stage explicit step of the model's dynamics, run on the
+    stacked rows (omega[, theta]) with one finiteness check per stage."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    k1 = rhs(model, s, dealias)
-    _check_finite(k1.d_omega, 1)
-    k2 = rhs(model, _advanced(s, k1, dt / 2, 2), dealias)
-    _check_finite(k2.d_omega, 2)
-    k3 = rhs(model, _advanced(s, k2, dt / 2, 3), dealias)
-    _check_finite(k3.d_omega, 3)
-    k4 = rhs(model, _advanced(s, k3, dt, 4), dealias)
-    _check_finite(k4.d_omega, 4)
+    grid = s.grid
+    y = state_rows(model, s)
 
-    d_omega = (k1.d_omega + 2 * k2.d_omega + 2 * k3.d_omega + k4.d_omega) / 6.0
-    omega = _finite_field(s, s.omega.values + dt * d_omega, 4)
-    theta = None
-    if s.theta is not None:
-        d_theta = (k1.d_theta + 2 * k2.d_theta + 2 * k3.d_theta + k4.d_theta) / 6.0
-        theta = _finite_field(s, s.theta.values + dt * d_theta, 4)
-    return EvolutionState(omega, theta, s.time + dt)
+    def rate(rows: np.ndarray) -> np.ndarray:
+        return _evaluate(model, grid, rows, dealias)[1]
+
+    def advanced(k: np.ndarray, coef: float, stage: int) -> np.ndarray:
+        rows = y + coef * k
+        if not np.all(np.isfinite(rows)):
+            raise FloatingPointError(f"numerical overflow in stage {stage}")
+        return rows
+
+    k1 = rate(y)
+    k2 = rate(advanced(k1, dt / 2, 2))
+    k3 = rate(advanced(k2, dt / 2, 3))
+    k4 = rate(advanced(k3, dt, 4))
+    out = advanced((k1 + 2 * k2 + 2 * k3 + k4) / 6.0, dt, 4)
+    theta = PeriodicField(grid, out[1]) if s.theta is not None else None
+    return EvolutionState(PeriodicField(grid, out[0]), theta, s.time + dt)
 
 
 def run(model: ModelSpec, init: EvolutionState, cfg: StepperConfig) -> RunResult:

@@ -48,9 +48,6 @@ class PeriodicGrid:
     def index_of_zero(self) -> int:
         return self.n_points // 2
 
-    def field(self, values: np.ndarray) -> "PeriodicField":
-        return PeriodicField(self, np.asarray(values, dtype=float))
-
 
 @dataclass(frozen=True)
 class PeriodicField:
@@ -76,10 +73,6 @@ class PeriodicField:
     @property
     def value_at_zero(self) -> float:
         return float(self.values[self.grid.index_of_zero])
-
-    def reflected(self) -> np.ndarray:
-        """Samples of ``f(-x)``; on the circle this is also ``f(L - x)``."""
-        return reflect_values(self.values)
 
 
 def reflect_values(values: np.ndarray) -> np.ndarray:

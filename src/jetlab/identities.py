@@ -37,13 +37,6 @@ class _Term:
         f = getattr(np, self.trig)
         return f(self.freq * z)
 
-    def t_z(self, z: np.ndarray) -> np.ndarray:
-        if self.trig == ONE:
-            return np.zeros_like(z)
-        if self.trig == COS:
-            return -self.freq * np.sin(self.freq * z)
-        return self.freq * np.cos(self.freq * z)
-
     def t_zz(self, z: np.ndarray) -> np.ndarray:
         if self.trig == ONE:
             return np.zeros_like(z)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -9,24 +10,28 @@ from typing import Optional
 import numpy as np
 
 from .grid import PeriodicField, PeriodicGrid
-from .spectral import (
-    antiderivative_zero_mean,
-    composite_weights,
-    dealias_filter,
-    hilbert_transform,
-    spectral_derivative,
-)
+from .spectral import composite_weights, dealias_filter, multipliers
 
-CLM = "clm"
-DE_GREGORIO = "de_gregorio"
-CCF = "ccf"
-OKAMOTO = "okamoto"
-HOU_LUO = "hou_luo"
-CKY = "cky"
-Q0 = "q0"
+# Velocity laws: the spectral ones are keys of spectral.multipliers, whose
+# multiplier takes omega's spectrum to u's; these two act on the nodes.
+LOCAL = "local"  # u = -c*omega
+HALF_LINE = "half_line"  # CKY: u = -x * integral_x^X omega(y)/y dy on [0, X], 0 elsewhere
 
-KINDS = (CLM, DE_GREGORIO, CCF, OKAMOTO, HOU_LUO, CKY, Q0)
-THETA_KINDS = (HOU_LUO, CKY, Q0)
+# One row per model of omega_t = -w*u*omega_x [+ u_x*omega] [+ theta_x] and
+# theta_t = -u*theta_x: the velocity law, the transport weight w (None: the
+# spec's a_ok), the stretching term (spectral laws only) and theta.
+ModelRow = namedtuple("ModelRow", "law transport stretching theta")
+
+MODEL_TABLE = {
+    "clm": ModelRow("integrated_hilbert", 0.0, True, False),
+    "de_gregorio": ModelRow("integrated_hilbert", 1.0, True, False),
+    "ccf": ModelRow("hilbert", 1.0, False, False),
+    "okamoto": ModelRow("integrated_hilbert", None, True, False),
+    "hou_luo": ModelRow("integrated_hilbert", 1.0, False, True),
+    "cky": ModelRow(HALF_LINE, 1.0, False, True),
+    "q0": ModelRow(LOCAL, 1.0, False, True),
+}
+KINDS = tuple(MODEL_TABLE)
 
 
 @dataclass(frozen=True)
@@ -61,46 +66,55 @@ class ModelSpec:
     c: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in MODEL_TABLE:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == Q0:
-            if self.c is None or not self.c > 0:
-                raise ValueError("Q0 requires a coefficient c > 0")
-        if self.kind == CKY:
-            if self.truncation_X is None or not self.truncation_X > 0:
-                raise ValueError("CKY requires a truncation bound X > 0")
+        if self.row.law == LOCAL and not (self.c is not None and self.c > 0):
+            raise ValueError("Q0 requires a coefficient c > 0")
+        if self.row.law == HALF_LINE and not (
+            self.truncation_X is not None and self.truncation_X > 0
+        ):
+            raise ValueError("CKY requires a truncation bound X > 0")
+
+    @property
+    def row(self) -> ModelRow:
+        return MODEL_TABLE[self.kind]
 
     @property
     def has_theta(self) -> bool:
-        return self.kind in THETA_KINDS
+        return self.row.theta
+
+    def check_grid(self, grid: PeriodicGrid) -> None:
+        """Raise ValueError unless the velocity law can be evaluated on ``grid``."""
+        if self.row.law == HALF_LINE:
+            _cky_cells(grid.n_points, grid.period_L, self.truncation_X)
 
     @classmethod
     def clm(cls) -> "ModelSpec":
-        return cls(CLM)
+        return cls("clm")
 
     @classmethod
     def de_gregorio(cls) -> "ModelSpec":
-        return cls(DE_GREGORIO)
+        return cls("de_gregorio")
 
     @classmethod
     def ccf(cls) -> "ModelSpec":
-        return cls(CCF)
+        return cls("ccf")
 
     @classmethod
     def okamoto(cls, a_ok: float = 1.0) -> "ModelSpec":
-        return cls(OKAMOTO, a_ok=a_ok)
+        return cls("okamoto", a_ok=a_ok)
 
     @classmethod
     def hou_luo(cls) -> "ModelSpec":
-        return cls(HOU_LUO)
+        return cls("hou_luo")
 
     @classmethod
     def cky(cls, truncation_X: float) -> "ModelSpec":
-        return cls(CKY, truncation_X=truncation_X)
+        return cls("cky", truncation_X=truncation_X)
 
     @classmethod
     def q0(cls, c: float) -> "ModelSpec":
-        return cls(Q0, c=c)
+        return cls("q0", c=c)
 
     @classmethod
     def q0_from_closure(cls, m: int, a_jet: float = 0.0) -> "ModelSpec":
@@ -136,48 +150,87 @@ class StateRate:
 
 @lru_cache(maxsize=32)
 def _cky_quadrature(n: int, period_L: float, X: float):
-    """Node indices and per-start weight rows for integral_x^X on [0, X].
+    """Node indices and per-start weight rows for integral_x^X on [0, X]."""
+    p = _cky_cells(n, period_L, X)
+    idx = (n // 2 + np.arange(p + 1)) % n
+    rows = np.zeros((p + 1, p + 1))
+    for i in range(p):
+        rows[i, i:] = composite_weights(p - i)
+    return idx, rows * (period_L / n)
 
-    X must coincide with a grid node at or below L/2; the law is a half-line
-    model squeezed onto the grid, so we refuse silently misaligned bounds.
-    """
-    dx = period_L / n
-    p_float = X / dx
+
+def _cky_cells(n: int, period_L: float, X: float) -> int:
+    """Cells in [0, X]; X must be a grid node in (0, L/2], never silently misaligned."""
+    p_float = X / (period_L / n)
     p = int(round(p_float))
     if abs(p_float - p) > 1e-8 * n:
         raise ValueError("CKY truncation bound must coincide with a grid node")
     if p < 2 or p > n // 2:
         raise ValueError("CKY truncation bound must lie in (0, L/2]")
-    idx = (n // 2 + np.arange(p + 1)) % n
-    rows = np.zeros((p + 1, p + 1))
-    for i in range(p):
-        rows[i, i:] = composite_weights(p - i)
-    return idx, rows * dx
+    return p
+
+
+def _half_line_velocity(model: ModelSpec, grid: PeriodicGrid, omega: np.ndarray) -> np.ndarray:
+    idx, rows = _cky_quadrature(grid.n_points, grid.period_L, model.truncation_X)
+    x = grid.dx * np.arange(idx.size)
+    integrand = np.zeros(idx.size)
+    integrand[1:] = omega[idx[1:]] / x[1:]
+    u = np.zeros(grid.n_points)
+    u[idx[1:-1]] = -x[1:-1] * (rows[1:-1] @ integrand)
+    return u
+
+
+_REAL_SPACE_LAWS = {
+    LOCAL: lambda model, grid, omega: -model.c * omega,
+    HALF_LINE: _half_line_velocity,
+}
+
+
+def state_rows(model: ModelSpec, s: EvolutionState) -> np.ndarray:
+    """The stacked rows (omega[, theta]) of ``s``, checked against the model."""
+    if model.has_theta != (s.theta is not None):
+        raise ValueError("state theta presence must match the model")
+    return np.stack([f.values for f in (s.omega, s.theta) if f is not None])
+
+
+def _evaluate(model: ModelSpec, grid: PeriodicGrid, y: np.ndarray, dealias=False, with_rate=True):
+    """u of the stacked rows ``y = (omega[, theta])`` and, ``with_rate``, their rate: one
+    rfft of ``y``, then u, u_x, omega_x, theta_x back in one batched irfft."""
+    row, m = model.row, multipliers(grid)
+    real_law = _REAL_SPACE_LAWS.get(row.law)
+    y_hat = np.fft.rfft(y) if with_rate or real_law is None else None
+    spectra = [] if real_law else [y_hat[0] * m[row.law]]
+    if with_rate:
+        spectra += [spectra[0] * m["derivative"]] if row.stretching else []
+        spectra += list(y_hat * m["derivative"])
+    back = list(np.fft.irfft(np.array(spectra), n=grid.n_points)) if spectra else []
+    u = real_law(model, grid, y[0]) if real_law else back.pop(0)
+    if not with_rate:
+        return u, None
+
+    u_x = back.pop(0) if row.stretching else None
+    product = (lambda a, b: dealias_filter(a * b)) if dealias else np.multiply
+    w = model.a_ok if row.transport is None else row.transport
+    rate = np.empty_like(y)
+    rate[0] = -w * product(u, back[0])
+    if row.stretching:
+        rate[0] += product(u_x, y[0])
+    if row.theta:
+        rate[0] += back[1]
+        rate[1] = -product(u, back[1])
+    return u, rate
 
 
 def biot_savart(model: ModelSpec, omega: PeriodicField) -> PeriodicField:
-    """Velocity from vorticity under the model's law.
+    """Velocity from vorticity under the model's law (see ``MODEL_TABLE``).
 
     Q0 is the local algebraic law u = -c*omega; CCF takes u = H(omega);
     CLM, De Gregorio, Okamoto and Hou--Luo integrate u_x = H(omega) to the
     zero-mean periodic velocity; CKY evaluates the weighted half-line
     integral on [0, X] and leaves u = 0 elsewhere.
     """
-    if model.kind == Q0:
-        return PeriodicField(omega.grid, -model.c * omega.values)
-    if model.kind == CCF:
-        return hilbert_transform(omega)
-    if model.kind in (CLM, DE_GREGORIO, OKAMOTO, HOU_LUO):
-        return antiderivative_zero_mean(hilbert_transform(omega))
-    # CKY: u(x) = -x * integral_x^X omega(y)/y dy on the nodes of [0, X]
-    grid = omega.grid
-    idx, rows = _cky_quadrature(grid.n_points, grid.period_L, model.truncation_X)
-    x = grid.dx * np.arange(idx.size)
-    integrand = np.zeros(idx.size)
-    integrand[1:] = omega.values[idx[1:]] / x[1:]
-    u = np.zeros(grid.n_points)
-    u[idx[1:-1]] = -x[1:-1] * (rows[1:-1] @ integrand)
-    return PeriodicField(grid, u)
+    u, _ = _evaluate(model, omega.grid, omega.values[None, :], with_rate=False)
+    return PeriodicField(omega.grid, u)
 
 
 def rhs(model: ModelSpec, s: EvolutionState, dealias: bool = False) -> StateRate:
@@ -186,36 +239,8 @@ def rhs(model: ModelSpec, s: EvolutionState, dealias: bool = False) -> StateRate
     All x-derivatives are spectral; with ``dealias`` the 2/3-rule filter is
     applied to the nonlinear products.
     """
-    if model.has_theta != (s.theta is not None):
-        raise ValueError("state theta presence must match the model")
-    u = biot_savart(model, s.omega)
-    omega_x = spectral_derivative(s.omega).values
-
-    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ab = a * b
-        return dealias_filter(ab) if dealias else ab
-
-    if model.kind == CLM:
-        u_x = spectral_derivative(u).values
-        return StateRate(product(u_x, s.omega.values), None)
-    if model.kind == DE_GREGORIO:
-        u_x = spectral_derivative(u).values
-        return StateRate(
-            -product(u.values, omega_x) + product(u_x, s.omega.values), None
-        )
-    if model.kind == OKAMOTO:
-        u_x = spectral_derivative(u).values
-        return StateRate(
-            -model.a_ok * product(u.values, omega_x) + product(u_x, s.omega.values),
-            None,
-        )
-    if model.kind == CCF:
-        return StateRate(-product(u.values, omega_x), None)
-
-    theta_x = spectral_derivative(s.theta).values
-    d_omega = -product(u.values, omega_x) + theta_x
-    d_theta = -product(u.values, theta_x)
-    return StateRate(d_omega, d_theta)
+    _, rate = _evaluate(model, s.grid, state_rows(model, s), dealias)
+    return StateRate(rate[0], rate[1] if s.theta is not None else None)
 
 
 def reconstruct_rho(theta: PeriodicField) -> PeriodicField:

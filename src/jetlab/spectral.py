@@ -7,21 +7,35 @@ functions; nothing here keeps mutable state, so concurrent use is safe.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Dict
 
 import numpy as np
 
-from .grid import PeriodicField
+from .grid import PeriodicField, PeriodicGrid
 
 _MEAN_TOL = 1e-12
 _ZERO_NODE_TOL = 1e-10
 _TINY = 1e-300
 
 
-def _derivative_values(values: np.ndarray, k: np.ndarray) -> np.ndarray:
-    fhat = np.fft.rfft(values)
-    fhat *= 1j * k
-    fhat[-1] = 0.0  # Nyquist derivative is not representable on the grid
-    return np.fft.irfft(fhat, n=values.size)
+@lru_cache(maxsize=32)
+def multipliers(grid: PeriodicGrid) -> Dict[str, np.ndarray]:
+    """rfft-ordered multipliers i*k, 1/(i*k), Hilbert -i*sign(k) and its antiderivative
+    -1/|k|; every Nyquist bin is zero, and every mean bin but the derivative's."""
+    k = grid.wavenumbers
+    m = {"derivative": 1j * k, "hilbert": np.full(k.size, -1j)}
+    m["antiderivative"], m["integrated_hilbert"] = np.zeros(k.size, complex), np.zeros(k.size)
+    m["derivative"][-1] = m["hilbert"][0] = m["hilbert"][-1] = 0.0
+    m["antiderivative"][1:-1] = -1j / k[1:-1]
+    m["integrated_hilbert"][1:-1] = -1.0 / k[1:-1]
+    for values in m.values():
+        values.setflags(write=False)
+    return m
+
+
+def apply_multiplier(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Apply an rfft-ordered multiplier along the last axis of ``values``."""
+    return np.fft.irfft(np.fft.rfft(values) * multiplier, n=values.shape[-1])
 
 
 def spectral_derivative(f: PeriodicField) -> PeriodicField:
@@ -29,7 +43,7 @@ def spectral_derivative(f: PeriodicField) -> PeriodicField:
 
     The Nyquist mode's derivative is set to zero.
     """
-    return PeriodicField(f.grid, _derivative_values(f.values, f.grid.wavenumbers))
+    return PeriodicField(f.grid, apply_multiplier(f.values, multipliers(f.grid)["derivative"]))
 
 
 def hilbert_transform(f: PeriodicField) -> PeriodicField:
@@ -38,11 +52,7 @@ def hilbert_transform(f: PeriodicField) -> PeriodicField:
     Mode ``k = 0`` maps to zero, so H(cos k~x) = sin k~x and
     H(sin k~x) = -cos k~x for the scaled wavenumbers ~x = 2*pi*x/L.
     """
-    fhat = np.fft.rfft(f.values)
-    fhat[1:] *= -1j  # sign(k) = +1 for every rfft bin k > 0
-    fhat[0] = 0.0
-    fhat[-1] = 0.0  # the Hilbert image of the Nyquist mode vanishes on the nodes
-    return PeriodicField(f.grid, np.fft.irfft(fhat, n=f.grid.n_points))
+    return PeriodicField(f.grid, apply_multiplier(f.values, multipliers(f.grid)["hilbert"]))
 
 
 def antiderivative_zero_mean(f: PeriodicField) -> PeriodicField:
@@ -51,12 +61,7 @@ def antiderivative_zero_mean(f: PeriodicField) -> PeriodicField:
     mean = float(np.mean(values))
     if abs(mean) > _MEAN_TOL * max(float(np.max(np.abs(values))), _TINY):
         raise ValueError("no periodic antiderivative: input has nonzero mean")
-    k = f.grid.wavenumbers
-    fhat = np.fft.rfft(values)
-    fhat[1:-1] /= 1j * k[1:-1]
-    fhat[0] = 0.0
-    fhat[-1] = 0.0
-    return PeriodicField(f.grid, np.fft.irfft(fhat, n=f.grid.n_points))
+    return PeriodicField(f.grid, apply_multiplier(values, multipliers(f.grid)["antiderivative"]))
 
 
 @lru_cache(maxsize=64)
@@ -109,7 +114,7 @@ def half_period_weighted_integral(f: PeriodicField, weight: str) -> float:
     x = grid.dx * np.arange(half + 1)
     ratio = np.empty(half + 1)
     ratio[1:] = f.values[idx[1:]] / x[1:]
-    ratio[0] = _derivative_values(f.values, grid.wavenumbers)[grid.index_of_zero]
+    ratio[0] = apply_multiplier(f.values, multipliers(grid)["derivative"])[grid.index_of_zero]
     integrand = ratio if weight == "inv_x" else ratio**2
     return float(grid.dx * composite_weights(half) @ integrand)
 
@@ -124,8 +129,6 @@ def dealias_filter(values: np.ndarray) -> np.ndarray:
 
 def resample(f: PeriodicField, n_new: int) -> PeriodicField:
     """Trigonometric resampling of ``f`` onto an ``n_new``-point grid."""
-    from .grid import PeriodicGrid
-
     n = f.grid.n_points
     fhat = np.fft.rfft(f.values)
     out = np.zeros(n_new // 2 + 1, dtype=complex)

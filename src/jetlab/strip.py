@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .grid import PeriodicField, PeriodicGrid
+from .spectral import multipliers
 
 _EPS = 1e-300
 
@@ -223,11 +224,8 @@ def compute_velocities(phi: StripField, m: int) -> Tuple[StripField, StripField]
     grid = phi.grid
     values = phi.values
     dq = grid.dq
-    k = grid.x_grid.wavenumbers
-    phi_hat = np.fft.rfft(values, axis=0)
-    phi_hat *= (1j * k)[:, None]
-    phi_hat[-1] = 0.0
-    v = np.fft.irfft(phi_hat, n=grid.x_grid.n_points, axis=0)
+    phi_x_hat = np.fft.rfft(values, axis=0) * multipliers(grid.x_grid)["derivative"][:, None]
+    v = np.fft.irfft(phi_x_hat, n=grid.x_grid.n_points, axis=0)
 
     phi_q = np.empty_like(values)
     phi_q[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2 * dq)

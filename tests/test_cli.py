@@ -70,7 +70,12 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "grid,path",
-        [({"n": -4}, "grid.n"), ({"n": 15}, "grid.n"), ({"L": 0.0}, "grid.L")],
+        [
+            ({"n": -4}, "grid.n"),
+            ({"n": 15}, "grid.n"),
+            ({"L": 0.0}, "grid.L"),
+            ({"n": 4}, "grid.n"),
+        ],
     )
     def test_bad_grid(self, grid, path):
         doc = {"model": {"name": "CLM"}, "grid": grid}
@@ -195,6 +200,66 @@ class TestRunModel:
         snap = (tmp_path / "out" / "snapshot_001.csv").read_text().splitlines()
         assert snap[1] == "x,omega,theta,u"
         assert len(snap) == 128 + 2
+
+
+class TestConfigFailures:
+    """Bad input ends in exit 1 and one config-error line naming the field."""
+
+    def _run(self, tmp_path, capsys, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        code = main(["run-model", str(config_path)])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+        return code, err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("t_end", float("nan")), ("t_end", float("inf")), ("omega_sup_cap", float("nan"))],
+    )
+    def test_non_finite_stepper_time(self, tmp_path, capsys, key, value):
+        # De Gregorio's cos steady state never reaches the sup cap
+        doc = minimal_q0(tmp_path, model={"name": "DeGregorio"})
+        doc["initial_data"] = {"omega": {"name": "custom_fourier", "terms": [[1, 0.0, 1.0]]}}
+        doc["stepper"][key] = value
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and f"stepper.{key}:" in err
+
+    def test_fractional_grid_n(self, tmp_path, capsys):
+        doc = minimal_q0(tmp_path, grid={"n": 64.7, "L": 2.0})
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and "grid.n:" in err
+
+    def test_fractional_record_every(self, tmp_path, capsys):
+        doc = minimal_q0(tmp_path)
+        doc["stepper"]["record_every"] = 2.9
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and "stepper.record_every:" in err
+
+    @pytest.mark.parametrize(
+        "field,spec",
+        [
+            ("omega", {"name": "sin_k"}),
+            ("omega", {"name": "white_noise"}),
+            ("theta", {"name": "white_noise"}),
+        ],
+    )
+    def test_bad_initial_data_untagged(self, tmp_path, capsys, field, spec):
+        doc = minimal_q0(tmp_path)
+        doc["initial_data"][field] = spec
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and f"initial_data.{field}:" in err
+
+    def test_bad_worker_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("JETLAB_WORKERS", "abc")
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(minimal_q0(tmp_path)))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5]}))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "JETLAB_WORKERS" in err
 
 
 class TestSweep:
