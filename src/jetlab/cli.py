@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
 Subcommands: run-model, sweep, jet-verify, identity-check.
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 invariant-audit failure.  JETLAB_WORKERS caps the sweep worker pool
-(default: logical core count).
+Exit codes: 0 success, 1 configuration or output-directory error, 2
+numerical failure, 3 invariant-audit failure; a sweep exits with its first
+nonzero member code.  JETLAB_WORKERS caps the sweep worker pool (default:
+logical core count).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_AUDIT = 3
+_STATUS = ("ok", "config_error", "numerical_failure", "audit_failure")  # by exit code
 
 
 def _worker_count() -> int:
@@ -46,25 +49,31 @@ def _worker_count() -> int:
         raise ConfigError("JETLAB_WORKERS", f"expected a whole number, got {env!r}") from None
 
 
-def _cmd_run_model(args) -> int:
+def _experiment(read_text: Callable[[], str]):
+    """Read, parse and run one experiment document: (exit code, summary or None).
+    A config, file or output-directory error or a numerical failure prints one line."""
     try:
-        config = parse_config(Path(args.config).read_text())
+        summary = run_experiment(parse_config(read_text()))
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        summary = run_experiment(config)
+        return EXIT_CONFIG, None
     except (FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL, None
+    return (EXIT_AUDIT if summary["failed_audits"] else EXIT_OK), summary
+
+
+def _cmd_run_model(args) -> int:
+    code, summary = _experiment(Path(args.config).read_text)
+    if summary is None:
+        return code
     result = summary["result"]
     print(f"termination: {result.termination} at t = {result.t_final:.6g}")
     for name, path in summary["paths"].items():
         print(f"  {name}: {path}")
     if summary["failed_audits"]:
         print(f"failed audits: {', '.join(summary['failed_audits'])}", file=sys.stderr)
-        return EXIT_AUDIT
-    return EXIT_OK
+    return code
 
 
 def _expand_grid(template: dict, grid_doc: dict):
@@ -83,14 +92,16 @@ def _expand_grid(template: dict, grid_doc: dict):
 
 def _run_one_sweep(payload) -> dict:
     index, doc = payload
-    config = parse_config(json.dumps(doc))
-    summary = run_experiment(config)
+    code, summary = _experiment(lambda: json.dumps(doc))
+    result = summary["result"] if summary else None
     return {
         "index": index,
-        "directory": config.output_dir,
-        "termination": summary["result"].termination,
-        "t_final": summary["result"].t_final,
-        "failed_audits": summary["failed_audits"],
+        "directory": doc["outputs"]["directory"],
+        "status": _STATUS[code],
+        "exit_code": code,
+        "termination": result.termination if result else None,
+        "t_final": result.t_final if result else None,
+        "failed_audits": summary["failed_audits"] if summary else [],
     }
 
 
@@ -115,23 +126,20 @@ def _cmd_sweep(args) -> int:
         for _, doc in jobs:
             parse_config(json.dumps(doc))
         workers = min(_worker_count(), len(jobs))
-    except ConfigError as exc:
+        preflight_output_dir(base)
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    preflight_output_dir(base)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one_sweep, jobs))
     else:
         rows = [_run_one_sweep(job) for job in jobs]
-    rows.sort(key=lambda r: r["index"])
     summary_path = Path(base) / "sweep_summary.json"
     summary_path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
     print(f"{len(rows)} runs -> {summary_path}")
-    if any(r["failed_audits"] for r in rows):
-        return EXIT_AUDIT
-    return EXIT_OK
+    return next((r["exit_code"] for r in rows if r["exit_code"]), EXIT_OK)
 
 
 def _cmd_jet_verify(args) -> int:

@@ -148,7 +148,10 @@ def parse_config(text: str) -> ExperimentConfig:
     theta0 = None if theta0_spec is None else _field(grid, theta0_spec, "initial_data.theta")
 
     step_doc = doc.get("stepper", {})
-    args = {"t_end": DEFAULTS["t_end"], "dealias": bool(step_doc.get("dealias", False))}
+    dealias = step_doc.get("dealias", False)
+    if not isinstance(dealias, bool):
+        raise ConfigError("stepper.dealias", f"expected true or false, got {dealias!r}")
+    args = {"t_end": DEFAULTS["t_end"], "dealias": dealias}
     for key in ("t_end", "cfl", "dt_min", "dt_max", "omega_sup_cap", "record_every"):
         if key in step_doc:
             args[key] = _number(step_doc, key, None, f"stepper.{key}", whole=key == "record_every")
@@ -163,6 +166,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     tags = tuple(str(t) for t in doc.get("tags", ()))
     if THEOREM_TAG in tags:
+        if stepper.dealias:
+            # the 2/3 filter zeroes the modes resolved_until measures
+            raise ConfigError("stepper.dealias", "theorem runs must not dealias")
         _check_theorem_symmetries(omega0, theta0)
 
     return ExperimentConfig(

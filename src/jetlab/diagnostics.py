@@ -7,14 +7,16 @@ many runs concurrently is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .grid import PeriodicField, reflect_values
 from .models import LOCAL, EvolutionState, ModelSpec
 from .spectral import (
+    half_period_integrals,
     half_period_weighted_integral,
+    is_pinned_at_zero,
     spectral_derivative,
     tail_energy_fraction,
 )
@@ -58,12 +60,17 @@ class DiagnosticRecord:
     min_omega_half: float
     min_thetax_half: float
     tail_energy_fraction: float
+    # audit inputs, not CSV columns: the strong term (0 while omega(0) is
+    # unpinned), sup|theta| and sup|theta_x| (0 without theta)
+    strong_term: float
+    sup_theta: float
+    sup_theta_x: float
 
     def to_csv_row(self) -> str:
         return ",".join(repr(getattr(self, name)) for name in CSV_COLUMNS)
 
 
-assert tuple(f.name for f in fields(DiagnosticRecord)) == CSV_COLUMNS
+assert tuple(f.name for f in fields(DiagnosticRecord))[: len(CSV_COLUMNS)] == CSV_COLUMNS
 
 
 def diagnostic_coupling(model: ModelSpec) -> float:
@@ -98,16 +105,16 @@ def strong_term(omega: PeriodicField, c: float) -> float:
     return 0.5 * c * c * half_period_weighted_integral(omega, "inv_x_squared")
 
 
-def _guarded_strong_term(omega: PeriodicField, c: float) -> float:
-    """strong_term where defined, 0 once omega(0) unpins (post-resolution noise)."""
-    return strong_term(omega, c) if _is_pinned_at_zero(omega) else 0.0
-
-
-def symmetry_and_sign_monitor(s: EvolutionState) -> dict:
-    """Odd/even defects, endpoint pinning and half-period minima for a state.
+def symmetry_and_sign_monitor(
+    s: EvolutionState, theta_x: Optional[PeriodicField] = None
+) -> dict:
+    """Odd/even defects, endpoint pinning, half-period minima and the theta
+    scales sup|theta| and sup|theta_x| (0 without theta) for a state.
 
     Reflection about x = 0 and about x = L/2 coincide on the periodic grid,
     so the "combined over both symmetry points" defect is a single number.
+    ``theta_x``, the spectral derivative of ``s.theta``, is computed here
+    when the caller does not pass it.
     """
     grid = s.grid
     n = grid.n_points
@@ -120,15 +127,14 @@ def symmetry_and_sign_monitor(s: EvolutionState) -> dict:
     half_idx = np.concatenate([np.arange(n // 2, n), [0]])
     min_omega_half = float(np.min(omega[half_idx]))
 
+    even_defect = min_thetax_half = sup_theta = sup_theta_x = 0.0
     if s.theta is not None:
         theta = s.theta.values
-        sup_theta = max(float(np.max(np.abs(theta))), _EPS)
-        even_defect = float(np.max(np.abs(theta - reflect_values(theta)))) / sup_theta
-        theta_x = spectral_derivative(s.theta).values
-        min_thetax_half = float(np.min(theta_x[half_idx]))
-    else:
-        even_defect = 0.0
-        min_thetax_half = 0.0
+        if theta_x is None:
+            theta_x = spectral_derivative(s.theta)
+        sup_theta, sup_theta_x = s.theta.sup_norm, theta_x.sup_norm
+        even_defect = float(np.max(np.abs(theta - reflect_values(theta)))) / max(sup_theta, _EPS)
+        min_thetax_half = float(np.min(theta_x.values[half_idx]))
 
     return {
         "odd_defect_omega": odd_defect,
@@ -136,32 +142,34 @@ def symmetry_and_sign_monitor(s: EvolutionState) -> dict:
         "endpoint_omega": float(endpoint),
         "min_omega_half": min_omega_half,
         "min_thetax_half": min_thetax_half,
+        "sup_theta": sup_theta,
+        "sup_theta_x": sup_theta_x,
     }
-
-
-def _is_pinned_at_zero(f: PeriodicField) -> bool:
-    return abs(f.value_at_zero) <= 1e-10 * max(f.sup_norm, _EPS)
 
 
 def compute_record(
     model: ModelSpec, s: EvolutionState, bkm_integral: float
 ) -> DiagnosticRecord:
-    """Instantaneous diagnostic row; F-derivative margins are filled later.
+    """Instantaneous diagnostic row with its audit inputs; the F-derivative
+    margins are filled later.
 
-    F (and the strong term feeding strong_margin) is computed only when
-    omega vanishes at x = 0, G only when theta_x does; otherwise the columns
-    carry 0 so that arbitrary exploratory data never aborts a run.
+    F and the strong term are computed only when omega vanishes at x = 0, G
+    only when theta_x does; otherwise they carry 0 so that arbitrary
+    exploratory data never aborts a run.
     """
     c = diagnostic_coupling(model)
-    monitor = symmetry_and_sign_monitor(s)
+    theta_x = spectral_derivative(s.theta) if s.theta is not None else None
+    monitor = symmetry_and_sign_monitor(s, theta_x)
 
-    F = functional_F(s.omega, c) if _is_pinned_at_zero(s.omega) else 0.0
+    F = strong = 0.0
+    if is_pinned_at_zero(s.omega):
+        inv_x, inv_x_squared = half_period_integrals(s.omega)
+        F = c * inv_x
+        strong = 0.5 * c * c * inv_x_squared
     E = energy(s, c) if s.theta is not None else 0.0
     G = 0.0
-    if s.theta is not None:
-        theta_x = spectral_derivative(s.theta)
-        if _is_pinned_at_zero(theta_x):
-            G = c * half_period_weighted_integral(theta_x, "inv_x")
+    if theta_x is not None and is_pinned_at_zero(theta_x):
+        G = c * half_period_weighted_integral(theta_x, "inv_x")
 
     tail = tail_energy_fraction(s.omega)
     if s.theta is not None:
@@ -177,12 +185,9 @@ def compute_record(
         strong_margin=0.0,
         sup_omega=s.omega.sup_norm,
         bkm_integral=bkm_integral,
-        odd_defect_omega=monitor["odd_defect_omega"],
-        even_defect_theta=monitor["even_defect_theta"],
-        endpoint_omega=monitor["endpoint_omega"],
-        min_omega_half=monitor["min_omega_half"],
-        min_thetax_half=monitor["min_thetax_half"],
         tail_energy_fraction=tail,
+        strong_term=strong,
+        **monitor,
     )
 
 
@@ -217,50 +222,43 @@ class RiccatiSample:
 
 
 def riccati_audit(run, c: float) -> List[RiccatiSample]:
-    """Margins of the blow-up inequality chain along a recorded run.
+    """Margins of the blow-up inequality chain at the interior records of a run.
 
-    dF/dt is estimated from the recorded F series by centered differences;
-    the strong term is recomputed from the stored states with the same
-    quadrature as F itself, which makes the Cauchy--Schwarz comparison an
-    exact weighted-sum inequality.
+    A view over the records: dF/dt and both margins are the ones
+    fill_margin_fields derived from the recorded F series, and the strong
+    term was recorded with the same quadrature as F itself, which makes the
+    Cauchy--Schwarz comparison an exact weighted-sum inequality.  ``c`` is
+    not read: the records hold the strong term at the run's own coupling.
     """
     records = run.diagnostics
     if len(records) < 3:
         raise ValueError("riccati audit needs at least 3 diagnostic samples")
-    t = np.array([r.t for r in records])
-    F = np.array([r.F for r in records])
-    L = run.states[0].grid.period_L
-    F_dot = _three_point_slopes(t, F)
-    out = []
-    for i in range(1, len(records) - 1):
-        state = run.states[i]
-        half_strong = _guarded_strong_term(state.omega, c)
-        out.append(
-            RiccatiSample(
-                t=float(t[i]),
-                F=float(F[i]),
-                F_dot=float(F_dot[i]),
-                riccati_margin=float(F_dot[i] - F[i] ** 2 / L),
-                strong_margin=float(F_dot[i] - half_strong),
-                cauchy_lhs=float(F[i] ** 2),
-                cauchy_rhs=float(L * half_strong),  # c^2 (L/2) int = L * strong term
-            )
+    return [
+        RiccatiSample(
+            t=r.t,
+            F=r.F,
+            F_dot=r.F_dot_measured,
+            riccati_margin=r.riccati_margin,
+            strong_margin=r.strong_margin,
+            cauchy_lhs=r.F**2,
+            cauchy_rhs=run.period_L * r.strong_term,  # c^2 (L/2) int = L * strong term
         )
-    return out
+        for r in records[1:-1]
+    ]
 
 
-def fill_margin_fields(records: Sequence[DiagnosticRecord], states, c: float) -> None:
-    """Populate F_dot_measured and both margins in-place on recorded rows."""
+def fill_margin_fields(records: Sequence[DiagnosticRecord], L: float) -> None:
+    """Populate F_dot_measured and both margins in-place on the rows of a run
+    of period ``L``, by centered differences of the recorded F series."""
     if len(records) < 2:
         return
     t = np.array([r.t for r in records])
     F = np.array([r.F for r in records])
-    L = states[0].grid.period_L
     F_dot = _three_point_slopes(t, F)
     for i, r in enumerate(records):
         r.F_dot_measured = float(F_dot[i])
         r.riccati_margin = float(F_dot[i] - F[i] ** 2 / L)
-        r.strong_margin = float(F_dot[i] - _guarded_strong_term(states[i].omega, c))
+        r.strong_margin = float(F_dot[i] - r.strong_term)
 
 
 def resolved_until(records: Sequence[DiagnosticRecord], threshold: float = 1e-8) -> float:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import DiagnosticRecord, compute_record, diagnostic_coupling, fill_margin_fields
+from .diagnostics import DiagnosticRecord, compute_record, fill_margin_fields
 from .grid import PeriodicField
 from .models import EvolutionState, ModelSpec, _evaluate, biot_savart, state_rows
 
@@ -16,6 +17,11 @@ SUP_CAP_HIT = "sup_cap_hit"
 DT_UNDERFLOW = "dt_underflow"
 
 _SPEED_FLOOR = 1e-300
+
+# Fit settings of a run's blow-up estimate; the relaxed residual accepts the
+# steeper-than-pole growth a spectral run shows once it leaves resolution.
+FIT_FRACTION = 0.25
+FIT_RESIDUAL_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -41,14 +47,22 @@ class StepperConfig:
 
 @dataclass
 class RunResult:
-    states: List[EvolutionState]
+    states: List[EvolutionState]  # one snapshot state per requested time
     diagnostics: List[DiagnosticRecord]
     termination: str
     t_final: float
+    period_L: float
 
     @property
     def sup_series(self) -> np.ndarray:
         return np.array([(r.t, r.sup_omega) for r in self.diagnostics])
+
+    @cached_property
+    def estimated_blowup_time(self) -> Optional[float]:
+        """Pole-fit blow-up time of the sup history, fitted once (None below 8 records)."""
+        if len(self.diagnostics) < 8:
+            return None
+        return estimate_blowup_time(self.sup_series, FIT_FRACTION, FIT_RESIDUAL_THRESHOLD)
 
 
 def step_rk4(
@@ -79,7 +93,9 @@ def step_rk4(
     return EvolutionState(PeriodicField(grid, out[0]), theta, s.time + dt)
 
 
-def run(model: ModelSpec, init: EvolutionState, cfg: StepperConfig) -> RunResult:
+def run(
+    model: ModelSpec, init: EvolutionState, cfg: StepperConfig, snapshot_times: Sequence[float] = ()
+) -> RunResult:
     """March the model with CFL-limited RK4 steps until a termination event.
 
     dt = clamp(cfl * dx / max(|u|_inf, eps), dt_min, dt_max), additionally
@@ -87,19 +103,26 @@ def run(model: ModelSpec, init: EvolutionState, cfg: StepperConfig) -> RunResult
     every ``record_every`` steps and at termination.  A CFL time step below
     dt_min is the recorded termination ``dt_underflow``, not a failure; an
     overflow inside a stage is treated as a sup-cap event at the last finite
-    state.
+    state.  ``RunResult.states`` keeps, for each of ``snapshot_times``, the
+    recorded state nearest to it (the earliest on a tie), and no other state.
     """
     if model.has_theta != (init.theta is not None):
         raise ValueError("initial state theta presence must match the model")
     dx = init.grid.dx
-    c = diagnostic_coupling(model)
 
     state = init
-    states: List[EvolutionState] = [state]
-    records: List[DiagnosticRecord] = [compute_record(model, state, 0.0)]
+    snapshots = [init] * len(snapshot_times)
+    records: List[DiagnosticRecord] = []
+
+    def record(s: EvolutionState, bkm: float) -> None:
+        records.append(compute_record(model, s, bkm))
+        for i, t_want in enumerate(snapshot_times):
+            if abs(s.time - t_want) < abs(snapshots[i].time - t_want):
+                snapshots[i] = s
+
+    record(state, 0.0)
     bkm = 0.0
     step = 0
-    recorded_step = 0
     termination = None
 
     while True:
@@ -125,15 +148,12 @@ def run(model: ModelSpec, init: EvolutionState, cfg: StepperConfig) -> RunResult
         state = new_state
         step += 1
         if step % cfg.record_every == 0:
-            states.append(state)
-            records.append(compute_record(model, state, bkm))
-            recorded_step = step
+            record(state, bkm)
 
-    if recorded_step != step:
-        states.append(state)
-        records.append(compute_record(model, state, bkm))
-    fill_margin_fields(records, states, c)
-    return RunResult(states, records, termination, state.time)
+    if records[-1].t != state.time:
+        record(state, bkm)
+    fill_margin_fields(records, init.grid.period_L)
+    return RunResult(snapshots, records, termination, state.time, init.grid.period_L)
 
 
 def estimate_blowup_time(

@@ -15,14 +15,8 @@ from .diagnostics import (
     resolved_until,
     riccati_audit,
 )
-from .evolve import REACHED_T_END, RunResult, estimate_blowup_time, run
+from .evolve import REACHED_T_END, RunResult, run
 from .models import biot_savart
-from .spectral import spectral_derivative
-
-# Fit settings for the blow-up estimator; the relaxed residual accepts the
-# steeper-than-pole growth a spectral run shows once it leaves resolution.
-FIT_FRACTION = 0.25
-FIT_RESIDUAL_THRESHOLD = 0.5
 
 
 def preflight_output_dir(path: str) -> Path:
@@ -53,13 +47,7 @@ def theorem_audit(result: RunResult, config: ExperimentConfig) -> Dict[str, obje
     out["F0"] = F0
     out["bound_L_over_F0"] = L / F0 if F0 > 0 else None
 
-    estimate = None
-    if len(records) >= 8:
-        estimate = estimate_blowup_time(
-            result.sup_series,
-            fit_fraction=FIT_FRACTION,
-            residual_threshold=FIT_RESIDUAL_THRESHOLD,
-        )
+    estimate = result.estimated_blowup_time
     out["estimated_blowup_time"] = estimate
     # the bound is only falsifiable once the horizon passes L/F(0)
     if F0 > 0 and config.stepper.t_end > L / F0:
@@ -70,63 +58,37 @@ def theorem_audit(result: RunResult, config: ExperimentConfig) -> Dict[str, obje
         )
 
     E0 = records[0].E
-    out["energy_conserved"] = bool(
-        all(abs(r.E - E0) <= 1e-6 * max(abs(E0), 1.0) for r in res)
+    pairs = list(zip(res, res[1:]))
+    out["energy_conserved"] = all(abs(r.E - E0) <= 1e-6 * max(abs(E0), 1.0) for r in res)
+    out["F_monotone"] = all(b.F >= a.F - 1e-6 * max(abs(a.F), 1.0) for a, b in pairs)
+    out["G_nonnegative"] = all(r.G >= -1e-9 for r in res)
+    out["symmetry_preserved"] = all(
+        r.odd_defect_omega <= 1e-9 and r.even_defect_theta <= 1e-9 for r in res
     )
-    out["F_monotone"] = bool(
-        all(
-            res[i + 1].F >= res[i].F - 1e-6 * max(abs(res[i].F), 1.0)
-            for i in range(len(res) - 1)
-        )
+    out["endpoint_pinned"] = all(
+        r.endpoint_omega <= 1e-9 * max(r.sup_omega, 1e-300) for r in res
     )
-    out["G_nonnegative"] = bool(all(r.G >= -1e-9 for r in res))
-    out["symmetry_preserved"] = bool(
-        all(r.odd_defect_omega <= 1e-9 and r.even_defect_theta <= 1e-9 for r in res)
+    out["sign_preserved"] = all(
+        r.min_omega_half >= -1e-8 * max(r.sup_omega, 1e-300) for r in res
     )
-    out["endpoint_pinned"] = bool(
-        all(r.endpoint_omega <= 1e-9 * max(r.sup_omega, 1e-300) for r in res)
+    out["thetax_sign_preserved"] = all(
+        r.min_thetax_half >= -1e-8 * max(r.sup_theta_x, 1e-300) for r in res
     )
-    out["sign_preserved"] = bool(
-        all(r.min_omega_half >= -1e-8 * max(r.sup_omega, 1e-300) for r in res)
+    out["theta_max_principle"] = all(
+        b.sup_theta <= a.sup_theta * (1.0 + 1e-9 * (b.t - a.t)) + 1e-300 for a, b in pairs
     )
-    thetax_ok = True
-    for record, state in zip(records, result.states):
-        if record.t >= t_res or state.theta is None:
-            continue
-        theta_x = spectral_derivative(state.theta).values
-        sup_tx = max(float(np.max(np.abs(theta_x))), 1e-300)
-        if record.min_thetax_half < -1e-8 * sup_tx:
-            thetax_ok = False
-            break
-    out["thetax_sign_preserved"] = thetax_ok
-
-    theta_sups = [
-        float(np.max(np.abs(s.theta.values))) if s.theta is not None else 0.0
-        for s in result.states
-    ]
-    ok_theta = True
-    for i in range(len(res) - 1):
-        dt = res[i + 1].t - res[i].t
-        if theta_sups[i + 1] > theta_sups[i] * (1.0 + 1e-9 * dt) + 1e-300:
-            ok_theta = False
-            break
-    out["theta_max_principle"] = ok_theta
 
     if len(records) >= 3:
         samples = [a for a in riccati_audit(result, c) if a.t < t_res]
-        out["riccati_margin_ok"] = bool(
-            all(a.riccati_margin >= -1e-4 * max(a.F**2, 1.0) for a in samples)
+        out["riccati_margin_ok"] = all(
+            a.riccati_margin >= -1e-4 * max(a.F**2, 1.0) for a in samples
         )
-        out["cauchy_schwarz_ok"] = bool(
-            all(a.cauchy_rhs - a.cauchy_lhs >= -1e-9 * a.cauchy_lhs for a in samples)
+        out["cauchy_schwarz_ok"] = all(
+            a.cauchy_rhs - a.cauchy_lhs >= -1e-9 * a.cauchy_lhs for a in samples
         )
         if F0 > 0:
-            out["envelope_ok"] = bool(
-                all(
-                    1.0 / a.F <= 1.0 / F0 - a.t / L + 1e-3
-                    for a in samples
-                    if a.F > 0
-                )
+            out["envelope_ok"] = all(
+                1.0 / a.F <= 1.0 / F0 - a.t / L + 1e-3 for a in samples if a.F > 0
             )
     return out
 
@@ -136,7 +98,7 @@ def emit_outputs(
     config: ExperimentConfig,
     audits: Optional[Dict[str, object]] = None,
 ) -> Dict[str, Path]:
-    """Write diagnostics.csv, run.json and any configured state snapshots."""
+    """Write diagnostics.csv, run.json and the run's snapshot states."""
     out = Path(config.output_dir)
     paths: Dict[str, Path] = {}
 
@@ -152,22 +114,14 @@ def emit_outputs(
         "termination": result.termination,
         "t_final": result.t_final,
         "n_samples": len(result.diagnostics),
-        "estimated_blowup_time": estimate_blowup_time(
-            result.sup_series,
-            fit_fraction=FIT_FRACTION,
-            residual_threshold=FIT_RESIDUAL_THRESHOLD,
-        )
-        if len(result.diagnostics) >= 8
-        else None,
+        "estimated_blowup_time": result.estimated_blowup_time,
         "audits": audits if audits is not None else {},
     }
     json_path = out / "run.json"
     json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     paths["run"] = json_path
 
-    times = np.array([s.time for s in result.states])
-    for i, t_want in enumerate(config.snapshot_times):
-        state = result.states[int(np.argmin(np.abs(times - t_want)))]
+    for i, state in enumerate(result.states):
         u = biot_savart(config.model, state.omega)
         snap_path = out / f"snapshot_{i:03d}.csv"
         with open(snap_path, "w") as fh:
@@ -183,8 +137,7 @@ def emit_outputs(
 def run_experiment(config: ExperimentConfig) -> Dict[str, object]:
     """Pre-flight, run, audit (when tagged) and emit; returns a summary dict."""
     preflight_output_dir(config.output_dir)
-    init = config.initial_state()
-    result = run(config.model, init, config.stepper)
+    result = run(config.model, config.initial_state(), config.stepper, config.snapshot_times)
     audits = theorem_audit(result, config) if config.theorem_tagged else None
     paths = emit_outputs(result, config, audits)
     failed = []

@@ -7,14 +7,13 @@ functions; nothing here keeps mutable state, so concurrent use is safe.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .grid import PeriodicField, PeriodicGrid
 
 _MEAN_TOL = 1e-12
-_ZERO_NODE_TOL = 1e-10
 _TINY = 1e-300
 
 
@@ -93,21 +92,23 @@ def composite_weights(n_intervals: int) -> np.ndarray:
     return w
 
 
-def half_period_weighted_integral(f: PeriodicField, weight: str) -> float:
-    """Integrate ``f(x)/x`` or ``f(x)^2/x^2`` over ``[0, L/2]``.
+def is_pinned_at_zero(f: PeriodicField) -> bool:
+    """Whether ``f(0)`` vanishes relative to ``sup|f|``, as ``f(x)/x`` needs."""
+    return abs(f.value_at_zero) <= 1e-10 * max(f.sup_norm, _TINY)
 
-    The removable singularity at ``x = 0`` is handled by replacing the
-    integrand there with ``f'(0)`` (spectral derivative) or ``f'(0)^2``;
-    this requires ``f(0) = 0``.  Only grid nodes are used (no
+
+def half_period_integrals(f: PeriodicField) -> Tuple[float, float]:
+    """Integrate ``f(x)/x`` and ``f(x)^2/x^2`` over ``[0, L/2]``.
+
+    The removable singularity at ``x = 0`` is handled by replacing the ratio
+    ``f(x)/x`` there with ``f'(0)`` (spectral derivative); this requires
+    ``f(0) = 0``.  Both integrals use the one ratio at the grid nodes (no
     re-interpolation) with the order-4 composite rule above.
     """
-    if weight not in ("inv_x", "inv_x_squared"):
-        raise ValueError(f"unknown weight {weight!r}")
+    if not is_pinned_at_zero(f):
+        raise ValueError("singular integrand: f(0) must vanish")
     grid = f.grid
     n = grid.n_points
-    sup = max(f.sup_norm, _TINY)
-    if abs(f.value_at_zero) > _ZERO_NODE_TOL * sup:
-        raise ValueError("singular integrand: f(0) must vanish")
 
     half = n // 2
     idx = (grid.index_of_zero + np.arange(half + 1)) % n  # x = 0 .. L/2, wrapping at L/2
@@ -115,8 +116,16 @@ def half_period_weighted_integral(f: PeriodicField, weight: str) -> float:
     ratio = np.empty(half + 1)
     ratio[1:] = f.values[idx[1:]] / x[1:]
     ratio[0] = apply_multiplier(f.values, multipliers(grid)["derivative"])[grid.index_of_zero]
-    integrand = ratio if weight == "inv_x" else ratio**2
-    return float(grid.dx * composite_weights(half) @ integrand)
+    weights = grid.dx * composite_weights(half)
+    return float(weights @ ratio), float(weights @ ratio**2)
+
+
+def half_period_weighted_integral(f: PeriodicField, weight: str) -> float:
+    """Integrate ``f(x)/x`` (``"inv_x"``) or ``f(x)^2/x^2`` (``"inv_x_squared"``)
+    over ``[0, L/2]``; see :func:`half_period_integrals`."""
+    if weight not in ("inv_x", "inv_x_squared"):
+        raise ValueError(f"unknown weight {weight!r}")
+    return half_period_integrals(f)[0 if weight == "inv_x" else 1]
 
 
 def dealias_filter(values: np.ndarray) -> np.ndarray:

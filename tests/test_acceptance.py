@@ -119,7 +119,7 @@ def test_c03_manufactured_elliptic():
 
 
 def test_c04_blowup_bound(blowup_run):
-    F0 = functional_F(blowup_run.states[0].omega, C_RUN)
+    F0 = functional_F(sin_state(2048).omega, C_RUN)  # the run's initial data
     t_star = estimate_blowup_time(
         blowup_run.sup_series, fit_fraction=0.25, residual_threshold=0.5
     )

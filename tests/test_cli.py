@@ -251,6 +251,39 @@ class TestConfigFailures:
         code, err = self._run(tmp_path, capsys, doc)
         assert code == 1 and f"initial_data.{field}:" in err
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_dealias_must_be_boolean(self, tmp_path, capsys, value):
+        doc = minimal_q0(tmp_path)
+        doc["stepper"]["dealias"] = value
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and "stepper.dealias:" in err
+
+    def test_theorem_run_rejects_dealias(self, tmp_path, capsys):
+        # the tail metric behind resolved_until is blind under the 2/3 filter
+        doc = minimal_q0(tmp_path, tags=["theorem-hypotheses"])
+        doc["stepper"]["dealias"] = True
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and "stepper.dealias:" in err
+
+    def test_output_directory_under_file(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("not a directory")
+        doc = minimal_q0(tmp_path)
+        doc["outputs"]["directory"] = str(tmp_path / "blocker" / "out")
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and "blocker" in err
+
+    def test_sweep_output_directory_under_file(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("not a directory")
+        template = minimal_q0(tmp_path)
+        template["outputs"]["directory"] = str(tmp_path / "blocker" / "out")
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(template))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5]}))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+
     def test_bad_worker_count(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("JETLAB_WORKERS", "abc")
         template_path = tmp_path / "template.json"
@@ -277,6 +310,27 @@ class TestSweep:
         for row in summary:
             assert row["termination"] == "reached_t_end"
             assert (tmp_path / "sweepout" / f"sweep_{row['index']:04d}").is_dir()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_member_keeps_the_others(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setenv("JETLAB_WORKERS", workers)
+        base = tmp_path / "sweepout"
+        base.mkdir()
+        (base / "sweep_0001").write_text("a file where member 1 writes")
+        template = minimal_q0(tmp_path)
+        template["outputs"]["directory"] = str(base)
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(template))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5, 1.0]}))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        rows = json.loads((base / "sweep_summary.json").read_text())
+        assert [r["exit_code"] for r in rows] == [0, 1, 0]
+        assert [r["status"] for r in rows] == ["ok", "config_error", "ok"]
+        assert rows[1]["termination"] is None and rows[1]["t_final"] is None
+        for i in (0, 2):
+            assert rows[i]["termination"] == "reached_t_end"
+            assert (base / f"sweep_{i:04d}" / "diagnostics.csv").exists()
 
     def test_sweep_rejects_bad_grid_value(self, tmp_path):
         template_path = tmp_path / "template.json"

@@ -12,13 +12,17 @@ from jetlab import (
     functional_F,
     functional_G,
     resample,
+    RiccatiSample,
+    biot_savart,
     riccati_audit,
     resolved_until,
     run,
+    spectral_derivative,
+    step_rk4,
     strong_term,
     symmetry_and_sign_monitor,
 )
-from jetlab.diagnostics import compute_record
+from jetlab.diagnostics import _three_point_slopes, compute_record
 
 from conftest import F0_SIN, INT_PI_SIN_OVER_X, INT_SIN2_OVER_X2, sin_state
 
@@ -183,6 +187,64 @@ class TestRiccatiAudit:
 
         with pytest.raises(ValueError, match="at least 3"):
             riccati_audit(Fake(), 1.0)
+
+
+def _pinned(f):
+    return abs(f.value_at_zero) <= 1e-10 * max(f.sup_norm, 1e-300)
+
+
+class TestStreamedRecords:
+    """The audit inputs recorded during a run against the same quantities
+    recomputed from every state of the run, the way the audits once did."""
+
+    def test_against_replayed_states(self):
+        model, c, L = ModelSpec.q0(1 / 3), 1 / 3, 2.0
+        init = sin_state(128, theta_amplitude=0.5)
+        cfg = StepperConfig(t_end=0.2, dt_max=0.005, record_every=3)
+        res = run(model, init, cfg)
+
+        # replay run()'s steps, keeping every state
+        states = [init]
+        while states[-1].time < cfg.t_end - 1e-14:
+            s = states[-1]
+            u = biot_savart(model, s.omega)
+            dt = min(cfg.cfl * s.grid.dx / u.sup_norm, cfg.dt_max, cfg.t_end - s.time)
+            states.append(step_rk4(model, s, dt))
+        recorded = states[:: cfg.record_every]
+        if len(states) % cfg.record_every != 1:
+            recorded.append(states[-1])
+        assert [s.time for s in recorded] == [r.t for r in res.diagnostics]
+
+        strong = []
+        for s, r in zip(recorded, res.diagnostics):
+            theta_x = spectral_derivative(s.theta)
+            strong.append(strong_term(s.omega, c) if _pinned(s.omega) else 0.0)
+            assert r.strong_term == strong[-1]
+            assert r.sup_theta == float(np.max(np.abs(s.theta.values)))
+            assert r.sup_theta_x == float(np.max(np.abs(theta_x.values)))
+            assert r.F == (functional_F(s.omega, c) if _pinned(s.omega) else 0.0)
+            assert r.G == (functional_G(s.theta, c) if _pinned(theta_x) else 0.0)
+        assert all(x > 0 for x in strong)
+
+        t = np.array([r.t for r in res.diagnostics])
+        F = np.array([r.F for r in res.diagnostics])
+        F_dot = _three_point_slopes(t, F)
+        expected = [
+            RiccatiSample(
+                t=float(t[i]),
+                F=float(F[i]),
+                F_dot=float(F_dot[i]),
+                riccati_margin=float(F_dot[i] - F[i] ** 2 / L),
+                strong_margin=float(F_dot[i] - strong[i]),
+                cauchy_lhs=float(F[i] ** 2),
+                cauchy_rhs=float(L * strong[i]),
+            )
+            for i in range(1, len(recorded) - 1)
+        ]
+        assert riccati_audit(res, c) == expected
+        for i, r in enumerate(res.diagnostics):
+            assert r.F_dot_measured == float(F_dot[i])
+            assert r.strong_margin == float(F_dot[i] - strong[i])
 
 
 class TestRecords:

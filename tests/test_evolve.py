@@ -97,13 +97,24 @@ class TestRun:
             assert r.riccati_margin == 0.0 and r.strong_margin == 0.0
 
     def test_records_share_timestamps(self):
-        init = sin_state(128, theta_amplitude=0.2)
-        res = run(ModelSpec.q0(1 / 3), init, StepperConfig(t_end=0.2, record_every=5))
-        assert len(res.states) == len(res.diagnostics)
-        for s, r in zip(res.states, res.diagnostics):
-            assert s.time == r.t
-        assert res.diagnostics[0].t == 0.0
-        assert res.diagnostics[-1].t == pytest.approx(res.t_final)
+        # dt_max = 2^-7 binds, so record times are exact and midpoints are ties
+        model, init = ModelSpec.q0(1 / 3), sin_state(128, theta_amplitude=0.2)
+        cfg = StepperConfig(t_end=0.2, dt_max=2.0**-7, record_every=5)
+        plain = run(model, init, cfg)
+        assert plain.states == []
+        times = np.array([r.t for r in plain.diagnostics])
+        assert times[0] == 0.0 and times[-1] == pytest.approx(plain.t_final)
+        tie = (times[1] + times[2]) / 2
+        assert tie - times[1] == times[2] - tie
+        wanted = [0.0, 0.07, 0.07, tie, 0.2, -1.0, 9.0]
+        res = run(model, init, cfg, wanted)
+        assert [r.t for r in res.diagnostics] == list(times)
+        assert len(res.states) == len(wanted)
+        for s, t_want in zip(res.states, wanted):
+            # the strictly nearest recorded time wins, the earliest on a tie
+            assert s.time == times[int(np.argmin(np.abs(times - t_want)))]
+        assert res.states[0] is init and res.states[1] is res.states[2]
+        assert res.states[3].time == times[1]
 
     def test_sup_cap_termination(self):
         # theta_x >= 0 feeds omega, so the sup genuinely grows
