@@ -77,8 +77,15 @@ def _cmd_run_model(args) -> int:
 
 
 def _expand_grid(template: dict, grid_doc: dict):
-    """Cartesian product of dotted-path overrides applied to the template."""
+    """Cartesian product of dotted-path overrides applied to the template; a
+    ConfigError when either document or an override path has the wrong shape."""
+    for name, document in (("<template>", template), ("<grid>", grid_doc)):
+        if not isinstance(document, dict):
+            raise ConfigError(name, "top level must be an object")
     paths = sorted(grid_doc)
+    for path in paths:
+        if not isinstance(grid_doc[path], list):
+            raise ConfigError(f"<grid> {path}", f"expected a list, got {grid_doc[path]!r}")
     for combo in itertools.product(*(grid_doc[p] for p in paths)):
         doc = json.loads(json.dumps(template))
         for path, value in zip(paths, combo):
@@ -86,6 +93,8 @@ def _expand_grid(template: dict, grid_doc: dict):
             keys = path.split(".")
             for key in keys[:-1]:
                 node = node.setdefault(key, {})
+                if not isinstance(node, dict):
+                    raise ConfigError(f"<grid> {path}", f"{key} is not an object")
             node[keys[-1]] = value
         yield doc
 
@@ -113,17 +122,15 @@ def _cmd_sweep(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    jobs = []
-    base = template.get("outputs", {}).get("directory", "out")
-    for i, doc in enumerate(_expand_grid(template, grid_doc)):
-        doc.setdefault("outputs", {})["directory"] = str(Path(base) / f"sweep_{i:04d}")
-        jobs.append((i, doc))
-    if not jobs:
-        print("config error: empty parameter grid", file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
-        for _, doc in jobs:
+        jobs = list(enumerate(_expand_grid(template, grid_doc)))
+        if not jobs:
+            raise ConfigError("<grid>", "empty parameter grid")
+        outputs = template.get("outputs", {})
+        base = str(outputs.get("directory", "out")) if isinstance(outputs, dict) else "out"
+        for i, doc in jobs:
+            if isinstance(doc.setdefault("outputs", {}), dict):
+                doc["outputs"]["directory"] = str(Path(base) / f"sweep_{i:04d}")
             parse_config(json.dumps(doc))
         workers = min(_worker_count(), len(jobs))
         preflight_output_dir(base)

@@ -80,6 +80,15 @@ def _number(section: dict, key: str, default, path: str, whole: bool = False):
     return int(value) if whole else value
 
 
+def _shaped(section: dict, key: str, kind: type, path: str):
+    """``section[key]`` (else an empty ``kind``), required to be a JSON object or list."""
+    value = section.get(key, kind())
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ConfigError(path, f"expected {expected}, got {value!r}")
+    return value
+
+
 def _field(grid: PeriodicGrid, spec, path: str):
     try:
         return build_field(grid, spec)
@@ -126,7 +135,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     model = _parse_model(doc)
 
-    grid_doc = doc.get("grid", {})
+    grid_doc = _shaped(doc, "grid", dict, "grid")
     n = _number(grid_doc, "n", DEFAULTS["n"], "grid.n", whole=True)
     L = _number(grid_doc, "L", DEFAULTS["L"], "grid.L")
     try:
@@ -139,7 +148,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("model.X", str(exc)) from None
 
-    init_doc = doc.get("initial_data", {})
+    init_doc = _shaped(doc, "initial_data", dict, "initial_data")
     omega0_spec = init_doc.get("omega", {"name": "sin_fundamental"})
     theta0_spec = init_doc.get("theta") if model.has_theta else None
     if model.has_theta and theta0_spec is None:
@@ -147,7 +156,7 @@ def parse_config(text: str) -> ExperimentConfig:
     omega0 = _field(grid, omega0_spec, "initial_data.omega")
     theta0 = None if theta0_spec is None else _field(grid, theta0_spec, "initial_data.theta")
 
-    step_doc = doc.get("stepper", {})
+    step_doc = _shaped(doc, "stepper", dict, "stepper")
     dealias = step_doc.get("dealias", False)
     if not isinstance(dealias, bool):
         raise ConfigError("stepper.dealias", f"expected true or false, got {dealias!r}")
@@ -160,11 +169,12 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("stepper", str(exc)) from None
 
-    out_doc = doc.get("outputs", {})
+    out_doc = _shaped(doc, "outputs", dict, "outputs")
     output_dir = str(out_doc.get("directory", "out"))
-    snapshot_times = tuple(float(t) for t in out_doc.get("snapshot_times", ()))
+    entries = dict(enumerate(_shaped(out_doc, "snapshot_times", list, "outputs.snapshot_times")))
+    snapshot_times = tuple(_number(entries, i, None, "outputs.snapshot_times") for i in entries)
 
-    tags = tuple(str(t) for t in doc.get("tags", ()))
+    tags = tuple(str(t) for t in _shaped(doc, "tags", list, "tags"))
     if THEOREM_TAG in tags:
         if stepper.dealias:
             # the 2/3 filter zeroes the modes resolved_until measures

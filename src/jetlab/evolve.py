@@ -10,7 +10,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticRecord, compute_record, fill_margin_fields
 from .grid import PeriodicField
-from .models import EvolutionState, ModelSpec, _evaluate, biot_savart, state_rows
+from .models import EvolutionState, ModelSpec, _evaluate, state_rows
 
 REACHED_T_END = "reached_t_end"
 SUP_CAP_HIT = "sup_cap_hit"
@@ -66,10 +66,15 @@ class RunResult:
 
 
 def step_rk4(
-    model: ModelSpec, s: EvolutionState, dt: float, dealias: bool = False
+    model: ModelSpec,
+    s: EvolutionState,
+    dt: float,
+    dealias: bool = False,
+    k1: Optional[np.ndarray] = None,
 ) -> EvolutionState:
     """One classical 4-stage explicit step of the model's dynamics, run on the
-    stacked rows (omega[, theta]) with one finiteness check per stage."""
+    stacked rows (omega[, theta]) with one finiteness check per stage.  ``k1``
+    is the rate at ``s`` when the caller already has it."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = s.grid
@@ -84,7 +89,8 @@ def step_rk4(
             raise FloatingPointError(f"numerical overflow in stage {stage}")
         return rows
 
-    k1 = rate(y)
+    if k1 is None:
+        k1 = rate(y)
     k2 = rate(advanced(k1, dt / 2, 2))
     k3 = rate(advanced(k2, dt / 2, 3))
     k4 = rate(advanced(k3, dt, 4))
@@ -103,7 +109,9 @@ def run(
     every ``record_every`` steps and at termination.  A CFL time step below
     dt_min is the recorded termination ``dt_underflow``, not a failure; an
     overflow inside a stage is treated as a sup-cap event at the last finite
-    state.  ``RunResult.states`` keeps, for each of ``snapshot_times``, the
+    state, and a non-finite velocity raises FloatingPointError.  The rate
+    evaluated for the CFL speed is the step's first RK4 stage.
+    ``RunResult.states`` keeps, for each of ``snapshot_times``, the
     recorded state nearest to it (the earliest on a tie), and no other state.
     """
     if model.has_theta != (init.theta is not None):
@@ -133,14 +141,17 @@ def run(
         if state.time >= cfg.t_end - 1e-14:
             termination = REACHED_T_END
             break
-        u = biot_savart(model, state.omega)
-        dt_cfl = cfg.cfl * dx / max(u.sup_norm, _SPEED_FLOOR)
+        u, k1 = _evaluate(model, state.grid, state_rows(model, state), cfg.dealias)
+        speed = float(np.max(np.abs(u)))
+        if not np.isfinite(speed):
+            raise FloatingPointError("velocity is not finite")
+        dt_cfl = cfg.cfl * dx / max(speed, _SPEED_FLOOR)
         if dt_cfl < cfg.dt_min:
             termination = DT_UNDERFLOW
             break
         dt = min(min(dt_cfl, cfg.dt_max), cfg.t_end - state.time)
         try:
-            new_state = step_rk4(model, state, dt, cfg.dealias)
+            new_state = step_rk4(model, state, dt, cfg.dealias, k1)
         except FloatingPointError:
             termination = SUP_CAP_HIT  # left the representable range mid-step
             break

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .grid import PeriodicField, PeriodicGrid
-from .spectral import composite_weights, dealias_filter, multipliers
+from .spectral import dealias_filter, multipliers
 
 # Velocity laws: the spectral ones are keys of spectral.multipliers, whose
 # multiplier takes omega's spectrum to u's; these two act on the nodes.
@@ -148,17 +147,6 @@ class StateRate:
     d_theta: Optional[np.ndarray]
 
 
-@lru_cache(maxsize=32)
-def _cky_quadrature(n: int, period_L: float, X: float):
-    """Node indices and per-start weight rows for integral_x^X on [0, X]."""
-    p = _cky_cells(n, period_L, X)
-    idx = (n // 2 + np.arange(p + 1)) % n
-    rows = np.zeros((p + 1, p + 1))
-    for i in range(p):
-        rows[i, i:] = composite_weights(p - i)
-    return idx, rows * (period_L / n)
-
-
 def _cky_cells(n: int, period_L: float, X: float) -> int:
     """Cells in [0, X]; X must be a grid node in (0, L/2], never silently misaligned."""
     p_float = X / (period_L / n)
@@ -171,12 +159,24 @@ def _cky_cells(n: int, period_L: float, X: float) -> int:
 
 
 def _half_line_velocity(model: ModelSpec, grid: PeriodicGrid, omega: np.ndarray) -> np.ndarray:
-    idx, rows = _cky_quadrature(grid.n_points, grid.period_L, model.truncation_X)
-    x = grid.dx * np.arange(idx.size)
-    integrand = np.zeros(idx.size)
-    integrand[1:] = omega[idx[1:]] / x[1:]
+    p = _cky_cells(grid.n_points, grid.period_L, model.truncation_X)
+    idx = (grid.index_of_zero + np.arange(p + 1)) % grid.n_points
+    x = grid.dx * np.arange(p + 1)
+    f = np.zeros(p + 1)
+    f[1:] = omega[idx[1:]] / x[1:]
+    # tail[m]: unit-spacing integral of f over the last m cells by the rule of
+    # spectral.composite_weights(m), as suffix sums of Simpson panels that end
+    # at X (m even) or at the 3/8 block on the last three cells (m odd)
+    g = f[::-1]
+    panel = (g[:-2] + 4.0 * g[1:-1] + g[2:]) / 3.0
+    tail = np.zeros(p + 1)
+    tail[1] = 0.5 * (g[0] + g[1])
+    tail[2::2] = np.cumsum(panel[0::2])
+    if p >= 3:
+        tail[3::2] = 0.375 * (g[0] + 3.0 * g[1] + 3.0 * g[2] + g[3])
+        tail[5::2] += np.cumsum(panel[3::2])
     u = np.zeros(grid.n_points)
-    u[idx[1:-1]] = -x[1:-1] * (rows[1:-1] @ integrand)
+    u[idx[1:-1]] = -x[1:-1] * (grid.dx * tail[p - 1 : 0 : -1])
     return u
 
 

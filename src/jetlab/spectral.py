@@ -76,7 +76,7 @@ def composite_weights(n_intervals: int) -> np.ndarray:
     if n_intervals < 1:
         raise ValueError("need at least one interval")
     if n_intervals == 1:
-        return np.array([0.5, 0.5])  # trapezoid fallback, only hit by tiny CKY tails
+        return np.array([0.5, 0.5])  # trapezoid; the CKY law applies it on its last cell
     if n_intervals == 2:
         return np.array([1.0, 4.0, 1.0]) / 3.0
     w = np.zeros(n_intervals + 1)

@@ -284,6 +284,57 @@ class TestConfigFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
 
+    @pytest.mark.parametrize("times", [["abc"], 5, [0.1, float("nan")], [float("inf")], "0.5"])
+    def test_bad_snapshot_times(self, tmp_path, capsys, times):
+        doc = minimal_q0(tmp_path)
+        doc["outputs"]["snapshot_times"] = times
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and "outputs.snapshot_times:" in err
+
+    @pytest.mark.parametrize("key", ["grid", "initial_data", "stepper", "outputs", "tags"])
+    def test_section_of_the_wrong_shape(self, tmp_path, capsys, key):
+        doc = minimal_q0(tmp_path)
+        doc[key] = 7
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and f"config error: {key}:" in err
+
+    @pytest.mark.parametrize(
+        "template,grid",
+        [
+            ([], {"model.a": [0.0]}),
+            (None, {"model.a": [0.0]}),
+            ({"outputs": []}, {"model.a": [0.0]}),
+            ("minimal", {"grid.n": 64}),
+            ("minimal", {"model.a": "0.5"}),
+            ("minimal", [["model.a", 0.0]]),
+            ("minimal", {"model.name.x": [1]}),
+            ("minimal", {"outputs": [7]}),
+            ("minimal", {"model.a": []}),
+        ],
+        ids=[
+            "template-list",
+            "template-null",
+            "template-outputs-list",
+            "grid-value-number",
+            "grid-value-string",
+            "grid-list",
+            "grid-path-through-string",
+            "grid-outputs-list",
+            "grid-value-empty",
+        ],
+    )
+    def test_sweep_inputs_of_the_wrong_shape(self, tmp_path, capsys, template, grid):
+        if template == "minimal":
+            template = minimal_q0(tmp_path)
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(template))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_worker_count(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("JETLAB_WORKERS", "abc")
         template_path = tmp_path / "template.json"

@@ -137,6 +137,49 @@ class TestRun:
         bkm = [r.bkm_integral for r in res.diagnostics]
         assert all(b2 >= b1 for b1, b2 in zip(bkm, bkm[1:]))
 
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_four_rate_evaluations_per_step(self, monkeypatch, dealias):
+        # the rate evaluated for the CFL speed is reused as the step's first stage
+        import jetlab.evolve
+        import jetlab.models
+
+        calls = []
+        original = jetlab.models._evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("with_rate", True))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(jetlab.models, "_evaluate", counted)
+        monkeypatch.setattr(jetlab.evolve, "_evaluate", counted)
+        model, init = ModelSpec.q0(1 / 3), sin_state(64, theta_amplitude=0.2)
+        cfg = StepperConfig(t_end=10 * 2.0**-7, dt_max=2.0**-7, dealias=dealias)
+        res = run(model, init, cfg)
+        assert res.termination == REACHED_T_END and res.t_final == 10 * 2.0**-7
+        assert calls == [True] * 40
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_given_first_stage_is_bitwise_the_computed_one(self, dealias):
+        from jetlab.models import _evaluate, state_rows
+
+        for model in (ModelSpec.clm(), ModelSpec.hou_luo(), ModelSpec.cky(0.5)):
+            s = sin_state(128, theta_amplitude=0.2)
+            s = s if model.has_theta else EvolutionState(s.omega, None, 0.0)
+            _, k1 = _evaluate(model, s.grid, state_rows(model, s), dealias)
+            given = step_rk4(model, s, 1e-3, dealias, k1)
+            computed = step_rk4(model, s, 1e-3, dealias)
+            assert np.array_equal(given.omega.values, computed.omega.values)
+            if model.has_theta:
+                assert np.array_equal(given.theta.values, computed.theta.values)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_velocity_is_a_numerical_failure(self):
+        # u = -c*omega overflows although omega itself is finite
+        s = sin_state(64)
+        init = EvolutionState(PeriodicField(s.grid, 2.0 * s.omega.values), s.theta, 0.0)
+        with pytest.raises(FloatingPointError, match="velocity is not finite"):
+            run(ModelSpec.q0(1e308), init, StepperConfig(t_end=1.0))
+
     def test_mismatched_theta_rejected(self):
         grid = PeriodicGrid(64, 2.0)
         no_theta = EvolutionState(PeriodicField(grid, np.zeros(64)), None, 0.0)

@@ -256,6 +256,46 @@ class TestKernelAgainstComposedFormulas:
             assert rate.d_theta is None
 
 
+def _cky_cases():
+    for n in (16, 64, 1024, 4096):
+        for p in sorted({2, 3, 4, 5, 6, 7, n // 4, n // 4 + 1, n // 2 - 1, n // 2}):
+            yield n, p
+
+
+class TestHalfLineLaw:
+    """The CKY law's suffix sums against the dense per-start composite rule."""
+
+    @pytest.mark.parametrize("n,p", list(_cky_cases()))
+    def test_matches_dense_rule(self, n, p):
+        grid = PeriodicGrid(n, 2.0)
+        model = ModelSpec.cky(p * grid.dx)
+        x = grid.nodes
+        smooth = np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x) + 0.1 * np.cos(np.pi * x)
+        rough = np.random.default_rng(n + p).standard_normal(n)
+        for values in (smooth, rough):
+            omega = PeriodicField(grid, values)
+            expected = composed_velocity(model, omega)
+            u = biot_savart(model, omega).values
+            assert np.max(np.abs(u - expected)) <= 1e-13 * np.max(np.abs(expected))
+            outside = np.ones(n, bool)
+            outside[(grid.index_of_zero + np.arange(1, p)) % n] = False
+            assert np.all(u[outside] == 0.0)
+
+    def test_memory_is_linear(self):
+        # a dense (p+1)^2 weight matrix at n = 16384, X = L/2 would be 537 MB
+        import tracemalloc
+
+        grid = PeriodicGrid(16384, 2.0)
+        omega = PeriodicField(grid, np.sin(np.pi * grid.nodes))
+        tracemalloc.start()
+        try:
+            biot_savart(ModelSpec.cky(1.0), omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
 class TestStructuralProperties:
     def _symmetric_state(self, n=256, L=2.0):
         grid = PeriodicGrid(n, L)
