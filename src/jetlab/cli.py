@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, _shaped, parse_config
 from .identities import identity_case_names, operator_identity_check
 from .grid import PeriodicGrid
 from .runner import preflight_output_dir, run_experiment
@@ -126,8 +126,10 @@ def _cmd_sweep(args) -> int:
         jobs = list(enumerate(_expand_grid(template, grid_doc)))
         if not jobs:
             raise ConfigError("<grid>", "empty parameter grid")
-        outputs = template.get("outputs", {})
-        base = str(outputs.get("directory", "out")) if isinstance(outputs, dict) else "out"
+        outputs = template.get("outputs")
+        base = "out"
+        if isinstance(outputs, dict):
+            base = _shaped(outputs, "directory", str, "outputs.directory", base)
         for i, doc in jobs:
             if isinstance(doc.setdefault("outputs", {}), dict):
                 doc["outputs"]["directory"] = str(Path(base) / f"sweep_{i:04d}")
@@ -150,15 +152,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_jet_verify(args) -> int:
-    if args.case not in MANUFACTURED_CASES:
-        print(
-            f"config error: unknown case {args.case!r}; "
-            f"choose from {', '.join(MANUFACTURED_CASES)}",
-            file=sys.stderr,
-        )
+    try:
+        grid = StripGrid(PeriodicGrid(args.n, 2.0 * np.pi), args.M)
+        phi_exact, omega = manufactured_case(args.case, args.m, grid)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    grid = StripGrid(PeriodicGrid(args.n, 2.0 * np.pi), args.M)
-    phi_exact, omega = manufactured_case(args.case, args.m, grid)
     phi = solve_elliptic(args.m, omega)
     jets_pde = extract_jets(phi, omega, args.m, phi2_route="pde")
     jets_diff = extract_jets(phi, omega, args.m, phi2_route="difference")
@@ -179,10 +178,14 @@ def _cmd_jet_verify(args) -> int:
     report["pass"] = bool(ok)
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "jet_report.json").write_text(text + "\n")
-        print(out / "jet_report.json")
+        path = Path(args.out) / "jet_report.json"
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text + "\n")
+        except OSError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        print(path)
     else:
         print(text)
     return EXIT_OK if ok else EXIT_AUDIT

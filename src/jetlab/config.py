@@ -80,11 +80,12 @@ def _number(section: dict, key: str, default, path: str, whole: bool = False):
     return int(value) if whole else value
 
 
-def _shaped(section: dict, key: str, kind: type, path: str):
-    """``section[key]`` (else an empty ``kind``), required to be a JSON object or list."""
-    value = section.get(key, kind())
+def _shaped(section: dict, key: str, kind: type, path: str, default=None):
+    """``section[key]`` (else ``default``, else an empty ``kind``), required to
+    be a JSON object, list or string."""
+    value = section.get(key, kind() if default is None else default)
     if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
+        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise ConfigError(path, f"expected {expected}, got {value!r}")
     return value
 
@@ -170,7 +171,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("stepper", str(exc)) from None
 
     out_doc = _shaped(doc, "outputs", dict, "outputs")
-    output_dir = str(out_doc.get("directory", "out"))
+    output_dir = _shaped(out_doc, "directory", str, "outputs.directory", "out")
     entries = dict(enumerate(_shaped(out_doc, "snapshot_times", list, "outputs.snapshot_times")))
     snapshot_times = tuple(_number(entries, i, None, "outputs.snapshot_times") for i in entries)
 

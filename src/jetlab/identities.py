@@ -113,6 +113,8 @@ def identity_case_names() -> Tuple[str, ...]:
 
 def operator_sides(test_id: str, m: int, z: np.ndarray, r: np.ndarray):
     """(z,q)-side and cylindrical-side operator values for one catalog entry."""
+    if m not in (1, 2):
+        raise ValueError("m must be 1 or 2")
     if test_id not in CATALOG:
         raise ValueError(f"unknown test id {test_id!r}")
     terms = CATALOG[test_id]
@@ -127,15 +129,8 @@ def operator_identity_check(m: int, test_id: str) -> float:
     Also folds in the swirl-chain defect; the result is exact-arithmetic
     zero up to rounding for every catalog function and both m.
     """
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
-    if test_id not in CATALOG:
-        raise ValueError(f"unknown test id {test_id!r}")
-    terms = CATALOG[test_id]
     r = np.linspace(0.04, 1.0, 25)[None, :]
     z = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)[:, None]
-    q = r**2
-    q_side = _zq_operator(terms, z, q, m)
-    cyl_side = _cylindrical_operator(terms, z, r, m)
+    q_side, cyl_side = operator_sides(test_id, m, z, r)
     defect = float(np.max(np.abs(q_side - cyl_side)))
-    return max(defect, _swirl_chain_defect(terms, z, r, m, q_side))
+    return max(defect, _swirl_chain_defect(CATALOG[test_id], z, r, m, q_side))

@@ -8,9 +8,10 @@ per x-Fourier mode as a two-point problem on q in [0, 1]:
   the system -- no extra boundary data, matching the fact that pole
   conditions are automatic in the squared-radius variable.
 
-Second-order centered differences in q; each mode is an independent banded
-solve (bandwidths 1 lower / 2 upper, the upper-2 entry coming from the
-one-sided q = 0 row).
+Second-order centered differences in q.  The q operator is one band
+(bandwidths 1 lower / 2 upper, the upper-2 entry coming from the one-sided
+q = 0 row); each x-mode adds its -k^2 diagonal and is one banded solve, and
+the residual check applies the same band.
 """
 
 from __future__ import annotations
@@ -77,42 +78,42 @@ class JetRecord:
     m: int
 
 
-def _mode_matrix(m: int, k2: float, M: int, dq: float) -> np.ndarray:
-    """Banded (2 upper, 1 lower) matrix for one Fourier mode."""
+def _band(m: int, M: int, dq: float) -> np.ndarray:
+    """The q part of the operator, 4q d_qq + (4+2m) d_q, in solve_banded's
+    (1, 2) layout ab[2 + i - j, j] = a[i, j].
+
+    Row 0 is the PDE at q = 0 with the 2nd-order one-sided phi'(0), rows
+    1..M-1 are centred, row M is phi(1) = 0.  An x-mode's system adds -k^2
+    to the diagonal of rows 0..M-1.
+    """
+    if m not in (1, 2):
+        raise ValueError("m must be 1 or 2")
     ab = np.zeros((4, M + 1))
     b_coef = 4.0 + 2.0 * m
-    # row 0: PDE at q = 0 with 2nd-order one-sided phi'(0)
-    ab[2, 0] = -3.0 * b_coef / (2 * dq) - k2
+    ab[2, 0] = -3.0 * b_coef / (2 * dq)
     ab[1, 1] = 4.0 * b_coef / (2 * dq)
     ab[0, 2] = -b_coef / (2 * dq)
-    # interior rows
     q = dq * np.arange(1, M)
     ab[3, 0:M - 1] = 4.0 * q / dq**2 - b_coef / (2 * dq)  # sub-diagonal a[i, i-1]
-    ab[2, 1:M] = -8.0 * q / dq**2 - k2  # diagonal a[i, i]
+    ab[2, 1:M] = -8.0 * q / dq**2  # diagonal a[i, i]
     ab[1, 2 : M + 1] = 4.0 * q / dq**2 + b_coef / (2 * dq)  # super-diagonal a[i, i+1]
-    # row M: Dirichlet phi(1) = 0
     ab[2, M] = 1.0
-    ab[3, M - 1] = 0.0
     return ab
 
 
 def solve_elliptic(m: int, omega: StripField) -> StripField:
     """Solve the degenerate stream equation for phi given omega on the strip."""
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
     grid = omega.grid
     M = grid.n_q_intervals
-    dq = grid.dq
-    k = grid.x_grid.wavenumbers
-    omega_hat = np.fft.rfft(omega.values, axis=0)
-
-    phi_hat = np.empty_like(omega_hat)
-    for mode in range(k.size):
-        ab = _mode_matrix(m, float(k[mode] ** 2), M, dq)
-        rhs = -omega_hat[mode].copy()
-        rhs[M] = 0.0
+    band = _band(m, M, grid.dq)
+    rhs = -np.fft.rfft(omega.values, axis=0)
+    rhs[:, M] = 0.0
+    phi_hat = np.empty_like(rhs)
+    for mode, k2 in enumerate(grid.x_grid.wavenumbers**2):
+        ab = band.copy()
+        ab[2, :M] -= k2
         try:
-            phi_hat[mode] = solve_banded((1, 2), ab, rhs)
+            phi_hat[mode] = solve_banded((1, 2), ab, rhs[mode])
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise RuntimeError("degenerate system") from exc
     phi = np.fft.irfft(phi_hat, n=grid.x_grid.n_points, axis=0)
@@ -120,28 +121,18 @@ def solve_elliptic(m: int, omega: StripField) -> StripField:
 
 
 def elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
-    """Max interior defect of the discretized PDE, recomputed with the same stencils."""
+    """Max defect on q < 1 of the solver's own discrete system A_k phi_hat = -omega_hat."""
     grid = phi.grid
-    M, dq = grid.n_q_intervals, grid.dq
-    k = grid.x_grid.wavenumbers
+    M = grid.n_q_intervals
+    band = _band(m, M, grid.dq)
     phi_hat = np.fft.rfft(phi.values, axis=0)
-    omega_hat = np.fft.rfft(omega.values, axis=0)
-    b_coef = 4.0 + 2.0 * m
-    q = dq * np.arange(1, M)
-    res = (
-        4.0 * q * (phi_hat[:, 2:] - 2 * phi_hat[:, 1:M] + phi_hat[:, : M - 1]) / dq**2
-        + b_coef * (phi_hat[:, 2:] - phi_hat[:, : M - 1]) / (2 * dq)
-        - (k**2)[:, None] * phi_hat[:, 1:M]
-        + omega_hat[:, 1:M]
-    )
-    res0 = (
-        b_coef * (-3 * phi_hat[:, 0] + 4 * phi_hat[:, 1] - phi_hat[:, 2]) / (2 * dq)
-        - k**2 * phi_hat[:, 0]
-        + omega_hat[:, 0]
-    )
-    physical = np.fft.irfft(
-        np.concatenate([res0[:, None], res], axis=1), n=grid.x_grid.n_points, axis=0
-    )
+    res = band[2] * phi_hat
+    res[:, :-1] += band[1, 1:] * phi_hat[:, 1:]
+    res[:, :-2] += band[0, 2:] * phi_hat[:, 2:]
+    res[:, 1:] += band[3, :-1] * phi_hat[:, :-1]
+    res -= (grid.x_grid.wavenumbers**2)[:, None] * phi_hat
+    res += np.fft.rfft(omega.values, axis=0)
+    physical = np.fft.irfft(res[:, :M], n=grid.x_grid.n_points, axis=0)
     return float(np.max(np.abs(physical)))
 
 
@@ -265,7 +256,9 @@ def manufactured_case(
 ) -> Tuple[StripField, StripField]:
     """Exact (phi, omega) pair with phi = h(q) sin of the fundamental x-mode."""
     if name not in _CASE_PROFILES:
-        raise ValueError(f"unknown manufactured case {name!r}")
+        raise ValueError(
+            f"unknown manufactured case {name!r}; choose from {', '.join(MANUFACTURED_CASES)}"
+        )
     h, hp, hpp = _CASE_PROFILES[name]
     q = grid.q_nodes
     k1 = 2.0 * np.pi / grid.x_grid.period_L

@@ -284,6 +284,26 @@ class TestConfigFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
 
+    @pytest.mark.parametrize("directory", [None, 5, []])
+    def test_output_directory_must_be_a_string(self, tmp_path, capsys, monkeypatch, directory):
+        monkeypatch.chdir(tmp_path)
+        doc = minimal_q0(tmp_path)
+        doc["outputs"]["directory"] = directory
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and "outputs.directory:" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_sweep_output_directory_must_be_a_string(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        template = minimal_q0(tmp_path)
+        template["outputs"]["directory"] = None
+        (tmp_path / "template.json").write_text(json.dumps(template))
+        (tmp_path / "grid.json").write_text(json.dumps({"model.a": [0.0, 0.5]}))
+        assert main(["sweep", "template.json", "grid.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: outputs.directory:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "template.json"]
+
     @pytest.mark.parametrize("times", [["abc"], 5, [0.1, float("nan")], [float("inf")], "0.5"])
     def test_bad_snapshot_times(self, tmp_path, capsys, times):
         doc = minimal_q0(tmp_path)
@@ -403,6 +423,27 @@ class TestJetVerify:
 
     def test_unknown_case(self):
         assert main(["jet-verify", "1", "64", "cubic"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["1", "0", "exp"], "q intervals"),
+            (["1", "16", "exp", "--n", "7"], "n_points"),
+            (["1", "16", "exp", "--n", "-4"], "n_points"),
+        ],
+    )
+    def test_bad_input_is_a_config_error(self, capsys, argv, expected):
+        assert main(["jet-verify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
+        assert expected in captured.err and captured.out == ""
+
+    def test_output_directory_under_file(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("not a directory")
+        out = tmp_path / "blocker" / "jets"
+        assert main(["jet-verify", "1", "16", "linear", "--n", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and "blocker" in err
 
 
 class TestIdentityCheckCommand:

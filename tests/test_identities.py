@@ -36,6 +36,11 @@ class TestOperatorIdentities:
         with pytest.raises(ValueError):
             operator_identity_check(3, "q")
 
+    def test_operator_sides_validates_m(self):
+        z, r = np.zeros((1, 1)), np.ones((1, 1))
+        with pytest.raises(ValueError, match="m must be 1 or 2"):
+            operator_sides("q", 3, z, r)
+
     def test_runs_quickly(self):
         import time
 

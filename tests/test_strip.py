@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from jetlab import (
     JetRecord,
@@ -36,6 +37,10 @@ class TestGridAndField:
             StripField(grid, np.zeros((16, 16)))
         with pytest.raises(ValueError):
             StripField(grid, np.full((16, 17), np.inf))
+
+    def test_unknown_case_lists_the_cases(self):
+        with pytest.raises(ValueError, match="choose from linear, quadratic, quadratic_minus, exp"):
+            manufactured_case("cubic", 1, strip_grid(16, 16))
 
 
 class TestSolveElliptic:
@@ -96,6 +101,108 @@ class TestSolveElliptic:
         grid = strip_grid(16, 32)
         with pytest.raises(ValueError):
             solve_elliptic(3, StripField(grid, np.zeros((16, 33))))
+
+    def test_residual_validates_m(self):
+        zero = StripField(strip_grid(16, 32), np.zeros((16, 33)))
+        with pytest.raises(ValueError, match="m must be 1 or 2"):
+            elliptic_residual(zero, zero, 3)
+
+
+def oracle_mode_matrix(m, k2, M, dq):
+    """The per-mode (1, 2)-banded matrix, built from scratch for one k^2."""
+    ab = np.zeros((4, M + 1))
+    b_coef = 4.0 + 2.0 * m
+    # row 0: PDE at q = 0 with 2nd-order one-sided phi'(0)
+    ab[2, 0] = -3.0 * b_coef / (2 * dq) - k2
+    ab[1, 1] = 4.0 * b_coef / (2 * dq)
+    ab[0, 2] = -b_coef / (2 * dq)
+    # interior rows
+    q = dq * np.arange(1, M)
+    ab[3, 0:M - 1] = 4.0 * q / dq**2 - b_coef / (2 * dq)
+    ab[2, 1:M] = -8.0 * q / dq**2 - k2
+    ab[1, 2 : M + 1] = 4.0 * q / dq**2 + b_coef / (2 * dq)
+    # row M: Dirichlet phi(1) = 0
+    ab[2, M] = 1.0
+    return ab
+
+
+def oracle_solve(m, omega):
+    grid = omega.grid
+    M = grid.n_q_intervals
+    omega_hat = np.fft.rfft(omega.values, axis=0)
+    phi_hat = np.empty_like(omega_hat)
+    for mode, k in enumerate(grid.x_grid.wavenumbers):
+        rhs = -omega_hat[mode]
+        rhs[M] = 0.0
+        ab = oracle_mode_matrix(m, float(k**2), M, grid.dq)
+        phi_hat[mode] = solve_banded((1, 2), ab, rhs)
+    return np.fft.irfft(phi_hat, n=grid.x_grid.n_points, axis=0)
+
+
+def oracle_residual(phi, omega, m):
+    """The residual stencils written out by hand: interior rows, then q = 0."""
+    grid = phi.grid
+    M, dq = grid.n_q_intervals, grid.dq
+    k = grid.x_grid.wavenumbers
+    phi_hat = np.fft.rfft(phi.values, axis=0)
+    omega_hat = np.fft.rfft(omega.values, axis=0)
+    b_coef = 4.0 + 2.0 * m
+    q = dq * np.arange(1, M)
+    res = (
+        4.0 * q * (phi_hat[:, 2:] - 2 * phi_hat[:, 1:M] + phi_hat[:, : M - 1]) / dq**2
+        + b_coef * (phi_hat[:, 2:] - phi_hat[:, : M - 1]) / (2 * dq)
+        - (k**2)[:, None] * phi_hat[:, 1:M]
+        + omega_hat[:, 1:M]
+    )
+    res0 = (
+        b_coef * (-3 * phi_hat[:, 0] + 4 * phi_hat[:, 1] - phi_hat[:, 2]) / (2 * dq)
+        - k**2 * phi_hat[:, 0]
+        + omega_hat[:, 0]
+    )
+    physical = np.fft.irfft(
+        np.concatenate([res0[:, None], res], axis=1), n=grid.x_grid.n_points, axis=0
+    )
+    return float(np.max(np.abs(physical)))
+
+
+def random_forcing(grid, seed):
+    rng = np.random.RandomState(seed)
+    x, q = grid.x_grid.nodes, grid.q_nodes
+    values = np.zeros((grid.x_grid.n_points, grid.n_q_intervals + 1))
+    for k in range(grid.x_grid.n_points // 2):
+        values += rng.randn() * np.cos(k * x + rng.rand())[:, None] * np.exp(-k * q)[None, :]
+    return StripField(grid, values)
+
+
+class TestAgainstPerModeOracle:
+    """The shared band against the per-mode matrices and hand-written stencils."""
+
+    SIZES = [(16, 16), (32, 48), (64, 100), (64, 256), (128, 64)]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n,M", SIZES)
+    def test_solve_matches_oracle(self, m, n, M):
+        omega = random_forcing(strip_grid(n, M), seed=n + M + m)
+        phi = solve_elliptic(m, omega).values
+        expected = oracle_solve(m, omega)
+        assert np.max(np.abs(phi - expected)) <= 1e-13 * np.max(np.abs(expected))
+        if M & (M - 1) == 0:
+            assert np.array_equal(phi, expected)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n,M", SIZES)
+    def test_residual_matches_oracle(self, m, n, M):
+        grid = strip_grid(n, M)
+        omega = random_forcing(grid, seed=n + M + m)
+        phi = solve_elliptic(m, omega)
+        noise = 1e-3 * np.random.RandomState(M).randn(*phi.values.shape)
+        at_q0 = np.zeros_like(noise)
+        at_q0[:, 0] = noise[:, 0]  # the one-sided q = 0 row carries the defect
+        for delta in (noise, at_q0):
+            perturbed = StripField(grid, phi.values + delta)
+            expected = oracle_residual(perturbed, omega, m)
+            assert expected > 1e-6 * np.max(np.abs(omega.values))
+            assert abs(elliptic_residual(perturbed, omega, m) - expected) <= 1e-12 * expected
 
 
 class TestJets:
