@@ -62,6 +62,7 @@ from .strip import (
     load_strip_field,
     manufactured_case,
     save_strip_field,
+    scaled_elliptic_residual,
     solve_elliptic,
 )
 

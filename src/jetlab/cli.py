@@ -31,6 +31,7 @@ from .strip import (
     extract_jets,
     jet_relation_residual,
     manufactured_case,
+    scaled_elliptic_residual,
     solve_elliptic,
 )
 
@@ -155,7 +156,9 @@ def _cmd_jet_verify(args) -> int:
     try:
         grid = StripGrid(PeriodicGrid(args.n, 2.0 * np.pi), args.M)
         phi_exact, omega = manufactured_case(args.case, args.m, grid)
-    except ValueError as exc:
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     phi = solve_elliptic(args.m, omega)
@@ -168,6 +171,7 @@ def _cmd_jet_verify(args) -> int:
         "M": args.M,
         "solve_max_error": float(np.max(np.abs(phi.values - phi_exact.values))),
         "pde_residual": elliptic_residual(phi, omega, args.m),
+        "pde_residual_scaled": scaled_elliptic_residual(phi, omega, args.m),
         "jet_relation_residual_pde": jet_relation_residual(jets_pde),
         "jet_relation_residual_difference": jet_relation_residual(jets_diff),
     }
@@ -180,7 +184,6 @@ def _cmd_jet_verify(args) -> int:
     if args.out:
         path = Path(args.out) / "jet_report.json"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text + "\n")
         except OSError as exc:
             print(f"config error: {exc}", file=sys.stderr)

@@ -68,11 +68,12 @@ def _check_theorem_symmetries(omega0, theta0) -> None:
 
 
 def _number(section: dict, key: str, default, path: str, whole: bool = False):
-    """``section[key]`` (else ``default``) as a finite float, or an int if ``whole``."""
+    """``section[key]`` (else ``default``) as a finite float, or an int if ``whole``.
+    Only JSON numbers qualify: a boolean or a numeric string is rejected."""
     raw = section.get(key, default)
     try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):
+        value = float(raw) if type(raw) in (int, float) else math.nan
+    except OverflowError:
         value = math.nan
     if not math.isfinite(value) or (whole and not value.is_integer()):
         kind = "whole number" if whole else "finite number"
@@ -91,10 +92,27 @@ def _shaped(section: dict, key: str, kind: type, path: str, default=None):
 
 
 def _field(grid: PeriodicGrid, spec, path: str):
+    """Build an initial field; its numbers are read through ``_number``, with the
+    mode numbers (``k`` and each custom_fourier row's first entry) whole."""
+    if isinstance(spec, dict):
+        spec = dict(spec)
+        for key in ("amplitude", "k"):
+            if key in spec:
+                spec[key] = _number(spec, key, None, f"{path}.{key}", whole=key == "k")
+        if "terms" in spec:
+            rows = _shaped(spec, "terms", list, f"{path}.terms")
+            spec["terms"] = [_fourier_row(row, f"{path}.terms[{i}]") for i, row in enumerate(rows)]
     try:
         return build_field(grid, spec)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(path, f"cannot build {spec!r}: {exc!r}") from None
+
+
+def _fourier_row(row, path: str) -> list:
+    if not isinstance(row, list) or len(row) != 3:
+        raise ConfigError(path, f"expected [k, sin_coeff, cos_coeff], got {row!r}")
+    entries = dict(enumerate(row))
+    return [_number(entries, i, None, f"{path}[{i}]", whole=i == 0) for i in range(3)]
 
 
 def _parse_model(doc: dict) -> ModelSpec:

@@ -30,10 +30,7 @@ def custom_fourier(grid: PeriodicGrid, terms) -> PeriodicField:
     """Sum of a_k sin(2 pi k x / L) + b_k cos(2 pi k x / L) over [k, a_k, b_k] rows."""
     values = np.zeros(grid.n_points)
     x = grid.nodes
-    for row in terms:
-        if len(row) != 3:
-            raise ValueError("custom_fourier terms must be [k, sin_coeff, cos_coeff]")
-        k, a, b = int(row[0]), float(row[1]), float(row[2])
+    for k, a, b in terms:
         if not 0 <= k < grid.n_points // 2:
             raise ValueError("mode k must satisfy 0 <= k < n/2")
         phase = 2.0 * np.pi * k * x / grid.period_L
@@ -45,9 +42,9 @@ def build_field(grid: PeriodicGrid, spec: Mapping) -> PeriodicField:
     """Build a field from a generator description {"name": ..., params}."""
     name = spec.get("name")
     if name == "sin_fundamental":
-        return sin_fundamental(grid, float(spec.get("amplitude", 1.0)))
+        return sin_fundamental(grid, spec.get("amplitude", 1.0))
     if name == "sin_k":
-        return sin_k(grid, int(spec["k"]), float(spec.get("amplitude", 1.0)))
+        return sin_k(grid, spec["k"], spec.get("amplitude", 1.0))
     if name == "zero":
         return zero(grid)
     if name == "custom_fourier":

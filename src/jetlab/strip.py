@@ -10,8 +10,9 @@ per x-Fourier mode as a two-point problem on q in [0, 1]:
 
 Second-order centered differences in q.  The q operator is one band
 (bandwidths 1 lower / 2 upper, the upper-2 entry coming from the one-sided
-q = 0 row); each x-mode adds its -k^2 diagonal and is one banded solve, and
-the residual check applies the same band.
+q = 0 row); each x-mode adds its -k^2 diagonal.  All modes are solved
+together by one elimination sweep over q, and the residual checks apply
+the same band.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grid import PeriodicField, PeriodicGrid
 from .spectral import multipliers
@@ -79,8 +79,8 @@ class JetRecord:
 
 
 def _band(m: int, M: int, dq: float) -> np.ndarray:
-    """The q part of the operator, 4q d_qq + (4+2m) d_q, in solve_banded's
-    (1, 2) layout ab[2 + i - j, j] = a[i, j].
+    """The q part of the operator, 4q d_qq + (4+2m) d_q, in the (1, 2)
+    layout of :func:`solve_banded`, ab[2 + i - j, j] = a[i, j].
 
     Row 0 is the PDE at q = 0 with the 2nd-order one-sided phi'(0), rows
     1..M-1 are centred, row M is phi(1) = 0.  An x-mode's system adds -k^2
@@ -101,39 +101,82 @@ def _band(m: int, M: int, dq: float) -> np.ndarray:
     return ab
 
 
+def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every x-mode's system at once: column j of the (M+1, K) ``rhs``
+    is solved with the band ``ab`` (see :func:`_band`) minus ``k2[j]`` on the
+    diagonal of rows 0..M-1.
+
+    Gaussian elimination without pivoting.  Row 0 first sheds its upper-2
+    entry against row 1 (whose sub-diagonal is zero for m = 2), which makes
+    the system tridiagonal; a Thomas sweep then solves it.  Every row is
+    weakly diagonally dominant for m = 1 and 2, so no pivoting is needed.
+    """
+    M = ab.shape[1] - 1
+    upper, lower = ab[1, 1:].tolist(), ab[3, :-1].tolist()  # a[i, i+1], a[i+1, i]
+    pivot = np.subtract.outer(ab[2], k2)
+    pivot[M] = ab[2, M]
+    x = np.array(rhs, dtype=complex, order="C")
+    f = ab[0, 2] / upper[1]  # row 0 -= f * row 1
+    pivot[0] -= f * lower[0]
+    upper[0] = upper[0] - f * pivot[1]  # now one entry per mode
+    x[0] -= f * x[1]
+    for i in range(1, M + 1):
+        w = lower[i - 1] / pivot[i - 1]
+        pivot[i] -= w * upper[i - 1]
+        x[i] -= w * x[i - 1]
+    x[M] /= pivot[M]
+    for i in range(M - 1, -1, -1):
+        x[i] -= upper[i] * x[i + 1]
+        x[i] /= pivot[i]
+    return x
+
+
 def solve_elliptic(m: int, omega: StripField) -> StripField:
     """Solve the degenerate stream equation for phi given omega on the strip."""
     grid = omega.grid
     M = grid.n_q_intervals
-    band = _band(m, M, grid.dq)
-    rhs = -np.fft.rfft(omega.values, axis=0)
-    rhs[:, M] = 0.0
-    phi_hat = np.empty_like(rhs)
-    for mode, k2 in enumerate(grid.x_grid.wavenumbers**2):
-        ab = band.copy()
-        ab[2, :M] -= k2
-        try:
-            phi_hat[mode] = solve_banded((1, 2), ab, rhs[mode])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise RuntimeError("degenerate system") from exc
-    phi = np.fft.irfft(phi_hat, n=grid.x_grid.n_points, axis=0)
+    rhs = -np.fft.rfft(omega.values, axis=0).T
+    rhs[M] = 0.0
+    phi_hat = solve_banded(_band(m, M, grid.dq), grid.x_grid.wavenumbers**2, rhs)
+    phi = np.fft.irfft(phi_hat.T, n=grid.x_grid.n_points, axis=0)
     return StripField(grid, phi)
+
+
+def _band_product(ab: np.ndarray, k2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A_k v_k on the rows q < 1 for every mode; v is (K, M+1), the result (K, M)."""
+    res = ab[2] * v
+    res[:, :-1] += ab[1, 1:] * v[:, 1:]
+    res[:, :-2] += ab[0, 2:] * v[:, 2:]
+    res[:, 1:] += ab[3, :-1] * v[:, :-1]
+    res -= k2[:, None] * v
+    return res[:, :-1]
 
 
 def elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
     """Max defect on q < 1 of the solver's own discrete system A_k phi_hat = -omega_hat."""
     grid = phi.grid
-    M = grid.n_q_intervals
-    band = _band(m, M, grid.dq)
-    phi_hat = np.fft.rfft(phi.values, axis=0)
-    res = band[2] * phi_hat
-    res[:, :-1] += band[1, 1:] * phi_hat[:, 1:]
-    res[:, :-2] += band[0, 2:] * phi_hat[:, 2:]
-    res[:, 1:] += band[3, :-1] * phi_hat[:, :-1]
-    res -= (grid.x_grid.wavenumbers**2)[:, None] * phi_hat
-    res += np.fft.rfft(omega.values, axis=0)
-    physical = np.fft.irfft(res[:, :M], n=grid.x_grid.n_points, axis=0)
+    band = _band(m, grid.n_q_intervals, grid.dq)
+    res = _band_product(band, grid.x_grid.wavenumbers**2, np.fft.rfft(phi.values, axis=0))
+    res += np.fft.rfft(omega.values[:, :-1], axis=0)
+    physical = np.fft.irfft(res, n=grid.x_grid.n_points, axis=0)
     return float(np.max(np.abs(physical)))
+
+
+def scaled_elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
+    """max|A_k phi_hat_k + omega_hat_k| on q < 1 over max(|A_k| |phi_hat_k|) + max|omega_hat_k|.
+
+    The scale-free form of :func:`elliptic_residual`: the band entries grow
+    like M^2, so the absolute defect of an exact solve does too.  The
+    diagonal is negative on q < 1, so |A_k| is |band| with +k^2.
+    """
+    grid = phi.grid
+    band = _band(m, grid.n_q_intervals, grid.dq)
+    k2 = grid.x_grid.wavenumbers**2
+    phi_hat = np.fft.rfft(phi.values, axis=0)
+    omega_hat = np.fft.rfft(omega.values[:, :-1], axis=0)
+    defect = np.max(np.abs(_band_product(band, k2, phi_hat) + omega_hat))
+    scale = np.max(_band_product(np.abs(band), -k2, np.abs(phi_hat))) + np.max(np.abs(omega_hat))
+    return float(defect / max(scale, _EPS))
 
 
 def _boundary_first_derivative(values: np.ndarray, dq: float) -> np.ndarray:

@@ -226,6 +226,28 @@ class TestConfigFailures:
         code, err = self._run(tmp_path, capsys, doc)
         assert code == 1 and f"stepper.{key}:" in err
 
+    @pytest.mark.parametrize(
+        "omega,stepper,path",
+        [
+            ({"name": "sin_k", "k": 2.7}, {}, "initial_data.omega.k"),
+            ({"name": "sin_k", "k": True}, {}, "initial_data.omega.k"),
+            ({"name": "sin_k", "k": 2, "amplitude": "2"}, {}, "initial_data.omega.amplitude"),
+            (
+                {"name": "custom_fourier", "terms": [[1.5, 1, 0]]},
+                {},
+                "initial_data.omega.terms[0][0]",
+            ),
+            ({"name": "sin_fundamental"}, {"t_end": True}, "stepper.t_end"),
+        ],
+        ids=["fractional-k", "boolean-k", "string-amplitude", "fractional-row-k", "boolean-t_end"],
+    )
+    def test_numbers_are_not_truncated(self, tmp_path, capsys, omega, stepper, path):
+        doc = minimal_q0(tmp_path, model={"name": "DeGregorio"}, grid={"n": 64, "L": 2.0})
+        doc["initial_data"] = {"omega": omega}
+        doc["stepper"].update(stepper)
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and f"config error: {path}:" in err
+
     def test_fractional_grid_n(self, tmp_path, capsys):
         doc = minimal_q0(tmp_path, grid={"n": 64.7, "L": 2.0})
         code, err = self._run(tmp_path, capsys, doc)
@@ -444,6 +466,24 @@ class TestJetVerify:
         assert main(["jet-verify", "1", "16", "linear", "--n", "8", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and "blocker" in err
+
+    def test_output_directory_checked_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solve_elliptic called before --out was checked")
+
+        monkeypatch.setattr("jetlab.cli.solve_elliptic", no_solve)
+        (tmp_path / "blocker").write_text("not a directory")
+        out = tmp_path / "blocker" / "jets"
+        assert main(["jet-verify", "1", "16", "exp", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and "blocker" in err
+
+    @pytest.mark.parametrize("m", ["1", "2"])
+    def test_report_carries_scaled_residual(self, capsys, m):
+        assert main(["jet-verify", m, "1024", "exp", "--n", "16"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pde_residual"] > 1e-12  # the band entries are ~ 8e6
+        assert 0.0 < report["pde_residual_scaled"] <= 1e-14
 
 
 class TestIdentityCheckCommand:

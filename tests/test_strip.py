@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
 from jetlab import (
     JetRecord,
@@ -18,8 +17,10 @@ from jetlab import (
     load_strip_field,
     manufactured_case,
     save_strip_field,
+    scaled_elliptic_residual,
     solve_elliptic,
 )
+from jetlab.strip import _band
 
 
 def strip_grid(n=64, M=256, L=2 * np.pi):
@@ -77,6 +78,16 @@ class TestSolveElliptic:
         for e1, e2 in zip(errors, errors[1:]):
             assert 3.6 <= e1 / e2 <= 4.4
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_scaled_residual_where_the_fixed_bound_fails(self, m):
+        # band entries ~ 8/dq^2 ~ 3e7 make an exact solve's absolute defect
+        # exceed 1e-10 max|omega|; the scaled defect stays at rounding level
+        grid = strip_grid(64, 2048)
+        _, omega = manufactured_case("linear", m, grid)
+        phi = solve_elliptic(m, omega)
+        assert elliptic_residual(phi, omega, m) > 1e-10 * np.max(np.abs(omega.values))
+        assert scaled_elliptic_residual(phi, omega, m) <= 1e-14
+
     def test_k_zero_mode_handled(self):
         # pure x-mean forcing exercises the k = 0 branch
         grid = strip_grid(16, 64)
@@ -108,22 +119,14 @@ class TestSolveElliptic:
             elliptic_residual(zero, zero, 3)
 
 
-def oracle_mode_matrix(m, k2, M, dq):
-    """The per-mode (1, 2)-banded matrix, built from scratch for one k^2."""
-    ab = np.zeros((4, M + 1))
-    b_coef = 4.0 + 2.0 * m
-    # row 0: PDE at q = 0 with 2nd-order one-sided phi'(0)
-    ab[2, 0] = -3.0 * b_coef / (2 * dq) - k2
-    ab[1, 1] = 4.0 * b_coef / (2 * dq)
-    ab[0, 2] = -b_coef / (2 * dq)
-    # interior rows
-    q = dq * np.arange(1, M)
-    ab[3, 0:M - 1] = 4.0 * q / dq**2 - b_coef / (2 * dq)
-    ab[2, 1:M] = -8.0 * q / dq**2 - k2
-    ab[1, 2 : M + 1] = 4.0 * q / dq**2 + b_coef / (2 * dq)
-    # row M: Dirichlet phi(1) = 0
-    ab[2, M] = 1.0
-    return ab
+def oracle_mode_matrices(m, grid):
+    """Each x-mode's dense (M+1) x (M+1) matrix, unpacked from the shared band."""
+    M = grid.n_q_intervals
+    ab = _band(m, M, grid.dq)
+    base = np.diag(ab[0, 2:], 2) + np.diag(ab[1, 1:], 1) + np.diag(ab[2]) + np.diag(ab[3, :-1], -1)
+    rows_below_one = np.diag((np.arange(M + 1) < M).astype(float))
+    for k in grid.x_grid.wavenumbers:
+        yield base - float(k**2) * rows_below_one
 
 
 def oracle_solve(m, omega):
@@ -131,11 +134,10 @@ def oracle_solve(m, omega):
     M = grid.n_q_intervals
     omega_hat = np.fft.rfft(omega.values, axis=0)
     phi_hat = np.empty_like(omega_hat)
-    for mode, k in enumerate(grid.x_grid.wavenumbers):
+    for mode, matrix in enumerate(oracle_mode_matrices(m, grid)):
         rhs = -omega_hat[mode]
         rhs[M] = 0.0
-        ab = oracle_mode_matrix(m, float(k**2), M, grid.dq)
-        phi_hat[mode] = solve_banded((1, 2), ab, rhs)
+        phi_hat[mode] = np.linalg.solve(matrix, rhs)
     return np.fft.irfft(phi_hat, n=grid.x_grid.n_points, axis=0)
 
 
@@ -186,8 +188,7 @@ class TestAgainstPerModeOracle:
         phi = solve_elliptic(m, omega).values
         expected = oracle_solve(m, omega)
         assert np.max(np.abs(phi - expected)) <= 1e-13 * np.max(np.abs(expected))
-        if M & (M - 1) == 0:
-            assert np.array_equal(phi, expected)
+        assert scaled_elliptic_residual(StripField(omega.grid, phi), omega, m) <= 1e-14
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("n,M", SIZES)
@@ -203,6 +204,22 @@ class TestAgainstPerModeOracle:
             expected = oracle_residual(perturbed, omega, m)
             assert expected > 1e-6 * np.max(np.abs(omega.values))
             assert abs(elliptic_residual(perturbed, omega, m) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n,M", SIZES)
+    def test_scaled_residual_matches_dense_oracle(self, m, n, M):
+        grid = strip_grid(n, M)
+        omega = random_forcing(grid, seed=n + M + m)
+        noise = 1e-3 * np.random.RandomState(M).randn(n, M + 1)
+        phi = StripField(grid, solve_elliptic(m, omega).values + noise)
+        phi_hat = np.fft.rfft(phi.values, axis=0)
+        omega_hat = np.fft.rfft(omega.values, axis=0)[:, :M]
+        defect, scale = 0.0, 0.0
+        for mode, matrix in enumerate(oracle_mode_matrices(m, grid)):
+            defect = max(defect, np.max(np.abs(matrix[:M] @ phi_hat[mode] + omega_hat[mode])))
+            scale = max(scale, np.max(np.abs(matrix[:M]) @ np.abs(phi_hat[mode])))
+        expected = defect / (scale + np.max(np.abs(omega_hat)))
+        assert abs(scaled_elliptic_residual(phi, omega, m) - expected) <= 1e-12 * expected
 
 
 class TestJets:
