@@ -57,6 +57,7 @@ from .strip import (
     closure_residual,
     compute_velocities,
     elliptic_residual,
+    elliptic_residuals,
     extract_jets,
     jet_relation_residual,
     load_strip_field,

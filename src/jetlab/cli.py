@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: run-model, sweep, jet-verify, identity-check.
-Exit codes: 0 success, 1 configuration or output-directory error, 2
-numerical failure, 3 invariant-audit failure; a sweep exits with its first
-nonzero member code.  JETLAB_WORKERS caps the sweep worker pool (default:
+Exit codes: 0 success, 1 configuration, output-directory or out-of-memory
+error, 2 numerical failure, 3 invariant-audit failure; a sweep exits with its
+first nonzero member code.  JETLAB_WORKERS caps the sweep worker pool (default:
 logical core count).
 """
 
@@ -27,11 +27,10 @@ from .runner import preflight_output_dir, run_experiment
 from .strip import (
     MANUFACTURED_CASES,
     StripGrid,
-    elliptic_residual,
+    elliptic_residuals,
     extract_jets,
     jet_relation_residual,
     manufactured_case,
-    scaled_elliptic_residual,
     solve_elliptic,
 )
 
@@ -50,14 +49,22 @@ def _worker_count() -> int:
         raise ConfigError("JETLAB_WORKERS", f"expected a whole number, got {env!r}") from None
 
 
+def _config_error(exc: Exception) -> int:
+    """Print a configuration, file or out-of-memory error as one line."""
+    if isinstance(exc, MemoryError):
+        exc = ": ".join(filter(None, ("out of memory", str(exc))))
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _experiment(read_text: Callable[[], str]):
     """Read, parse and run one experiment document: (exit code, summary or None).
-    A config, file or output-directory error or a numerical failure prints one line."""
+    A config, file, output-directory or memory error or a numerical failure
+    prints one line."""
     try:
         summary = run_experiment(parse_config(read_text()))
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG, None
+    except (OSError, ConfigError, MemoryError) as exc:
+        return _config_error(exc), None
     except (FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL, None
@@ -120,8 +127,7 @@ def _cmd_sweep(args) -> int:
         template = json.loads(Path(args.template).read_text())
         grid_doc = json.loads(Path(args.grid).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
 
     try:
         jobs = list(enumerate(_expand_grid(template, grid_doc)))
@@ -137,9 +143,8 @@ def _cmd_sweep(args) -> int:
             parse_config(json.dumps(doc))
         workers = min(_worker_count(), len(jobs))
         preflight_output_dir(base)
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, ConfigError, MemoryError) as exc:
+        return _config_error(exc)
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -158,20 +163,27 @@ def _cmd_jet_verify(args) -> int:
         phi_exact, omega = manufactured_case(args.case, args.m, grid)
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    phi = solve_elliptic(args.m, omega)
-    jets_pde = extract_jets(phi, omega, args.m, phi2_route="pde")
-    jets_diff = extract_jets(phi, omega, args.m, phi2_route="difference")
+    except (OSError, ValueError, MemoryError) as exc:
+        return _config_error(exc)
+    try:
+        phi = solve_elliptic(args.m, omega)
+        error = phi.values - phi_exact.values
+        del phi_exact  # the residual pass below is the run's memory peak
+        solve_max_error = float(np.max(np.abs(error, out=error)))
+        del error
+        pde_residual, pde_residual_scaled = elliptic_residuals(phi, omega, args.m)
+        jets_pde = extract_jets(phi, omega, args.m, phi2_route="pde")
+        jets_diff = extract_jets(phi, omega, args.m, phi2_route="difference")
+    except MemoryError as exc:
+        return _config_error(exc)
     report = {
         "case": args.case,
         "m": args.m,
         "n": args.n,
         "M": args.M,
-        "solve_max_error": float(np.max(np.abs(phi.values - phi_exact.values))),
-        "pde_residual": elliptic_residual(phi, omega, args.m),
-        "pde_residual_scaled": scaled_elliptic_residual(phi, omega, args.m),
+        "solve_max_error": solve_max_error,
+        "pde_residual": pde_residual,
+        "pde_residual_scaled": pde_residual_scaled,
         "jet_relation_residual_pde": jet_relation_residual(jets_pde),
         "jet_relation_residual_difference": jet_relation_residual(jets_diff),
     }
@@ -186,8 +198,7 @@ def _cmd_jet_verify(args) -> int:
         try:
             path.write_text(text + "\n")
         except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _config_error(exc)
         print(path)
     else:
         print(text)

@@ -22,6 +22,12 @@ from .models import HALF_LINE, LOCAL, MODEL_TABLE, EvolutionState, ModelSpec
 DEFAULTS = {"n": 1024, "L": 2.0, "t_end": 10.0}  # the other defaults are StepperConfig's
 
 THEOREM_TAG = "theorem-hypotheses"
+
+# dt never exceeds dt_max, so t_end / dt_max is a lower bound on a run's step
+# count; parsing rejects a run whose bound exceeds this budget, which could
+# not finish in reasonable time and whose record list would fill memory.
+STEP_BUDGET = 10**6
+
 _SYMMETRY_TOL = 1e-12
 
 _KIND_BY_NAME = {kind.replace("_", ""): kind for kind in MODEL_TABLE}
@@ -187,6 +193,12 @@ def parse_config(text: str) -> ExperimentConfig:
         stepper = StepperConfig(**args)
     except ValueError as exc:
         raise ConfigError("stepper", str(exc)) from None
+    if stepper.t_end / stepper.dt_max > STEP_BUDGET:
+        raise ConfigError(
+            "stepper.t_end",
+            f"needs at least t_end / dt_max = {stepper.t_end / stepper.dt_max:.3g} steps,"
+            f" over the step budget of {STEP_BUDGET}",
+        )
 
     out_doc = _shaped(doc, "outputs", dict, "outputs")
     output_dir = _shaped(out_doc, "directory", str, "outputs.directory", "out")

@@ -13,6 +13,9 @@ Second-order centered differences in q.  The q operator is one band
 q = 0 row); each x-mode adds its -k^2 diagonal.  All modes are solved
 together by one elimination sweep over q, and the residual checks apply
 the same band.
+
+Strip values are stored x-contiguous (Fortran order of the (n, M+1) array),
+so every transform over x reads and writes contiguous memory.
 """
 
 from __future__ import annotations
@@ -53,13 +56,17 @@ class StripGrid:
 
 @dataclass(frozen=True)
 class StripField:
-    """Real function sampled on the strip; values[i, j] = f(x_i, q_j)."""
+    """Real function sampled on the strip; values[i, j] = f(x_i, q_j).
+
+    ``values`` is stored x-contiguous (Fortran order); other input is copied
+    into that layout once.
+    """
 
     grid: StripGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float, order="F")
         shape = (self.grid.x_grid.n_points, self.grid.n_q_intervals + 1)
         if values.shape != shape:
             raise ValueError(f"values must have shape {shape}, got {values.shape}")
@@ -102,9 +109,10 @@ def _band(m: int, M: int, dq: float) -> np.ndarray:
 
 
 def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve every x-mode's system at once: column j of the (M+1, K) ``rhs``
-    is solved with the band ``ab`` (see :func:`_band`) minus ``k2[j]`` on the
-    diagonal of rows 0..M-1.
+    """Solve every x-mode's system at once, in place: column j of the complex,
+    C-ordered (M+1, K) ``rhs`` is overwritten with the solution of the band
+    ``ab`` (see :func:`_band`) minus ``k2[j]`` on the diagonal of rows
+    0..M-1, and ``rhs`` is returned.
 
     Gaussian elimination without pivoting.  Row 0 first sheds its upper-2
     entry against row 1 (whose sub-diagonal is zero for m = 2), which makes
@@ -115,7 +123,7 @@ def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     upper, lower = ab[1, 1:].tolist(), ab[3, :-1].tolist()  # a[i, i+1], a[i+1, i]
     pivot = np.subtract.outer(ab[2], k2)
     pivot[M] = ab[2, M]
-    x = np.array(rhs, dtype=complex, order="C")
+    x = rhs  # eliminated in place
     f = ab[0, 2] / upper[1]  # row 0 -= f * row 1
     pivot[0] -= f * lower[0]
     upper[0] = upper[0] - f * pivot[1]  # now one entry per mode
@@ -135,7 +143,7 @@ def solve_elliptic(m: int, omega: StripField) -> StripField:
     """Solve the degenerate stream equation for phi given omega on the strip."""
     grid = omega.grid
     M = grid.n_q_intervals
-    rhs = -np.fft.rfft(omega.values, axis=0).T
+    rhs = np.negative(np.fft.rfft(omega.values, axis=0).T, order="C")
     rhs[M] = 0.0
     phi_hat = solve_banded(_band(m, M, grid.dq), grid.x_grid.wavenumbers**2, rhs)
     phi = np.fft.irfft(phi_hat.T, n=grid.x_grid.n_points, axis=0)
@@ -152,31 +160,52 @@ def _band_product(ab: np.ndarray, k2: np.ndarray, v: np.ndarray) -> np.ndarray:
     return res[:, :-1]
 
 
-def elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
-    """Max defect on q < 1 of the solver's own discrete system A_k phi_hat = -omega_hat."""
-    grid = phi.grid
-    band = _band(m, grid.n_q_intervals, grid.dq)
-    res = _band_product(band, grid.x_grid.wavenumbers**2, np.fft.rfft(phi.values, axis=0))
-    res += np.fft.rfft(omega.values[:, :-1], axis=0)
-    physical = np.fft.irfft(res, n=grid.x_grid.n_points, axis=0)
-    return float(np.max(np.abs(physical)))
+_RESIDUAL_BLOCK = 32  # x-modes per block of the residual pass
 
 
-def scaled_elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
-    """max|A_k phi_hat_k + omega_hat_k| on q < 1 over max(|A_k| |phi_hat_k|) + max|omega_hat_k|.
+def elliptic_residuals(phi: StripField, omega: StripField, m: int) -> Tuple[float, float]:
+    """(absolute, scaled) defect on q < 1 of the solver's own discrete system
+    A_k phi_hat_k = -omega_hat_k.
 
-    The scale-free form of :func:`elliptic_residual`: the band entries grow
-    like M^2, so the absolute defect of an exact solve does too.  The
+    absolute is the max of the defect transformed back to x.  scaled is
+    max|A_k phi_hat_k + omega_hat_k| over max(|A_k| |phi_hat_k|) +
+    max|omega_hat_k|, which stays at rounding level for an exact solve while
+    the band entries, and so the absolute defect, grow like M^2.  The
     diagonal is negative on q < 1, so |A_k| is |band| with +k^2.
+
+    phi and omega are transformed once each; A_k phi_hat_k is added into
+    omega_hat in place a block of modes at a time, so no strip-sized array
+    besides phi_hat and the defect is alive, and phi_hat is freed before
+    the defect's one inverse transform.
     """
     grid = phi.grid
     band = _band(m, grid.n_q_intervals, grid.dq)
+    abs_band = np.abs(band)
     k2 = grid.x_grid.wavenumbers**2
     phi_hat = np.fft.rfft(phi.values, axis=0)
-    omega_hat = np.fft.rfft(omega.values[:, :-1], axis=0)
-    defect = np.max(np.abs(_band_product(band, k2, phi_hat) + omega_hat))
-    scale = np.max(_band_product(np.abs(band), -k2, np.abs(phi_hat))) + np.max(np.abs(omega_hat))
-    return float(defect / max(scale, _EPS))
+    defect = np.fft.rfft(omega.values[:, :-1], axis=0)
+    worst = scale = omega_max = 0.0
+    for lo in range(0, len(k2), _RESIDUAL_BLOCK):
+        modes = slice(lo, lo + _RESIDUAL_BLOCK)
+        block = defect[modes]
+        omega_max = max(omega_max, np.max(np.abs(block)))
+        block += _band_product(band, k2[modes], phi_hat[modes])
+        worst = max(worst, np.max(np.abs(block)))
+        scale = max(scale, np.max(_band_product(abs_band, -k2[modes], np.abs(phi_hat[modes]))))
+    del phi_hat
+    physical = np.fft.irfft(defect, n=grid.x_grid.n_points, axis=0)
+    absolute = np.max(np.abs(physical, out=physical))
+    return float(absolute), float(worst / max(scale + omega_max, _EPS))
+
+
+def elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
+    """Absolute defect of :func:`elliptic_residuals`."""
+    return elliptic_residuals(phi, omega, m)[0]
+
+
+def scaled_elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
+    """Scaled defect of :func:`elliptic_residuals`."""
+    return elliptic_residuals(phi, omega, m)[1]
 
 
 def _boundary_first_derivative(values: np.ndarray, dq: float) -> np.ndarray:
@@ -307,8 +336,9 @@ def manufactured_case(
     k1 = 2.0 * np.pi / grid.x_grid.period_L
     sin_x = np.sin(k1 * grid.x_grid.nodes)
     profile_omega = k1**2 * h(q) - 4.0 * q * hpp(q) - (4.0 + 2.0 * m) * hp(q)
-    phi = StripField(grid, sin_x[:, None] * h(q)[None, :])
-    omega = StripField(grid, sin_x[:, None] * profile_omega[None, :])
+    # built q-major and transposed, so each field is x-contiguous with no copy
+    phi = StripField(grid, (h(q)[:, None] * sin_x[None, :]).T)
+    omega = StripField(grid, (profile_omega[:, None] * sin_x[None, :]).T)
     return phi, omega
 
 
@@ -324,7 +354,7 @@ def save_strip_field(field: StripField, path) -> None:
     grid = field.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(grid.x_grid.n_points, grid.n_q_intervals, grid.x_grid.period_L))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(field.values.astype("<f8", copy=False).tobytes(order="C"))
     sidecar = {
         "n_x": grid.x_grid.n_points,
         "n_q_intervals": grid.n_q_intervals,
@@ -345,4 +375,4 @@ def load_strip_field(path) -> StripField:
     n, M, L = _HEADER.unpack_from(raw)
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n, M + 1)
     grid = StripGrid(PeriodicGrid(int(n), float(L)), int(M))
-    return StripField(grid, values.copy())
+    return StripField(grid, values.copy(order="F"))

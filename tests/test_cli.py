@@ -248,6 +248,62 @@ class TestConfigFailures:
         code, err = self._run(tmp_path, capsys, doc)
         assert code == 1 and f"config error: {path}:" in err
 
+    def test_step_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("jetlab.config.STEP_BUDGET", 100)
+        doc = minimal_q0(tmp_path)
+        doc["stepper"].update(t_end=1.0, dt_max=0.01)
+        assert parse_config(json.dumps(doc)).stepper.t_end == 1.0  # 100 steps fit
+        doc["stepper"]["t_end"] = 1.5
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and "config error: stepper.t_end:" in err and "step budget" in err
+
+    def test_endless_steady_state_is_rejected_before_stepping(self, tmp_path, capsys, monkeypatch):
+        # De Gregorio's cos steady state never reaches the sup cap, so a
+        # 1e18-step horizon would run until killed
+        def no_stepping(*args):
+            raise AssertionError("stepping started")
+
+        monkeypatch.setattr("jetlab.runner.run", no_stepping)
+        doc = minimal_q0(tmp_path, model={"name": "DeGregorio"}, grid={"n": 64, "L": 2.0})
+        doc["initial_data"] = {"omega": {"name": "custom_fourier", "terms": [[1, 0.0, 1.0]]}}
+        doc["stepper"].update(t_end=1e9, dt_max=1e-9)
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and "config error: stepper.t_end:" in err
+
+    def test_unallocatable_grid(self, tmp_path, capsys, monkeypatch):
+        # grid.n = 2**40 runs out of memory where the initial data is built;
+        # the stand-in raises there without asking for 8 TiB
+        def no_memory(grid, spec):
+            raise MemoryError(f"Unable to allocate {8 * grid.n_points} bytes")
+
+        monkeypatch.setattr("jetlab.config.build_field", no_memory)
+        doc = minimal_q0(tmp_path, grid={"n": 2**40, "L": 2.0})
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1
+        assert err.startswith(f"config error: out of memory: Unable to allocate {2**43} bytes")
+
+    def test_out_of_memory_while_stepping(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr("jetlab.runner.run", no_memory)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_q0(tmp_path)))
+        assert main(["run-model", str(config_path)]) == 1
+        assert capsys.readouterr().err == "config error: out of memory\n"
+
+    def test_sweep_out_of_memory_while_validating(self, tmp_path, capsys, monkeypatch):
+        def no_memory(grid, spec):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr("jetlab.config.build_field", no_memory)
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(minimal_q0(tmp_path)))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"grid.n": [64, 2**40]}))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        assert capsys.readouterr().err == "config error: out of memory: Unable to allocate\n"
+
     def test_fractional_grid_n(self, tmp_path, capsys):
         doc = minimal_q0(tmp_path, grid={"n": 64.7, "L": 2.0})
         code, err = self._run(tmp_path, capsys, doc)
@@ -425,6 +481,27 @@ class TestSweep:
             assert rows[i]["termination"] == "reached_t_end"
             assert (base / f"sweep_{i:04d}" / "diagnostics.csv").exists()
 
+    def test_member_out_of_memory_is_a_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("JETLAB_WORKERS", "1")
+
+        def member_one_out_of_memory(config):
+            if config.raw["model"]["a"] == 0.5:
+                raise MemoryError("Unable to allocate")
+            return run_experiment(config)
+
+        monkeypatch.setattr("jetlab.cli.run_experiment", member_one_out_of_memory)
+        base = tmp_path / "sweepout"
+        template = minimal_q0(tmp_path)
+        template["outputs"]["directory"] = str(base)
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(template))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5, 1.0]}))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        rows = json.loads((base / "sweep_summary.json").read_text())
+        assert [r["status"] for r in rows] == ["ok", "config_error", "ok"]
+        assert rows[1]["exit_code"] == 1 and rows[1]["termination"] is None
+
     def test_sweep_rejects_bad_grid_value(self, tmp_path):
         template_path = tmp_path / "template.json"
         template_path.write_text(json.dumps(minimal_q0(tmp_path)))
@@ -477,6 +554,18 @@ class TestJetVerify:
         assert main(["jet-verify", "1", "16", "exp", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and "blocker" in err
+
+    @pytest.mark.parametrize("where", ["manufactured_case", "solve_elliptic"])
+    def test_out_of_memory_is_a_config_error(self, capsys, monkeypatch, where):
+        # stands in for an n * (M+1) strip that cannot be allocated
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(f"jetlab.cli.{where}", no_memory)
+        assert main(["jet-verify", "1", "16", "exp", "--n", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: out of memory: Unable to allocate 8.00 TiB\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("m", ["1", "2"])
     def test_report_carries_scaled_residual(self, capsys, m):

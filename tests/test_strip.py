@@ -12,6 +12,7 @@ from jetlab import (
     closure_residual,
     compute_velocities,
     elliptic_residual,
+    elliptic_residuals,
     extract_jets,
     jet_relation_residual,
     load_strip_field,
@@ -20,7 +21,8 @@ from jetlab import (
     scaled_elliptic_residual,
     solve_elliptic,
 )
-from jetlab.strip import _band
+from jetlab import strip
+from jetlab.strip import _HEADER, _band
 
 
 def strip_grid(n=64, M=256, L=2 * np.pi):
@@ -38,6 +40,20 @@ class TestGridAndField:
             StripField(grid, np.zeros((16, 16)))
         with pytest.raises(ValueError):
             StripField(grid, np.full((16, 17), np.inf))
+
+    def test_values_are_stored_x_contiguous(self):
+        grid = strip_grid(16, 32)
+        c_values = np.random.RandomState(1).randn(16, 33)
+        field = StripField(grid, c_values)
+        assert field.values.flags.f_contiguous
+        assert np.array_equal(field.values, c_values)
+        assert StripField(grid, field.values).values is field.values  # no second copy
+
+    def test_strip_builders_return_x_contiguous_values(self):
+        phi_exact, omega = manufactured_case("exp", 2, strip_grid(16, 32))
+        phi = solve_elliptic(2, omega)
+        for values in (phi_exact.values, omega.values, phi.values):
+            assert values.flags.f_contiguous
 
     def test_unknown_case_lists_the_cases(self):
         with pytest.raises(ValueError, match="choose from linear, quadratic, quadratic_minus, exp"):
@@ -222,6 +238,77 @@ class TestAgainstPerModeOracle:
         assert abs(scaled_elliptic_residual(phi, omega, m) - expected) <= 1e-12 * expected
 
 
+def two_pass_band_product(ab, k2, v):
+    res = ab[2] * v
+    res[:, :-1] += ab[1, 1:] * v[:, 1:]
+    res[:, :-2] += ab[0, 2:] * v[:, 2:]
+    res[:, 1:] += ab[3, :-1] * v[:, :-1]
+    res -= k2[:, None] * v
+    return res[:, :-1]
+
+
+def two_pass_residuals(phi, omega, m):
+    """The absolute and scaled residuals as two separate formulas, each with
+    its own transforms of row-major copies of phi and omega: the oracle the
+    one-pass form must match bit for bit."""
+    grid = phi.grid
+    phi_values, omega_values = np.ascontiguousarray(phi.values), np.ascontiguousarray(omega.values)
+    band = _band(m, grid.n_q_intervals, grid.dq)
+    k2 = grid.x_grid.wavenumbers**2
+
+    res = two_pass_band_product(band, k2, np.fft.rfft(phi_values, axis=0))
+    res += np.fft.rfft(omega_values[:, :-1], axis=0)
+    physical = np.fft.irfft(res, n=grid.x_grid.n_points, axis=0)
+    absolute = float(np.max(np.abs(physical)))
+
+    phi_hat = np.fft.rfft(phi_values, axis=0)
+    omega_hat = np.fft.rfft(omega_values[:, :-1], axis=0)
+    defect = np.max(np.abs(two_pass_band_product(band, k2, phi_hat) + omega_hat))
+    scale = np.max(two_pass_band_product(np.abs(band), -k2, np.abs(phi_hat))) + np.max(
+        np.abs(omega_hat)
+    )
+    return absolute, float(defect / max(scale, 1e-300))
+
+
+class TestResidualPass:
+    """elliptic_residuals against the two-formula oracle, bit for bit."""
+
+    # n/2+1 is odd for every n here, so no size fills a whole number of
+    # blocks; (256, 40) spans several blocks
+    SIZES = TestAgainstPerModeOracle.SIZES + [(256, 40), (64, 2048)]
+
+    @staticmethod
+    def assert_matches_oracle(phi, omega, m):
+        expected = two_pass_residuals(phi, omega, m)
+        assert elliptic_residuals(phi, omega, m) == expected
+        assert elliptic_residual(phi, omega, m) == expected[0]
+        assert scaled_elliptic_residual(phi, omega, m) == expected[1]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n,M", SIZES)
+    def test_matches_two_formula_oracle(self, m, n, M):
+        grid = strip_grid(n, M)
+        omega = random_forcing(grid, seed=n + M + m)
+        phi = solve_elliptic(m, omega)
+        noise = 1e-3 * np.random.RandomState(M).randn(n, M + 1)
+        for candidate in (phi, StripField(grid, phi.values + noise)):
+            self.assert_matches_oracle(candidate, omega, m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_oracle_where_the_fixed_bound_fails(self, m):
+        grid = strip_grid(64, 2048)
+        _, omega = manufactured_case("linear", m, grid)
+        self.assert_matches_oracle(solve_elliptic(m, omega), omega, m)
+
+    @pytest.mark.parametrize("block", [1, 5, 7, 16])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, block):
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+        grid = strip_grid(64, 48)  # 33 modes
+        omega = random_forcing(grid, seed=block)
+        phi = StripField(grid, solve_elliptic(1, omega).values + 1e-3)
+        self.assert_matches_oracle(phi, omega, 1)
+
+
 class TestJets:
     def test_manufactured_linear_jets(self):
         grid = strip_grid(64, 256)
@@ -351,3 +438,14 @@ class TestSerialization:
         assert sidecar["n_x"] == 16
         assert sidecar["n_q_intervals"] == 32
         assert sidecar["byte_order"] == "little"
+
+    def test_payload_is_row_major_whatever_the_input_layout(self, tmp_path):
+        grid = strip_grid(16, 32, 3.0)
+        c_values = np.random.RandomState(2).randn(16, 33)
+        payloads = []
+        for values in (c_values, np.asfortranarray(c_values)):
+            path = tmp_path / f"field_{len(payloads)}.bin"
+            save_strip_field(StripField(grid, values), path)
+            payloads.append(path.read_bytes())
+        assert payloads[0] == payloads[1]
+        assert payloads[0][_HEADER.size:] == c_values.astype("<f8").tobytes()

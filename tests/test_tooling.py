@@ -4,7 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
+
+from jetlab.grid import PeriodicGrid
+from jetlab.strip import StripGrid, elliptic_residuals, manufactured_case, solve_elliptic
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -58,3 +64,27 @@ def test_jetlab_needs_only_numpy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of ``call()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_strip_memory_guard():
+    # in units of one (n/2+1, M+1) complex128 spectrum: the solve keeps its
+    # right-hand side and the inverse transform's output, the residual pass
+    # the two spectra plus one block of modes
+    n, M = 512, 256
+    unit = (n // 2 + 1) * (M + 1) * np.dtype(complex).itemsize
+    _, omega = manufactured_case("exp", 1, StripGrid(PeriodicGrid(n, 2 * np.pi), M))
+    phi = solve_elliptic(1, omega)
+    assert traced_peak(lambda: solve_elliptic(1, omega)) <= 2.5 * unit
+    assert traced_peak(lambda: elliptic_residuals(phi, omega, 1)) <= 3 * unit
