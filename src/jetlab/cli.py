@@ -1,10 +1,12 @@
 """Command-line experiment runner.
 
 Subcommands: run-model, sweep, jet-verify, identity-check.
-Exit codes: 0 success, 1 configuration, output-directory or out-of-memory
-error, 2 numerical failure, 3 invariant-audit failure; a sweep exits with its
-first nonzero member code.  JETLAB_WORKERS caps the sweep worker pool (default:
-logical core count).
+Exit codes: 0 success, 1 configuration (usage, document, output-directory or
+out-of-memory) error, 2 numerical failure, 3 invariant-audit failure; a sweep
+exits with its first nonzero member code.  Every failure prints one line: an
+error gets its line and code from the one table ``_FAILURES``, applied in
+``main`` and, for isolation, to each sweep member.  JETLAB_WORKERS caps the
+sweep worker pool (default: logical core count).
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .config import ConfigError, _shaped, parse_config
+from .config import ConfigError, _shaped, parse_config, read_document
 from .identities import identity_case_names, operator_identity_check
 from .grid import PeriodicGrid
 from .runner import preflight_output_dir, run_experiment
@@ -40,6 +41,16 @@ EXIT_NUMERICAL = 2
 EXIT_AUDIT = 3
 _STATUS = ("ok", "config_error", "numerical_failure", "audit_failure")  # by exit code
 
+# The one failure table.  An error that ends a command, or a sweep member,
+# prints one stderr line "<prefix>: <message>" and exits with the code of the
+# first row it matches; ConfigError is a ValueError, so its row comes first.
+_FAILURES = (
+    ((MemoryError,), EXIT_CONFIG, "config error: out of memory"),
+    ((ConfigError, OSError), EXIT_CONFIG, "config error"),
+    ((FloatingPointError, ValueError), EXIT_NUMERICAL, "numerical failure"),
+)
+_FAILURE_TYPES = sum((row[0] for row in _FAILURES), ())
+
 
 def _worker_count() -> int:
     env = os.environ.get("JETLAB_WORKERS")
@@ -49,52 +60,34 @@ def _worker_count() -> int:
         raise ConfigError("JETLAB_WORKERS", f"expected a whole number, got {env!r}") from None
 
 
-def _config_error(exc: Exception) -> int:
-    """Print a configuration, file or out-of-memory error as one line."""
-    if isinstance(exc, MemoryError):
-        exc = ": ".join(filter(None, ("out of memory", str(exc))))
-    print(f"config error: {exc}", file=sys.stderr)
-    return EXIT_CONFIG
+def _fail(exc: Exception) -> int:
+    """Print ``exc`` as the one line of its ``_FAILURES`` row; return the row's exit code."""
+    code, prefix = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))
+    print(": ".join(filter(None, (prefix, str(exc)))), file=sys.stderr)
+    return code
 
 
-def _experiment(read_text: Callable[[], str]):
-    """Read, parse and run one experiment document: (exit code, summary or None).
-    A config, file, output-directory or memory error or a numerical failure
-    prints one line."""
-    try:
-        summary = run_experiment(parse_config(read_text()))
-    except (OSError, ConfigError, MemoryError) as exc:
-        return _config_error(exc), None
-    except (FloatingPointError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL, None
-    return (EXIT_AUDIT if summary["failed_audits"] else EXIT_OK), summary
+def _audit_exit(failed) -> int:
+    """Exit 3 with one line naming the failed audits, else 0."""
+    if failed:
+        print(f"failed audits: {', '.join(failed)}", file=sys.stderr)
+    return EXIT_AUDIT if failed else EXIT_OK
 
 
 def _cmd_run_model(args) -> int:
-    code, summary = _experiment(Path(args.config).read_text)
-    if summary is None:
-        return code
+    summary = run_experiment(parse_config(Path(args.config).read_bytes()))
     result = summary["result"]
     print(f"termination: {result.termination} at t = {result.t_final:.6g}")
     for name, path in summary["paths"].items():
         print(f"  {name}: {path}")
-    if summary["failed_audits"]:
-        print(f"failed audits: {', '.join(summary['failed_audits'])}", file=sys.stderr)
-    return code
+    return _audit_exit(summary["failed_audits"])
 
 
 def _expand_grid(template: dict, grid_doc: dict):
     """Cartesian product of dotted-path overrides applied to the template; a
-    ConfigError when either document or an override path has the wrong shape."""
-    for name, document in (("<template>", template), ("<grid>", grid_doc)):
-        if not isinstance(document, dict):
-            raise ConfigError(name, "top level must be an object")
+    ConfigError when an override value or path has the wrong shape."""
     paths = sorted(grid_doc)
-    for path in paths:
-        if not isinstance(grid_doc[path], list):
-            raise ConfigError(f"<grid> {path}", f"expected a list, got {grid_doc[path]!r}")
-    for combo in itertools.product(*(grid_doc[p] for p in paths)):
+    for combo in itertools.product(*(_shaped(grid_doc, p, list, f"<grid> {p}") for p in paths)):
         doc = json.loads(json.dumps(template))
         for path, value in zip(paths, combo):
             node = doc
@@ -108,8 +101,14 @@ def _expand_grid(template: dict, grid_doc: dict):
 
 
 def _run_one_sweep(payload) -> dict:
+    """Run one member, isolating its failure: it prints its line and sets the
+    member's row, and the other members still run."""
     index, doc = payload
-    code, summary = _experiment(lambda: json.dumps(doc))
+    try:
+        summary = run_experiment(parse_config(json.dumps(doc)))
+        code = EXIT_AUDIT if summary["failed_audits"] else EXIT_OK
+    except _FAILURE_TYPES as exc:
+        code, summary = _fail(exc), None
     result = summary["result"] if summary else None
     return {
         "index": index,
@@ -123,28 +122,20 @@ def _run_one_sweep(payload) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        template = json.loads(Path(args.template).read_text())
-        grid_doc = json.loads(Path(args.grid).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return _config_error(exc)
-
-    try:
-        jobs = list(enumerate(_expand_grid(template, grid_doc)))
-        if not jobs:
-            raise ConfigError("<grid>", "empty parameter grid")
-        outputs = template.get("outputs")
-        base = "out"
-        if isinstance(outputs, dict):
-            base = _shaped(outputs, "directory", str, "outputs.directory", base)
-        for i, doc in jobs:
-            if isinstance(doc.setdefault("outputs", {}), dict):
-                doc["outputs"]["directory"] = str(Path(base) / f"sweep_{i:04d}")
-            parse_config(json.dumps(doc))
-        workers = min(_worker_count(), len(jobs))
-        preflight_output_dir(base)
-    except (OSError, ConfigError, MemoryError) as exc:
-        return _config_error(exc)
+    template = read_document(Path(args.template).read_bytes(), "<template>")
+    grid_doc = read_document(Path(args.grid).read_bytes(), "<grid>")
+    jobs = list(enumerate(_expand_grid(template, grid_doc)))
+    if not jobs:
+        raise ConfigError("<grid>", "empty parameter grid")
+    outputs = template.get("outputs")
+    outputs = outputs if isinstance(outputs, dict) else {}  # the member parse rejects the rest
+    base = _shaped(outputs, "directory", str, "outputs.directory", "out")
+    for i, doc in jobs:
+        if isinstance(doc.setdefault("outputs", {}), dict):
+            doc["outputs"]["directory"] = str(Path(base) / f"sweep_{i:04d}")
+        parse_config(json.dumps(doc))
+    workers = min(_worker_count(), len(jobs))
+    preflight_output_dir(base)
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -161,21 +152,18 @@ def _cmd_jet_verify(args) -> int:
     try:
         grid = StripGrid(PeriodicGrid(args.n, 2.0 * np.pi), args.M)
         phi_exact, omega = manufactured_case(args.case, args.m, grid)
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError, MemoryError) as exc:
-        return _config_error(exc)
-    try:
-        phi = solve_elliptic(args.m, omega)
-        error = phi.values - phi_exact.values
-        del phi_exact  # the residual pass below is the run's memory peak
-        solve_max_error = float(np.max(np.abs(error, out=error)))
-        del error
-        pde_residual, pde_residual_scaled = elliptic_residuals(phi, omega, args.m)
-        jets_pde = extract_jets(phi, omega, args.m, phi2_route="pde")
-        jets_diff = extract_jets(phi, omega, args.m, phi2_route="difference")
-    except MemoryError as exc:
-        return _config_error(exc)
+    except ValueError as exc:
+        raise ConfigError("jetlab jet-verify", str(exc)) from None
+    if args.out:
+        preflight_output_dir(args.out)
+    phi = solve_elliptic(args.m, omega)
+    error = phi.values - phi_exact.values
+    del phi_exact  # the residual pass below is the run's memory peak
+    solve_max_error = float(np.max(np.abs(error, out=error)))
+    del error
+    pde_residual, pde_residual_scaled = elliptic_residuals(phi, omega, args.m)
+    jets_pde = extract_jets(phi, omega, args.m, phi2_route="pde")
+    jets_diff = extract_jets(phi, omega, args.m, phi2_route="difference")
     report = {
         "case": args.case,
         "m": args.m,
@@ -187,38 +175,36 @@ def _cmd_jet_verify(args) -> int:
         "jet_relation_residual_pde": jet_relation_residual(jets_pde),
         "jet_relation_residual_difference": jet_relation_residual(jets_diff),
     }
-    ok = (
-        report["jet_relation_residual_pde"] <= 1e-12
-        and report["jet_relation_residual_difference"] <= 1e-4
-    )
-    report["pass"] = bool(ok)
+    gates = {"jet_relation_residual_pde": 1e-12, "jet_relation_residual_difference": 1e-4}
+    failed = [key for key, gate in gates.items() if not report[key] <= gate]
+    report["pass"] = not failed
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
         path = Path(args.out) / "jet_report.json"
-        try:
-            path.write_text(text + "\n")
-        except OSError as exc:
-            return _config_error(exc)
+        path.write_text(text + "\n")
         print(path)
     else:
         print(text)
-    return EXIT_OK if ok else EXIT_AUDIT
+    return _audit_exit(failed)
 
 
 def _cmd_identity_check(args) -> int:
-    worst = 0.0
-    for name in identity_case_names():
-        defect = operator_identity_check(args.m, name)
-        worst = max(worst, defect)
+    defects = {name: operator_identity_check(args.m, name) for name in identity_case_names()}
+    for name, defect in defects.items():
         print(f"{name:12s} max discrepancy = {defect:.3e}")
-    print(f"worst: {worst:.3e}")
-    return EXIT_OK if worst <= 1e-12 else EXIT_AUDIT
+    print(f"worst: {max(defects.values()):.3e}")
+    return _audit_exit([name for name, defect in defects.items() if not defect <= 1e-12])
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into a config error (subparsers share the class)."""
+
+    def error(self, message):
+        raise ConfigError(self.prog, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jetlab", description="1D boundary-jet blow-up laboratory"
-    )
+    parser = _Parser(prog="jetlab", description="1D boundary-jet blow-up laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run-model", help="run one configured experiment")
@@ -245,8 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except _FAILURE_TYPES as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

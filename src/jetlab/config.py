@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -27,6 +26,9 @@ THEOREM_TAG = "theorem-hypotheses"
 # count; parsing rejects a run whose bound exceeds this budget, which could
 # not finish in reasonable time and whose record list would fill memory.
 STEP_BUDGET = 10**6
+
+# Far deeper than any experiment; shallow enough to copy, pickle and dump safely.
+_MAX_DEPTH = 100
 
 _SYMMETRY_TOL = 1e-12
 
@@ -45,8 +47,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     model: ModelSpec
     grid: PeriodicGrid
-    omega0_spec: dict
-    theta0_spec: Optional[dict]
     stepper: StepperConfig
     output_dir: str
     snapshot_times: tuple
@@ -149,15 +149,27 @@ def _parse_model(doc: dict) -> ModelSpec:
         raise ConfigError("model", str(exc)) from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment document, filling defaults."""
+def read_document(data: str | bytes, name: str) -> dict:
+    """The JSON object in ``data`` (UTF-8 when bytes); a ConfigError at ``name``
+    when it cannot be decoded or parsed, is not an object, or nests too deeply."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<document>", f"not valid JSON: {exc}") from None
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # undecodable, not JSON, digit limit, depth
+        raise ConfigError(name, f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError("<document>", "top level must be an object")
+        raise ConfigError(name, "top level must be an object")
+    level = [doc]
+    for _ in range(_MAX_DEPTH):
+        level = [v for node in level for v in (node.values() if isinstance(node, dict) else node)
+                 if isinstance(v, (dict, list))]
+    if level:
+        raise ConfigError(name, f"nested more than {_MAX_DEPTH} levels deep")
+    return doc
 
+
+def parse_config(text: str | bytes) -> ExperimentConfig:
+    """Parse and validate a JSON experiment document, filling defaults."""
+    doc = read_document(text, "<document>")
     model = _parse_model(doc)
 
     grid_doc = _shaped(doc, "grid", dict, "grid")
@@ -174,12 +186,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("model.X", str(exc)) from None
 
     init_doc = _shaped(doc, "initial_data", dict, "initial_data")
-    omega0_spec = init_doc.get("omega", {"name": "sin_fundamental"})
-    theta0_spec = init_doc.get("theta") if model.has_theta else None
-    if model.has_theta and theta0_spec is None:
-        theta0_spec = {"name": "zero"}
-    omega0 = _field(grid, omega0_spec, "initial_data.omega")
-    theta0 = None if theta0_spec is None else _field(grid, theta0_spec, "initial_data.theta")
+    omega0 = _field(grid, init_doc.get("omega", {"name": "sin_fundamental"}), "initial_data.omega")
+    theta0_spec = {"name": "zero"} if init_doc.get("theta") is None else init_doc["theta"]
+    theta0 = _field(grid, theta0_spec, "initial_data.theta") if model.has_theta else None
 
     step_doc = _shaped(doc, "stepper", dict, "stepper")
     dealias = step_doc.get("dealias", False)
@@ -215,8 +224,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         model=model,
         grid=grid,
-        omega0_spec=omega0_spec,
-        theta0_spec=theta0_spec,
         stepper=stepper,
         output_dir=output_dir,
         snapshot_times=snapshot_times,

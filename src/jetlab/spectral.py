@@ -128,11 +128,15 @@ def half_period_weighted_integral(f: PeriodicField, weight: str) -> float:
     return half_period_integrals(f)[0 if weight == "inv_x" else 1]
 
 
+def _two_thirds_cut(n_points: int) -> int:
+    """Highest mode the 2/3 rule keeps; the tail fraction measures the modes above it."""
+    return (2 * (n_points // 2)) // 3
+
+
 def dealias_filter(values: np.ndarray) -> np.ndarray:
     """2/3-rule low-pass used on nonlinear products when dealiasing is on."""
     fhat = np.fft.rfft(values)
-    cut = (2 * (values.size // 2)) // 3
-    fhat[cut + 1 :] = 0.0
+    fhat[_two_thirds_cut(values.size) + 1 :] = 0.0
     return np.fft.irfft(fhat, n=values.size)
 
 
@@ -157,5 +161,4 @@ def tail_energy_fraction(f: PeriodicField) -> float:
     total = float(np.sum(power[1:]))  # mean mode carries no roughness
     if total <= _TINY:
         return 0.0
-    cut = (2 * (f.grid.n_points // 2)) // 3
-    return float(np.sum(power[cut + 1 :]) / total)
+    return float(np.sum(power[_two_thirds_cut(f.grid.n_points) + 1 :]) / total)

@@ -103,7 +103,6 @@ class TestParseConfig:
 
     def test_theta_free_model_drops_theta(self):
         config = parse_config(json.dumps({"model": {"name": "CCF"}}))
-        assert config.theta0_spec is None
         assert config.initial_state().theta is None
 
     def test_cky_requires_bound(self):
@@ -443,6 +442,68 @@ class TestConfigFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "JETLAB_WORKERS" in err
 
+    @pytest.mark.parametrize("where", ["run-model", "template", "grid"])
+    @pytest.mark.parametrize(
+        "data", [b"\x80{}", b"[" * 100_000], ids=["not-utf8", "nested-too-deeply"]
+    )
+    def test_undecodable_document(self, tmp_path, capsys, where, data):
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(minimal_q0(tmp_path)))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5]}))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        argv = {
+            "run-model": ["run-model", str(bad)],
+            "template": ["sweep", str(bad), str(grid_path)],
+            "grid": ["sweep", str(template_path), str(bad)],
+        }[where]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: <")
+        assert "not valid JSON" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_deep_template_is_rejected_before_the_pool(self, tmp_path, capsys, monkeypatch):
+        # 500 levels parse, but pickling the members for the workers overflows
+        # the recursion limit
+        monkeypatch.setenv("JETLAB_WORKERS", "2")
+        notes = "[" * 500 + "]" * 500
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(minimal_q0(tmp_path))[:-1] + f', "notes": {notes}}}')
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5]}))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: <template>: nested more than 100 levels deep\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["jet-verify", "3", "16", "exp"],
+            ["jet-verify", "1", "abc", "exp"],
+            ["run-model"],
+            [],
+        ],
+        ids=["unknown-command", "bad-m-choice", "non-integer-M", "missing-path", "no-command"],
+    )
+    def test_usage_error_is_a_config_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("config error: jetlab")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["jet-verify", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert "usage: jetlab" in capsys.readouterr().out
+
 
 class TestSweep:
     def test_sweep_grid(self, tmp_path, monkeypatch):
@@ -554,6 +615,20 @@ class TestJetVerify:
         assert main(["jet-verify", "1", "16", "exp", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and "blocker" in err
+
+    def test_unwritable_output_directory_checked_before_the_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_solve(*args):
+            raise AssertionError("solve_elliptic called before --out was checked")
+
+        monkeypatch.setattr("jetlab.cli.solve_elliptic", no_solve)
+        out = tmp_path / "jets"
+        (out / ".write_probe").mkdir(parents=True)  # fails the probe even as root
+        assert main(["jet-verify", "1", "16", "exp", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
+        assert "not writable" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("where", ["manufactured_case", "solve_elliptic"])
     def test_out_of_memory_is_a_config_error(self, capsys, monkeypatch, where):

@@ -11,7 +11,7 @@ from jetlab import (
     spectral_derivative,
     tail_energy_fraction,
 )
-from jetlab.spectral import composite_weights
+from jetlab.spectral import composite_weights, dealias_filter
 
 from conftest import SI_PI, SI_2PI, INT_SIN2_OVER_X2
 
@@ -210,3 +210,12 @@ class TestResampleAndTail:
         assert tail_energy_fraction(high) >= 0.99
         zero = PeriodicField(grid, np.zeros(128))
         assert tail_energy_fraction(zero) == 0.0
+
+    @pytest.mark.parametrize("n", [8, 10, 64, 2048])
+    def test_dealias_filter_empties_the_tail(self, n):
+        # theorem runs reject dealias because the filter zeroes exactly the
+        # modes the tail fraction behind resolved_until measures
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            filtered = dealias_filter(rng.standard_normal(n))
+            assert tail_energy_fraction(PeriodicField(PeriodicGrid(n, 2.0), filtered)) <= 1e-28

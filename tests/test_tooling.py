@@ -8,6 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from jetlab.grid import PeriodicGrid
 from jetlab.strip import StripGrid, elliptic_residuals, manufactured_case, solve_elliptic
@@ -35,6 +36,13 @@ def test_every_traced_layer_resolves():
     assert missing == []
 
 
+def jetlab_env() -> dict:
+    """This environment, with the repository's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 NUMPY_ONLY = """
 import sys
 
@@ -55,12 +63,9 @@ def test_jetlab_needs_only_numpy(tmp_path):
         "stepper": {"t_end": 0.01},
         "outputs": {"directory": str(tmp_path / "out")},
     }))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
         [sys.executable, "-c", NUMPY_ONLY, str(config)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=jetlab_env(), timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "diagnostics.csv").exists()
@@ -88,3 +93,37 @@ def test_strip_memory_guard():
     phi = solve_elliptic(1, omega)
     assert traced_peak(lambda: solve_elliptic(1, omega)) <= 2.5 * unit
     assert traced_peak(lambda: elliptic_residuals(phi, omega, 1)) <= 3 * unit
+
+
+# One failure of each class: (arguments, run-model document or None, exit code).
+# The overflow case's Q0 velocity -c*omega overflows at c = 1e308.
+OVERFLOW = {
+    "model": {"name": "Q0", "c": 1e308},
+    "grid": {"n": 64},
+    "initial_data": {"omega": {"name": "sin_k", "k": 1, "amplitude": 2}},
+}
+FAILURE_CONTRACT = {
+    "usage": (["simulate"], None, 1),
+    "not-utf8": (["run-model"], b"\x80{}", 1),
+    "bad-field": (["run-model"], json.dumps({"model": {"name": "Q0", "a": -2.0}}).encode(), 1),
+    "jet-verify-input": (["jet-verify", "1", "0", "exp"], None, 1),
+    "numerical": (["run-model"], json.dumps(OVERFLOW).encode(), 2),
+    "audit": (["jet-verify", "1", "16", "exp", "--n", "8"], None, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CONTRACT))
+def test_failure_contract(tmp_path, case):
+    """Each failure is its documented exit code and one stderr line, never a
+    traceback.  numpy's overflow warnings precede the numerical line, so they
+    are silenced here."""
+    argv, document, code = FAILURE_CONTRACT[case]
+    if document is not None:
+        (tmp_path / "config.json").write_bytes(document)
+        argv = [*argv, "config.json"]
+    result = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "jetlab.cli", *argv],
+        capture_output=True, text=True, env=jetlab_env(), cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == code, result.stderr
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
