@@ -16,7 +16,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +137,9 @@ def _cmd_sweep(args) -> int:
     preflight_output_dir(base)
 
     if workers > 1:
+        # imported here: the pool machinery costs every other command ~20 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one_sweep, jobs))
     else:

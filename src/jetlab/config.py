@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evolve
 from .evolve import StepperConfig
 from .grid import PeriodicGrid, reflect_values
 from .initial_data import build_field
@@ -21,11 +22,6 @@ from .models import HALF_LINE, LOCAL, MODEL_TABLE, EvolutionState, ModelSpec
 DEFAULTS = {"n": 1024, "L": 2.0, "t_end": 10.0}  # the other defaults are StepperConfig's
 
 THEOREM_TAG = "theorem-hypotheses"
-
-# dt never exceeds dt_max, so t_end / dt_max is a lower bound on a run's step
-# count; parsing rejects a run whose bound exceeds this budget, which could
-# not finish in reasonable time and whose record list would fill memory.
-STEP_BUDGET = 10**6
 
 # Far deeper than any experiment; shallow enough to copy, pickle and dump safely.
 _MAX_DEPTH = 100
@@ -202,11 +198,12 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
         stepper = StepperConfig(**args)
     except ValueError as exc:
         raise ConfigError("stepper", str(exc)) from None
-    if stepper.t_end / stepper.dt_max > STEP_BUDGET:
+    # dt never exceeds dt_max, so t_end / dt_max is a lower bound on the step count
+    if stepper.t_end / stepper.dt_max > evolve.STEP_BUDGET:
         raise ConfigError(
             "stepper.t_end",
             f"needs at least t_end / dt_max = {stepper.t_end / stepper.dt_max:.3g} steps,"
-            f" over the step budget of {STEP_BUDGET}",
+            f" over the step budget of {evolve.STEP_BUDGET}",
         )
 
     out_doc = _shaped(doc, "outputs", dict, "outputs")

@@ -9,14 +9,19 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import DiagnosticRecord, compute_record, fill_margin_fields
-from .grid import PeriodicField
-from .models import EvolutionState, ModelSpec, _evaluate, state_rows
+from .grid import PeriodicField, PeriodicGrid
+from .models import EvolutionState, KernelPlan, ModelSpec, state_rows
 
 REACHED_T_END = "reached_t_end"
 SUP_CAP_HIT = "sup_cap_hit"
 DT_UNDERFLOW = "dt_underflow"
 
 _SPEED_FLOOR = 1e-300
+
+# The most steps a run may take.  dt never exceeds dt_max, so parsing rejects
+# a run with t_end / dt_max over the budget, and a run whose CFL step keeps dt
+# far below dt_max stops here; either could not finish in reasonable time.
+STEP_BUDGET = 10**6
 
 # Fit settings of a run's blow-up estimate; the relaxed residual accepts the
 # steeper-than-pole growth a spectral run shows once it leaves resolution.
@@ -65,6 +70,39 @@ class RunResult:
         return estimate_blowup_time(self.sup_series, FIT_FRACTION, FIT_RESIDUAL_THRESHOLD)
 
 
+def _rk4(plan: KernelPlan, y: np.ndarray, dt: float, k: np.ndarray, out: np.ndarray) -> None:
+    """One classical RK4 step of the stacked rows ``y`` into ``out``.  ``k[0]``
+    holds the rate at ``y``; ``k[1:]`` are stage buffers, and ``out`` carries
+    each stage's rows before the result.  Every stage's rows are checked
+    finite, so numpy's overflow warnings are not needed here."""
+
+    def advanced(k_i: np.ndarray, coef: float, stage: int) -> np.ndarray:
+        np.multiply(k_i, coef, out=out)
+        np.add(y, out, out=out)
+        if not np.isfinite(out).all():
+            raise FloatingPointError(f"numerical overflow in stage {stage}")
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan.evaluate(advanced(k[0], dt / 2, 2), k[1])
+        plan.evaluate(advanced(k[1], dt / 2, 3), k[2])
+        plan.evaluate(advanced(k[2], dt, 4), k[3])
+        # (k1 + 2*k2 + 2*k3 + k4) / 6, in that order
+        k[1] *= 2
+        k[1] += k[0]
+        k[2] *= 2
+        k[1] += k[2]
+        k[1] += k[3]
+        k[1] /= 6.0
+        advanced(k[1], dt, 4)
+
+
+def _state(grid: PeriodicGrid, y: np.ndarray, time: float) -> EvolutionState:
+    """The state of the stacked rows ``y``, on copies of them."""
+    theta = PeriodicField(grid, y[1].copy()) if len(y) > 1 else None
+    return EvolutionState(PeriodicField(grid, y[0].copy()), theta, time)
+
+
 def step_rk4(
     model: ModelSpec,
     s: EvolutionState,
@@ -77,26 +115,16 @@ def step_rk4(
     is the rate at ``s`` when the caller already has it."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    grid = s.grid
+    plan = KernelPlan(model, s.grid, dealias)
     y = state_rows(model, s)
-
-    def rate(rows: np.ndarray) -> np.ndarray:
-        return _evaluate(model, grid, rows, dealias)[1]
-
-    def advanced(k: np.ndarray, coef: float, stage: int) -> np.ndarray:
-        rows = y + coef * k
-        if not np.all(np.isfinite(rows)):
-            raise FloatingPointError(f"numerical overflow in stage {stage}")
-        return rows
-
+    k = np.empty((4,) + y.shape)
     if k1 is None:
-        k1 = rate(y)
-    k2 = rate(advanced(k1, dt / 2, 2))
-    k3 = rate(advanced(k2, dt / 2, 3))
-    k4 = rate(advanced(k3, dt, 4))
-    out = advanced((k1 + 2 * k2 + 2 * k3 + k4) / 6.0, dt, 4)
-    theta = PeriodicField(grid, out[1]) if s.theta is not None else None
-    return EvolutionState(PeriodicField(grid, out[0]), theta, s.time + dt)
+        plan.evaluate(y, k[0])
+    else:
+        k[0] = k1
+    out = np.empty_like(y)
+    _rk4(plan, y, dt, k, out)
+    return _state(s.grid, out, s.time + dt)
 
 
 def run(
@@ -109,16 +137,24 @@ def run(
     every ``record_every`` steps and at termination.  A CFL time step below
     dt_min is the recorded termination ``dt_underflow``, not a failure; an
     overflow inside a stage is treated as a sup-cap event at the last finite
-    state, and a non-finite velocity raises FloatingPointError.  The rate
-    evaluated for the CFL speed is the step's first RK4 stage.
+    state; a non-finite velocity, and a run that has taken ``STEP_BUDGET``
+    steps without ending, raise FloatingPointError.  The rate evaluated for
+    the CFL speed is the step's first RK4 stage.
     ``RunResult.states`` keeps, for each of ``snapshot_times``, the
     recorded state nearest to it (the earliest on a tie), and no other state.
+
+    The run steps the stacked rows (omega[, theta]) in one workspace: one
+    :class:`KernelPlan` and fixed stage buffers.  It builds states only to
+    record them.
     """
     if model.has_theta != (init.theta is not None):
         raise ValueError("initial state theta presence must match the model")
-    dx = init.grid.dx
+    grid = init.grid
+    plan = KernelPlan(model, grid, cfg.dealias)
+    y = state_rows(model, init)
+    y_next = np.empty_like(y)
+    k = np.empty((4,) + y.shape)
 
-    state = init
     snapshots = [init] * len(snapshot_times)
     records: List[DiagnosticRecord] = []
 
@@ -128,43 +164,52 @@ def run(
             if abs(s.time - t_want) < abs(snapshots[i].time - t_want):
                 snapshots[i] = s
 
-    record(state, 0.0)
+    t = init.time
+    sup_omega = float(np.max(np.abs(y[0])))
     bkm = 0.0
     step = 0
     termination = None
 
     while True:
-        sup_omega = state.omega.sup_norm
         if sup_omega >= cfg.omega_sup_cap:
             termination = SUP_CAP_HIT
             break
-        if state.time >= cfg.t_end - 1e-14:
+        if t >= cfg.t_end - 1e-14:
             termination = REACHED_T_END
             break
-        u, k1 = _evaluate(model, state.grid, state_rows(model, state), cfg.dealias)
-        speed = float(np.max(np.abs(u)))
+        if step >= STEP_BUDGET:
+            raise FloatingPointError(
+                f"step budget of {STEP_BUDGET} steps spent at t = {t:.6g} < t_end = {cfg.t_end:g}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):  # the speed is checked below
+            speed = float(np.max(np.abs(plan.evaluate(y, k[0]))))
         if not np.isfinite(speed):
             raise FloatingPointError("velocity is not finite")
-        dt_cfl = cfg.cfl * dx / max(speed, _SPEED_FLOOR)
+        if step == 0:
+            record(init, 0.0)  # t = 0, once its velocity is known to be finite
+        dt_cfl = cfg.cfl * grid.dx / max(speed, _SPEED_FLOOR)
         if dt_cfl < cfg.dt_min:
             termination = DT_UNDERFLOW
             break
-        dt = min(min(dt_cfl, cfg.dt_max), cfg.t_end - state.time)
+        dt = min(min(dt_cfl, cfg.dt_max), cfg.t_end - t)
         try:
-            new_state = step_rk4(model, state, dt, cfg.dealias, k1)
+            _rk4(plan, y, dt, k, y_next)
         except FloatingPointError:
             termination = SUP_CAP_HIT  # left the representable range mid-step
             break
-        bkm += 0.5 * dt * (sup_omega + new_state.omega.sup_norm)
-        state = new_state
+        y, y_next = y_next, y
+        t += dt
+        sup_new = float(np.max(np.abs(y[0])))
+        bkm += 0.5 * dt * (sup_omega + sup_new)
+        sup_omega = sup_new
         step += 1
         if step % cfg.record_every == 0:
-            record(state, bkm)
+            record(_state(grid, y, t), bkm)
 
-    if records[-1].t != state.time:
-        record(state, bkm)
-    fill_margin_fields(records, init.grid.period_L)
-    return RunResult(snapshots, records, termination, state.time, init.grid.period_L)
+    if not records or records[-1].t != t:
+        record(init if step == 0 else _state(grid, y, t), bkm)
+    fill_margin_fields(records, grid.period_L)
+    return RunResult(snapshots, records, termination, t, grid.period_L)
 
 
 def estimate_blowup_time(

@@ -158,34 +158,6 @@ def _cky_cells(n: int, period_L: float, X: float) -> int:
     return p
 
 
-def _half_line_velocity(model: ModelSpec, grid: PeriodicGrid, omega: np.ndarray) -> np.ndarray:
-    p = _cky_cells(grid.n_points, grid.period_L, model.truncation_X)
-    idx = (grid.index_of_zero + np.arange(p + 1)) % grid.n_points
-    x = grid.dx * np.arange(p + 1)
-    f = np.zeros(p + 1)
-    f[1:] = omega[idx[1:]] / x[1:]
-    # tail[m]: unit-spacing integral of f over the last m cells by the rule of
-    # spectral.composite_weights(m), as suffix sums of Simpson panels that end
-    # at X (m even) or at the 3/8 block on the last three cells (m odd)
-    g = f[::-1]
-    panel = (g[:-2] + 4.0 * g[1:-1] + g[2:]) / 3.0
-    tail = np.zeros(p + 1)
-    tail[1] = 0.5 * (g[0] + g[1])
-    tail[2::2] = np.cumsum(panel[0::2])
-    if p >= 3:
-        tail[3::2] = 0.375 * (g[0] + 3.0 * g[1] + 3.0 * g[2] + g[3])
-        tail[5::2] += np.cumsum(panel[3::2])
-    u = np.zeros(grid.n_points)
-    u[idx[1:-1]] = -x[1:-1] * (grid.dx * tail[p - 1 : 0 : -1])
-    return u
-
-
-_REAL_SPACE_LAWS = {
-    LOCAL: lambda model, grid, omega: -model.c * omega,
-    HALF_LINE: _half_line_velocity,
-}
-
-
 def state_rows(model: ModelSpec, s: EvolutionState) -> np.ndarray:
     """The stacked rows (omega[, theta]) of ``s``, checked against the model."""
     if model.has_theta != (s.theta is not None):
@@ -193,32 +165,99 @@ def state_rows(model: ModelSpec, s: EvolutionState) -> np.ndarray:
     return np.stack([f.values for f in (s.omega, s.theta) if f is not None])
 
 
-def _evaluate(model: ModelSpec, grid: PeriodicGrid, y: np.ndarray, dealias=False, with_rate=True):
-    """u of the stacked rows ``y = (omega[, theta])`` and, ``with_rate``, their rate: one
-    rfft of ``y``, then u, u_x, omega_x, theta_x back in one batched irfft."""
-    row, m = model.row, multipliers(grid)
-    real_law = _REAL_SPACE_LAWS.get(row.law)
-    y_hat = np.fft.rfft(y) if with_rate or real_law is None else None
-    spectra = [] if real_law else [y_hat[0] * m[row.law]]
-    if with_rate:
-        spectra += [spectra[0] * m["derivative"]] if row.stretching else []
-        spectra += list(y_hat * m["derivative"])
-    back = list(np.fft.irfft(np.array(spectra), n=grid.n_points)) if spectra else []
-    u = real_law(model, grid, y[0]) if real_law else back.pop(0)
-    if not with_rate:
-        return u, None
+class KernelPlan:
+    """One model's velocity law and rate on one grid, planned once per run.
 
-    u_x = back.pop(0) if row.stretching else None
-    product = (lambda a, b: dealias_filter(a * b)) if dealias else np.multiply
-    w = model.a_ok if row.transport is None else row.transport
-    rate = np.empty_like(y)
-    rate[0] = -w * product(u, back[0])
-    if row.stretching:
-        rate[0] += product(u_x, y[0])
-    if row.theta:
-        rate[0] += back[1]
-        rate[1] = -product(u, back[1])
-    return u, rate
+    The plan holds the model row's multipliers and transport weight and, for
+    CKY, the validated half-line node arrays, so an evaluation only computes.
+    A rate costs one rfft of the stacked rows ``y = (omega[, theta])`` and
+    one batched irfft of u, u_x, omega_x and theta_x; with ``dealias``,
+    ``dealias_filter`` filters all nonlinear products in one more pair.
+    """
+
+    def __init__(self, model: ModelSpec, grid: PeriodicGrid, dealias: bool = False):
+        row, n = model.row, grid.n_points
+        m = multipliers(grid)
+        self.grid, self._dealias = grid, dealias
+        self._multiplier = m.get(row.law)  # u's spectrum from omega's; None for the real-space laws
+        self._derivative = m["derivative"]
+        self._stretching, self._theta = row.stretching, row.theta
+        self._weight = -(model.a_ok if row.transport is None else row.transport)
+        # the spectra of [u,] [u_x,] omega_x[, theta_x], back in one batched irfft
+        n_back = (self._multiplier is not None) + row.stretching + 1 + row.theta
+        self._spectra_shape = (n_back, n // 2 + 1)
+        self._real_law = self._REAL_SPACE_LAWS.get(row.law)  # unbound: no reference cycle
+        if row.law == LOCAL:
+            self._minus_c = -model.c
+        elif row.law == HALF_LINE:
+            self._plan_half_line(_cky_cells(n, grid.period_L, model.truncation_X))
+
+    def _local_velocity(self, omega: np.ndarray) -> np.ndarray:
+        return self._minus_c * omega
+
+    def _plan_half_line(self, p: int) -> None:
+        # the nodes x = 0, dx, .., X = p*dx, taken from X down to 0 for the suffix
+        # sums, where f = omega/x is 0 at x = 0
+        grid = self.grid
+        idx = (grid.index_of_zero + np.arange(p + 1)) % grid.n_points
+        x = grid.dx * np.arange(p + 1)
+        self._p, self._from_X, self._x_from_X = p, idx[:0:-1], x[:0:-1]
+        self._inner, self._minus_x = idx[1:-1], -x[1:-1]
+
+    def _half_line_velocity(self, omega: np.ndarray) -> np.ndarray:
+        p = self._p
+        g = np.zeros(p + 1)
+        g[:-1] = omega[self._from_X] / self._x_from_X
+        # tail[m]: unit-spacing integral of f over the last m cells by the rule of
+        # spectral.composite_weights(m), as suffix sums of Simpson panels that end
+        # at X (m even) or at the 3/8 block on the last three cells (m odd)
+        panel = (g[:-2] + 4.0 * g[1:-1] + g[2:]) / 3.0
+        tail = np.zeros(p + 1)
+        tail[1] = 0.5 * (g[0] + g[1])
+        tail[2::2] = np.cumsum(panel[0::2])
+        if p >= 3:
+            tail[3::2] = 0.375 * (g[0] + 3.0 * g[1] + 3.0 * g[2] + g[3])
+            tail[5::2] += np.cumsum(panel[3::2])
+        u = np.zeros(self.grid.n_points)
+        u[self._inner] = self._minus_x * (self.grid.dx * tail[p - 1 : 0 : -1])
+        return u
+
+    _REAL_SPACE_LAWS = {LOCAL: _local_velocity, HALF_LINE: _half_line_velocity}
+
+    def evaluate(self, y: np.ndarray, rate: Optional[np.ndarray] = None) -> np.ndarray:
+        """u of the stacked rows ``y`` and, given ``rate``, their rate written there."""
+        n = self.grid.n_points
+        if rate is None:
+            if self._multiplier is None:
+                return self._real_law(self, y[0])
+            return np.fft.irfft(np.fft.rfft(y[0]) * self._multiplier, n=n)
+        y_hat, spectra = np.fft.rfft(y), np.empty(self._spectra_shape, complex)
+        if self._multiplier is not None:
+            np.multiply(y_hat[0], self._multiplier, out=spectra[0])
+        if self._stretching:
+            np.multiply(spectra[0], self._derivative, out=spectra[1])
+        np.multiply(y_hat, self._derivative, out=spectra[-len(y) :])
+        back = np.fft.irfft(spectra, n=n)
+        u = back[0] if self._multiplier is not None else self._real_law(self, y[0])
+        self._rate(y, u, back, rate)
+        return u
+
+    def _rate(self, y: np.ndarray, u: np.ndarray, back: np.ndarray, rate: np.ndarray) -> None:
+        # omega_t = -w*u*omega_x [+ u_x*omega] [+ theta_x], theta_t = -u*theta_x
+        derivatives = back[-1 - self._theta :]  # omega_x[, theta_x]
+        products = [u * derivatives[0]]
+        if self._stretching:
+            products.append(back[1] * y[0])
+        if self._theta:
+            products.append(u * derivatives[1])
+        if self._dealias:
+            products = dealias_filter(np.array(products))
+        rate[0] = self._weight * products[0]
+        if self._stretching:
+            rate[0] += products[1]
+        if self._theta:
+            rate[0] += derivatives[1]
+            rate[1] = -products[-1]
 
 
 def biot_savart(model: ModelSpec, omega: PeriodicField) -> PeriodicField:
@@ -229,7 +268,7 @@ def biot_savart(model: ModelSpec, omega: PeriodicField) -> PeriodicField:
     zero-mean periodic velocity; CKY evaluates the weighted half-line
     integral on [0, X] and leaves u = 0 elsewhere.
     """
-    u, _ = _evaluate(model, omega.grid, omega.values[None, :], with_rate=False)
+    u = KernelPlan(model, omega.grid).evaluate(omega.values[None, :])
     return PeriodicField(omega.grid, u)
 
 
@@ -239,7 +278,9 @@ def rhs(model: ModelSpec, s: EvolutionState, dealias: bool = False) -> StateRate
     All x-derivatives are spectral; with ``dealias`` the 2/3-rule filter is
     applied to the nonlinear products.
     """
-    _, rate = _evaluate(model, s.grid, state_rows(model, s), dealias)
+    y = state_rows(model, s)
+    rate = np.empty_like(y)
+    KernelPlan(model, s.grid, dealias).evaluate(y, rate)
     return StateRate(rate[0], rate[1] if s.theta is not None else None)
 
 

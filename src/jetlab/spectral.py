@@ -134,10 +134,12 @@ def _two_thirds_cut(n_points: int) -> int:
 
 
 def dealias_filter(values: np.ndarray) -> np.ndarray:
-    """2/3-rule low-pass used on nonlinear products when dealiasing is on."""
+    """2/3-rule low-pass along the last axis, used on nonlinear products when
+    dealiasing is on; the rows of a stack are filtered in one transform pair."""
+    n = values.shape[-1]
     fhat = np.fft.rfft(values)
-    fhat[_two_thirds_cut(values.size) + 1 :] = 0.0
-    return np.fft.irfft(fhat, n=values.size)
+    fhat[..., _two_thirds_cut(n) + 1 :] = 0.0
+    return np.fft.irfft(fhat, n=n)
 
 
 def resample(f: PeriodicField, n_new: int) -> PeriodicField:

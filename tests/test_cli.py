@@ -248,13 +248,27 @@ class TestConfigFailures:
         assert code == 1 and f"config error: {path}:" in err
 
     def test_step_budget(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("jetlab.config.STEP_BUDGET", 100)
+        monkeypatch.setattr("jetlab.evolve.STEP_BUDGET", 100)
         doc = minimal_q0(tmp_path)
         doc["stepper"].update(t_end=1.0, dt_max=0.01)
         assert parse_config(json.dumps(doc)).stepper.t_end == 1.0  # 100 steps fit
         doc["stepper"]["t_end"] = 1.5
         code, err = self._run(tmp_path, capsys, doc)
         assert code == 1 and "config error: stepper.t_end:" in err and "step budget" in err
+
+    def test_step_budget_while_stepping(self, tmp_path, capsys, monkeypatch):
+        # t_end / dt_max = 5 steps pass parsing, but |u| = 10/3 holds the CFL
+        # step near 0.00375, so reaching t_end would take 14 steps
+        monkeypatch.setattr("jetlab.evolve.STEP_BUDGET", 6)
+        doc = minimal_q0(tmp_path, grid={"n": 64, "L": 2.0})
+        doc["initial_data"]["omega"] = {"name": "sin_k", "k": 1, "amplitude": 10}
+        doc["stepper"].update(t_end=0.05, dt_max=0.01)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        code = main(["run-model", str(config_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("numerical failure: step budget of 6 steps")
 
     def test_endless_steady_state_is_rejected_before_stepping(self, tmp_path, capsys, monkeypatch):
         # De Gregorio's cos steady state never reaches the sup cap, so a

@@ -219,3 +219,11 @@ class TestResampleAndTail:
         for _ in range(5):
             filtered = dealias_filter(rng.standard_normal(n))
             assert tail_energy_fraction(PeriodicField(PeriodicGrid(n, 2.0), filtered)) <= 1e-28
+
+    @pytest.mark.parametrize("n", [10, 64, 2048, 8192])
+    def test_dealias_filter_of_a_stack_is_bitwise_per_row(self, n):
+        # the kernel filters all of an evaluation's products in one pair
+        rows = np.random.default_rng(n).standard_normal((3, n))
+        stacked = dealias_filter(rows)
+        for row, filtered in zip(rows, stacked):
+            assert filtered.tobytes() == dealias_filter(row).tobytes()

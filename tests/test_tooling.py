@@ -115,14 +115,13 @@ FAILURE_CONTRACT = {
 @pytest.mark.parametrize("case", sorted(FAILURE_CONTRACT))
 def test_failure_contract(tmp_path, case):
     """Each failure is its documented exit code and one stderr line, never a
-    traceback.  numpy's overflow warnings precede the numerical line, so they
-    are silenced here."""
+    traceback or a numpy warning."""
     argv, document, code = FAILURE_CONTRACT[case]
     if document is not None:
         (tmp_path / "config.json").write_bytes(document)
         argv = [*argv, "config.json"]
     result = subprocess.run(
-        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "jetlab.cli", *argv],
+        [sys.executable, "-m", "jetlab.cli", *argv],
         capture_output=True, text=True, env=jetlab_env(), cwd=tmp_path, timeout=120,
     )
     assert result.returncode == code, result.stderr
