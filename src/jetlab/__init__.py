@@ -62,6 +62,8 @@ from .strip import (
     jet_relation_residual,
     load_strip_field,
     manufactured_case,
+    manufactured_error,
+    manufactured_omega,
     save_strip_field,
     scaled_elliptic_residual,
     solve_elliptic,

@@ -15,8 +15,10 @@ from .grid import PeriodicField, reflect_values
 from .models import LOCAL, EvolutionState, ModelSpec
 from .spectral import (
     half_period_integrals,
+    half_period_nodes,
     half_period_weighted_integral,
     is_pinned_at_zero,
+    multipliers,
     spectral_derivative,
     tail_energy_fraction,
 )
@@ -117,14 +119,12 @@ def symmetry_and_sign_monitor(
     when the caller does not pass it.
     """
     grid = s.grid
-    n = grid.n_points
     omega = s.omega.values
     sup_omega = max(float(np.max(np.abs(omega))), _EPS)
     odd_defect = float(np.max(np.abs(omega + reflect_values(omega)))) / sup_omega
     endpoint = max(abs(omega[grid.index_of_zero]), abs(omega[0]))
 
-    # nodes with x in [0, L/2]; node 0 is the wrapped endpoint x = L/2
-    half_idx = np.concatenate([np.arange(n // 2, n), [0]])
+    half_idx = half_period_nodes(grid)[0]  # x in [0, L/2]
     min_omega_half = float(np.min(omega[half_idx]))
 
     even_defect = min_thetax_half = sup_theta = sup_theta_x = 0.0
@@ -158,12 +158,18 @@ def compute_record(
     exploratory data never aborts a run.
     """
     c = diagnostic_coupling(model)
-    theta_x = spectral_derivative(s.theta) if s.theta is not None else None
+    grid = s.grid
+    fields = [s.omega] if s.theta is None else [s.omega, s.theta]
+    # one transform of the stacked rows serves the tail fractions, and one
+    # inverse transform gives omega'(0) for F and theta_x
+    spectra = np.fft.rfft(np.array([f.values for f in fields]))
+    slopes = np.fft.irfft(spectra * multipliers(grid)["derivative"], n=grid.n_points)
+    theta_x = PeriodicField(grid, slopes[1]) if s.theta is not None else None
     monitor = symmetry_and_sign_monitor(s, theta_x)
 
     F = strong = 0.0
     if is_pinned_at_zero(s.omega):
-        inv_x, inv_x_squared = half_period_integrals(s.omega)
+        inv_x, inv_x_squared = half_period_integrals(s.omega, slopes[0][grid.index_of_zero])
         F = c * inv_x
         strong = 0.5 * c * c * inv_x_squared
     E = energy(s, c) if s.theta is not None else 0.0
@@ -171,9 +177,7 @@ def compute_record(
     if theta_x is not None and is_pinned_at_zero(theta_x):
         G = c * half_period_weighted_integral(theta_x, "inv_x")
 
-    tail = tail_energy_fraction(s.omega)
-    if s.theta is not None:
-        tail = max(tail, tail_energy_fraction(s.theta))
+    tail = max(tail_energy_fraction(f, fhat) for f, fhat in zip(fields, spectra))
 
     return DiagnosticRecord(
         t=s.time,

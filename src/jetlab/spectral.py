@@ -97,35 +97,53 @@ def is_pinned_at_zero(f: PeriodicField) -> bool:
     return abs(f.value_at_zero) <= 1e-10 * max(f.sup_norm, _TINY)
 
 
-def half_period_integrals(f: PeriodicField) -> Tuple[float, float]:
+@lru_cache(maxsize=32)
+def half_period_nodes(grid: PeriodicGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node indices and coordinates of x = 0 .. L/2 (the last index wraps to
+    node 0), and the composite weights that integrate over them."""
+    n, half = grid.n_points, grid.n_points // 2
+    idx = (grid.index_of_zero + np.arange(half + 1)) % n
+    x = grid.dx * np.arange(half + 1)
+    weights = grid.dx * composite_weights(half)
+    for values in (idx, x, weights):
+        values.setflags(write=False)
+    return idx, x, weights
+
+
+def _half_period_ratio(f: PeriodicField, slope_at_zero) -> np.ndarray:
+    """f(x)/x at the nodes of [0, L/2], with f'(0) at x = 0."""
+    if not is_pinned_at_zero(f):
+        raise ValueError("singular integrand: f(0) must vanish")
+    idx, x, _ = half_period_nodes(f.grid)
+    ratio = np.empty(x.size)
+    ratio[1:] = f.values[idx[1:]] / x[1:]
+    if slope_at_zero is None:
+        slope_at_zero = apply_multiplier(f.values, multipliers(f.grid)["derivative"])[idx[0]]
+    ratio[0] = slope_at_zero
+    return ratio
+
+
+def half_period_integrals(f: PeriodicField, slope_at_zero=None) -> Tuple[float, float]:
     """Integrate ``f(x)/x`` and ``f(x)^2/x^2`` over ``[0, L/2]``.
 
     The removable singularity at ``x = 0`` is handled by replacing the ratio
-    ``f(x)/x`` there with ``f'(0)`` (spectral derivative); this requires
-    ``f(0) = 0``.  Both integrals use the one ratio at the grid nodes (no
-    re-interpolation) with the order-4 composite rule above.
+    ``f(x)/x`` there with ``f'(0)``: ``slope_at_zero`` when the caller has it,
+    else the spectral derivative; this requires ``f(0) = 0``.  Both integrals
+    use the one ratio at the grid nodes (no re-interpolation) with the
+    order-4 composite rule above.
     """
-    if not is_pinned_at_zero(f):
-        raise ValueError("singular integrand: f(0) must vanish")
-    grid = f.grid
-    n = grid.n_points
-
-    half = n // 2
-    idx = (grid.index_of_zero + np.arange(half + 1)) % n  # x = 0 .. L/2, wrapping at L/2
-    x = grid.dx * np.arange(half + 1)
-    ratio = np.empty(half + 1)
-    ratio[1:] = f.values[idx[1:]] / x[1:]
-    ratio[0] = apply_multiplier(f.values, multipliers(grid)["derivative"])[grid.index_of_zero]
-    weights = grid.dx * composite_weights(half)
+    ratio = _half_period_ratio(f, slope_at_zero)
+    weights = half_period_nodes(f.grid)[2]
     return float(weights @ ratio), float(weights @ ratio**2)
 
 
 def half_period_weighted_integral(f: PeriodicField, weight: str) -> float:
     """Integrate ``f(x)/x`` (``"inv_x"``) or ``f(x)^2/x^2`` (``"inv_x_squared"``)
-    over ``[0, L/2]``; see :func:`half_period_integrals`."""
+    over ``[0, L/2]``, computing only that one; see :func:`half_period_integrals`."""
     if weight not in ("inv_x", "inv_x_squared"):
         raise ValueError(f"unknown weight {weight!r}")
-    return half_period_integrals(f)[0 if weight == "inv_x" else 1]
+    ratio = _half_period_ratio(f, None)
+    return float(half_period_nodes(f.grid)[2] @ (ratio if weight == "inv_x" else ratio**2))
 
 
 def _two_thirds_cut(n_points: int) -> int:
@@ -155,9 +173,11 @@ def resample(f: PeriodicField, n_new: int) -> PeriodicField:
     return PeriodicField(grid, np.fft.irfft(out, n=n_new) * (n_new / n))
 
 
-def tail_energy_fraction(f: PeriodicField) -> float:
-    """Fraction of spectral energy carried by the top third of the modes."""
-    fhat = np.fft.rfft(f.values)
+def tail_energy_fraction(f: PeriodicField, fhat=None) -> float:
+    """Fraction of spectral energy carried by the top third of the modes;
+    ``fhat`` is ``rfft(f.values)`` when the caller has it."""
+    if fhat is None:
+        fhat = np.fft.rfft(f.values)
     power = np.abs(fhat) ** 2
     power[1:-1] *= 2.0
     total = float(np.sum(power[1:]))  # mean mode carries no roughness

@@ -139,28 +139,50 @@ def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+# lines per block of the strip passes: q-columns in the transforms, x-rows
+# when a field is saved
+_RESIDUAL_BLOCK = 16
+
+
+def _blocks(count: int):
+    """(lo, hi) bounds of consecutive blocks of at most _RESIDUAL_BLOCK lines."""
+    for lo in range(0, count, _RESIDUAL_BLOCK):
+        yield lo, min(lo + _RESIDUAL_BLOCK, count)
+
+
 def solve_elliptic(m: int, omega: StripField) -> StripField:
-    """Solve the degenerate stream equation for phi given omega on the strip."""
+    """Solve the degenerate stream equation for phi given omega on the strip.
+
+    The strip lives in one complex (M+1, n/2+1) buffer: omega is transformed
+    a block of q-columns at a time, negated into it, solved in place, and phi
+    is written back over it a block at a time in increasing q.  That is safe
+    because x-contiguous column q of phi ends at byte 8n(q+1), before row
+    q+1 of phi_hat starts at byte (8n+16)(q+1).  The returned values are a
+    Fortran-ordered float view of the buffer.
+    """
     grid = omega.grid
-    M = grid.n_q_intervals
-    rhs = np.negative(np.fft.rfft(omega.values, axis=0).T, order="C")
+    n, M = grid.x_grid.n_points, grid.n_q_intervals
+    rhs = np.empty((M + 1, n // 2 + 1), dtype=complex)
+    for lo, hi in _blocks(M + 1):
+        np.negative(np.fft.rfft(omega.values[:, lo:hi].T), out=rhs[lo:hi])
     rhs[M] = 0.0
     phi_hat = solve_banded(_band(m, M, grid.dq), grid.x_grid.wavenumbers**2, rhs)
-    phi = np.fft.irfft(phi_hat.T, n=grid.x_grid.n_points, axis=0)
-    return StripField(grid, phi)
+    phi = phi_hat.view(float).reshape(-1)[: n * (M + 1)].reshape(M + 1, n)
+    for lo, hi in _blocks(M + 1):
+        phi[lo:hi] = np.fft.irfft(phi_hat[lo:hi], n=n)
+    return StripField(grid, phi.T)
 
 
 def _band_product(ab: np.ndarray, k2: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A_k v_k on the rows q < 1 for every mode; v is (K, M+1), the result (K, M)."""
+    """A_k v_k for every mode on a window of q-columns ``v`` (K, w); ``ab`` is
+    the band cut to the same window.  The window's first and last rows lack
+    a neighbour, so only the rows inside it are the operator's."""
     res = ab[2] * v
     res[:, :-1] += ab[1, 1:] * v[:, 1:]
     res[:, :-2] += ab[0, 2:] * v[:, 2:]
     res[:, 1:] += ab[3, :-1] * v[:, :-1]
     res -= k2[:, None] * v
-    return res[:, :-1]
-
-
-_RESIDUAL_BLOCK = 32  # x-modes per block of the residual pass
+    return res
 
 
 def elliptic_residuals(phi: StripField, omega: StripField, m: int) -> Tuple[float, float]:
@@ -173,28 +195,28 @@ def elliptic_residuals(phi: StripField, omega: StripField, m: int) -> Tuple[floa
     the band entries, and so the absolute defect, grow like M^2.  The
     diagonal is negative on q < 1, so |A_k| is |band| with +k^2.
 
-    phi and omega are transformed once each; A_k phi_hat_k is added into
-    omega_hat in place a block of modes at a time, so no strip-sized array
-    besides phi_hat and the defect is alive, and phi_hat is freed before
-    the defect's one inverse transform.
+    The pass runs a block of q-columns at a time: it transforms the block's
+    phi columns with the band's halo (one column below, two above) and its
+    omega columns, and inverse-transforms only that block of the defect, so
+    no strip-sized array is allocated.
     """
     grid = phi.grid
-    band = _band(m, grid.n_q_intervals, grid.dq)
+    M = grid.n_q_intervals
+    band = _band(m, M, grid.dq)
     abs_band = np.abs(band)
     k2 = grid.x_grid.wavenumbers**2
-    phi_hat = np.fft.rfft(phi.values, axis=0)
-    defect = np.fft.rfft(omega.values[:, :-1], axis=0)
-    worst = scale = omega_max = 0.0
-    for lo in range(0, len(k2), _RESIDUAL_BLOCK):
-        modes = slice(lo, lo + _RESIDUAL_BLOCK)
-        block = defect[modes]
-        omega_max = max(omega_max, np.max(np.abs(block)))
-        block += _band_product(band, k2[modes], phi_hat[modes])
-        worst = max(worst, np.max(np.abs(block)))
-        scale = max(scale, np.max(_band_product(abs_band, -k2[modes], np.abs(phi_hat[modes]))))
-    del phi_hat
-    physical = np.fft.irfft(defect, n=grid.x_grid.n_points, axis=0)
-    absolute = np.max(np.abs(physical, out=physical))
+    absolute = worst = scale = omega_max = 0.0
+    for lo, hi in _blocks(M):  # the rows q < 1
+        a, b = max(lo - 1, 0), min(hi + 2, M + 1)
+        rows = slice(lo - a, hi - a)
+        phi_hat = np.fft.rfft(phi.values[:, a:b], axis=0)
+        defect = np.fft.rfft(omega.values[:, lo:hi], axis=0)
+        omega_max = max(omega_max, np.max(np.abs(defect)))
+        defect += _band_product(band[:, a:b], k2, phi_hat)[:, rows]
+        worst = max(worst, np.max(np.abs(defect)))
+        scale = max(scale, np.max(_band_product(abs_band[:, a:b], -k2, np.abs(phi_hat))[:, rows]))
+        physical = np.fft.irfft(defect, n=grid.x_grid.n_points, axis=0)
+        absolute = max(absolute, np.max(np.abs(physical, out=physical)))
     return float(absolute), float(worst / max(scale + omega_max, _EPS))
 
 
@@ -323,10 +345,9 @@ _CASE_PROFILES: Dict[str, Tuple[Callable, Callable, Callable]] = {
 MANUFACTURED_CASES = tuple(_CASE_PROFILES)
 
 
-def manufactured_case(
-    name: str, m: int, grid: StripGrid
-) -> Tuple[StripField, StripField]:
-    """Exact (phi, omega) pair with phi = h(q) sin of the fundamental x-mode."""
+def _case_profiles(name: str, m: int, grid: StripGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h(q), omega's q-profile, sin(k1 x)) of a manufactured case, whose
+    phi = h(q) sin(k1 x) and omega are rank one on the strip."""
     if name not in _CASE_PROFILES:
         raise ValueError(
             f"unknown manufactured case {name!r}; choose from {', '.join(MANUFACTURED_CASES)}"
@@ -336,10 +357,38 @@ def manufactured_case(
     k1 = 2.0 * np.pi / grid.x_grid.period_L
     sin_x = np.sin(k1 * grid.x_grid.nodes)
     profile_omega = k1**2 * h(q) - 4.0 * q * hpp(q) - (4.0 + 2.0 * m) * hp(q)
-    # built q-major and transposed, so each field is x-contiguous with no copy
-    phi = StripField(grid, (h(q)[:, None] * sin_x[None, :]).T)
-    omega = StripField(grid, (profile_omega[:, None] * sin_x[None, :]).T)
-    return phi, omega
+    return h(q), profile_omega, sin_x
+
+
+def _rank_one(grid: StripGrid, profile: np.ndarray, sin_x: np.ndarray) -> StripField:
+    # built q-major and transposed, so the field is x-contiguous with no copy
+    return StripField(grid, (profile[:, None] * sin_x[None, :]).T)
+
+
+def manufactured_case(
+    name: str, m: int, grid: StripGrid
+) -> Tuple[StripField, StripField]:
+    """Exact (phi, omega) pair with phi = h(q) sin of the fundamental x-mode."""
+    h_q, omega_q, sin_x = _case_profiles(name, m, grid)
+    return _rank_one(grid, h_q, sin_x), _rank_one(grid, omega_q, sin_x)
+
+
+def manufactured_omega(name: str, m: int, grid: StripGrid) -> StripField:
+    """The omega of :func:`manufactured_case` alone."""
+    _, omega_q, sin_x = _case_profiles(name, m, grid)
+    return _rank_one(grid, omega_q, sin_x)
+
+
+def manufactured_error(name: str, m: int, phi: StripField) -> float:
+    """Sup distance of ``phi`` from the case's exact phi = h(q) sin(k1 x),
+    measured a block of q-columns at a time, so the exact phi is never built
+    as a strip."""
+    h_q, _, sin_x = _case_profiles(name, m, phi.grid)
+    worst = 0.0
+    for lo, hi in _blocks(h_q.size):
+        error = phi.values[:, lo:hi] - (h_q[lo:hi, None] * sin_x[None, :]).T
+        worst = max(worst, np.max(np.abs(error, out=error)))
+    return float(worst)
 
 
 # -- serialization ------------------------------------------------------------
@@ -354,7 +403,8 @@ def save_strip_field(field: StripField, path) -> None:
     grid = field.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(grid.x_grid.n_points, grid.n_q_intervals, grid.x_grid.period_L))
-        fh.write(field.values.astype("<f8", copy=False).tobytes(order="C"))
+        for lo, hi in _blocks(grid.x_grid.n_points):  # x-rows, so no strip-sized copy
+            fh.write(np.ascontiguousarray(field.values[lo:hi], dtype="<f8"))
     sidecar = {
         "n_x": grid.x_grid.n_points,
         "n_q_intervals": grid.n_q_intervals,

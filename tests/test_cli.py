@@ -644,7 +644,7 @@ class TestJetVerify:
         assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
         assert "not writable" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("where", ["manufactured_case", "solve_elliptic"])
+    @pytest.mark.parametrize("where", ["manufactured_omega", "solve_elliptic"])
     def test_out_of_memory_is_a_config_error(self, capsys, monkeypatch, where):
         # stands in for an n * (M+1) strip that cannot be allocated
         def no_memory(*args, **kwargs):

@@ -22,7 +22,8 @@ from jetlab import (
     strong_term,
     symmetry_and_sign_monitor,
 )
-from jetlab.diagnostics import _three_point_slopes, compute_record
+from jetlab.diagnostics import _three_point_slopes, compute_record, diagnostic_coupling
+from jetlab.spectral import half_period_integrals, half_period_weighted_integral, tail_energy_fraction
 
 from conftest import F0_SIN, INT_PI_SIN_OVER_X, INT_SIN2_OVER_X2, sin_state
 
@@ -265,3 +266,75 @@ class TestRecords:
         records = [R(0.0, 0.0), R(1.0, 1e-9), R(2.0, 1e-7), R(3.0, 1.0)]
         assert resolved_until(records) == 2.0
         assert resolved_until(records[:2]) == float("inf")
+
+
+def per_row_record(model, s, bkm_integral):
+    """compute_record with one transform pair per quantity, as it was before
+    the record's rows were batched: the oracle it must match bit for bit."""
+    c = diagnostic_coupling(model)
+    theta_x = spectral_derivative(s.theta) if s.theta is not None else None
+    monitor = symmetry_and_sign_monitor(s, theta_x)
+    F = strong = 0.0
+    if _pinned(s.omega):
+        inv_x, inv_x_squared = half_period_integrals(s.omega)
+        F, strong = c * inv_x, 0.5 * c * c * inv_x_squared
+    G = 0.0
+    if theta_x is not None and _pinned(theta_x):
+        G = c * half_period_weighted_integral(theta_x, "inv_x")
+    tail = tail_energy_fraction(s.omega)
+    if s.theta is not None:
+        tail = max(tail, tail_energy_fraction(s.theta))
+    return dict(
+        t=s.time, E=energy(s, c) if s.theta is not None else 0.0, F=F, G=G,
+        sup_omega=s.omega.sup_norm, bkm_integral=bkm_integral,
+        tail_energy_fraction=tail, strong_term=strong, **monitor,
+    )
+
+
+def rough_state(n, seed, with_theta=True, odd=True):
+    """Odd (or shifted) omega and even theta with 40 modes, so every tail is nonzero."""
+    grid = PeriodicGrid(n, 2.0)
+    x, rng = grid.nodes, np.random.RandomState(seed)
+    omega = sum(rng.randn() / k * np.sin(np.pi * k * x + (0.0 if odd else 0.3)) for k in range(1, 41))
+    theta = sum(rng.randn() / k**2 * np.cos(np.pi * k * x) for k in range(1, 41))
+    return EvolutionState(
+        PeriodicField(grid, omega), PeriodicField(grid, theta) if with_theta else None, 0.25
+    )
+
+
+class TestRecordTransforms:
+    """compute_record's batched transforms: their count and their bits."""
+
+    @staticmethod
+    def fft_calls(monkeypatch, call):
+        count = [0]
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                count[0] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        call()
+        return count[0]
+
+    @pytest.mark.parametrize("with_theta,calls", [(True, 4), (False, 2)])
+    def test_fft_calls_per_record(self, monkeypatch, with_theta, calls):
+        model = ModelSpec.q0(1 / 3) if with_theta else ModelSpec.ccf()
+        s, records = rough_state(256, 1, with_theta), []
+        assert self.fft_calls(monkeypatch, lambda: records.append(compute_record(model, s, 0.0))) == calls
+        assert records[0].F != 0.0 and (records[0].G != 0.0) == with_theta  # F and G computed
+
+    @pytest.mark.parametrize("n", [64, 256, 2048])
+    @pytest.mark.parametrize("with_theta", [True, False])
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_record_is_bitwise_the_per_row_formulas(self, n, with_theta, odd):
+        model = ModelSpec.q0(1 / 3) if with_theta else ModelSpec.ccf()
+        s = rough_state(n, n, with_theta, odd)
+        record = compute_record(model, s, 0.5)
+        expected = per_row_record(model, s, 0.5)
+        assert {name: repr(getattr(record, name)) for name in expected} == {
+            name: repr(value) for name, value in expected.items()
+        }
+        assert (record.F != 0.0) == odd and record.tail_energy_fraction > 0.0

@@ -17,6 +17,8 @@ from jetlab import (
     jet_relation_residual,
     load_strip_field,
     manufactured_case,
+    manufactured_error,
+    manufactured_omega,
     save_strip_field,
     scaled_elliptic_residual,
     solve_elliptic,
@@ -27,6 +29,11 @@ from jetlab.strip import _HEADER, _band
 
 def strip_grid(n=64, M=256, L=2 * np.pi):
     return StripGrid(PeriodicGrid(n, L), M)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
 class TestGridAndField:
@@ -58,6 +65,35 @@ class TestGridAndField:
     def test_unknown_case_lists_the_cases(self):
         with pytest.raises(ValueError, match="choose from linear, quadratic, quadratic_minus, exp"):
             manufactured_case("cubic", 1, strip_grid(16, 16))
+
+
+class TestManufactured:
+    """jet-verify's omega-only builder and blocked error against the whole-strip pair."""
+
+    @pytest.mark.parametrize("case", ["linear", "quadratic", "quadratic_minus", "exp"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_omega_alone_is_the_pairs_omega(self, case, m):
+        grid = strip_grid(32, 48)
+        assert_same_bits(manufactured_omega(case, m, grid).values, manufactured_case(case, m, grid)[1].values)
+
+    @pytest.mark.parametrize("block", [1, 5, 16, 64])
+    @pytest.mark.parametrize("case", ["linear", "exp"])
+    def test_error_is_the_whole_strip_error(self, monkeypatch, case, block):
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+        grid = strip_grid(32, 48)
+        phi_exact, omega = manufactured_case(case, 2, grid)
+        phi = solve_elliptic(2, omega)
+        expected = float(np.max(np.abs(phi.values - phi_exact.values)))
+        assert expected > 0.0
+        assert manufactured_error(case, 2, phi) == expected
+        assert manufactured_error(case, 2, phi_exact) == 0.0
+
+    def test_unknown_case_is_rejected_by_every_builder(self):
+        grid = strip_grid(16, 16)
+        zero = StripField(grid, np.zeros((16, 17)))
+        for build in (lambda: manufactured_omega("cubic", 1, grid), lambda: manufactured_error("cubic", 1, zero)):
+            with pytest.raises(ValueError, match="choose from"):
+                build()
 
 
 class TestSolveElliptic:
@@ -270,6 +306,40 @@ def two_pass_residuals(phi, omega, m):
     return absolute, float(defect / max(scale, 1e-300))
 
 
+def one_pass_solve(m, omega):
+    """The solve as one whole-strip pass: rfft, a negated C-ordered copy,
+    the sweep, irfft; the oracle the blocked solve must match bit for bit."""
+    grid = omega.grid
+    M = grid.n_q_intervals
+    rhs = np.negative(np.fft.rfft(omega.values, axis=0).T, order="C")
+    rhs[M] = 0.0
+    phi_hat = strip.solve_banded(_band(m, M, grid.dq), grid.x_grid.wavenumbers**2, rhs)
+    return np.fft.irfft(phi_hat.T, n=grid.x_grid.n_points, axis=0)
+
+
+class TestBlockedSolve:
+    """solve_elliptic against the one-pass oracle, bit for bit."""
+
+    SIZES = TestAgainstPerModeOracle.SIZES + [(256, 40), (64, 2048)]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n,M", SIZES)
+    def test_matches_one_pass_oracle(self, m, n, M):
+        omega = random_forcing(strip_grid(n, M), seed=n + M + m)
+        assert_same_bits(solve_elliptic(m, omega).values, one_pass_solve(m, omega))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_phi_is_written_over_its_own_spectrum(self, m):
+        n, M = 64, 100
+        omega = random_forcing(strip_grid(n, M), seed=m)
+        values = solve_elliptic(m, omega).values
+        spectrum = values.base
+        while spectrum.base is not None:
+            spectrum = spectrum.base
+        assert spectrum.dtype == complex and spectrum.shape == (M + 1, n // 2 + 1)
+        assert values.flags.f_contiguous and np.shares_memory(values, spectrum)
+
+
 class TestResidualPass:
     """elliptic_residuals against the two-formula oracle, bit for bit."""
 
@@ -305,7 +375,9 @@ class TestResidualPass:
         monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
         grid = strip_grid(64, 48)  # 33 modes
         omega = random_forcing(grid, seed=block)
-        phi = StripField(grid, solve_elliptic(1, omega).values + 1e-3)
+        solved = solve_elliptic(1, omega).values
+        assert_same_bits(solved, one_pass_solve(1, omega))
+        phi = StripField(grid, solved + 1e-3)
         self.assert_matches_oracle(phi, omega, 1)
 
 
@@ -449,3 +521,13 @@ class TestSerialization:
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
         assert payloads[0][_HEADER.size:] == c_values.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 16, 64])
+    def test_payload_does_not_depend_on_the_block_of_rows(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+        c_values = np.random.RandomState(3).randn(40, 17)  # 40 rows: a partial last block for 7, 16
+        for layout, values in (("c", c_values), ("f", np.asfortranarray(c_values))):
+            path = tmp_path / f"field_{layout}.bin"
+            save_strip_field(StripField(strip_grid(40, 16, 3.0), values), path)
+            assert path.read_bytes()[_HEADER.size:] == c_values.astype("<f8").tobytes()
+            assert_same_bits(load_strip_field(path).values, c_values)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jetlab.cli import main
 from jetlab.grid import PeriodicGrid
 from jetlab.strip import StripGrid, elliptic_residuals, manufactured_case, solve_elliptic
 
@@ -83,16 +84,27 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+# Memory bounds are in units of one (n/2+1, M+1) complex128 spectrum, which
+# takes the bytes of one (n, M+1) real strip plus one column.
+MEMORY_N, MEMORY_M = 512, 256
+MEMORY_UNIT = (MEMORY_N // 2 + 1) * (MEMORY_M + 1) * np.dtype(complex).itemsize
+
+
 def test_strip_memory_guard():
-    # in units of one (n/2+1, M+1) complex128 spectrum: the solve keeps its
-    # right-hand side and the inverse transform's output, the residual pass
-    # the two spectra plus one block of modes
-    n, M = 512, 256
-    unit = (n // 2 + 1) * (M + 1) * np.dtype(complex).itemsize
-    _, omega = manufactured_case("exp", 1, StripGrid(PeriodicGrid(n, 2 * np.pi), M))
+    # the solve keeps its right-hand side and the sweep's pivots (half a
+    # unit); the residual pass holds one block of q-columns
+    grid = StripGrid(PeriodicGrid(MEMORY_N, 2 * np.pi), MEMORY_M)
+    _, omega = manufactured_case("exp", 1, grid)
     phi = solve_elliptic(1, omega)
-    assert traced_peak(lambda: solve_elliptic(1, omega)) <= 2.5 * unit
-    assert traced_peak(lambda: elliptic_residuals(phi, omega, 1)) <= 3 * unit
+    assert traced_peak(lambda: solve_elliptic(1, omega)) <= 1.75 * MEMORY_UNIT
+    assert traced_peak(lambda: elliptic_residuals(phi, omega, 1)) <= 0.6 * MEMORY_UNIT
+
+
+def test_jet_verify_memory_guard():
+    # omega plus the solve: no strip-sized exact phi, error or second spectrum
+    argv = ["jet-verify", "1", str(MEMORY_M), "exp", "--n", str(MEMORY_N)]
+    assert main(argv) == 0  # first-call caches are not the command's cost
+    assert traced_peak(lambda: main(argv)) <= 2.9 * MEMORY_UNIT
 
 
 # One failure of each class: (arguments, run-model document or None, exit code).
