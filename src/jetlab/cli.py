@@ -6,7 +6,8 @@ out-of-memory) error, 2 numerical failure, 3 invariant-audit failure; a sweep
 exits with its first nonzero member code.  Every failure prints one line: an
 error gets its line and code from the one table ``_FAILURES``, applied in
 ``main`` and, for isolation, to each sweep member.  JETLAB_WORKERS caps the
-sweep worker pool (default: logical core count).
+sweep worker pool (default: logical core count); a sweep grid may have at most
+``SWEEP_BUDGET`` members.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,6 +53,10 @@ _FAILURES = (
 )
 _FAILURE_TYPES = sum((row[0] for row in _FAILURES), ())
 
+# The most members a sweep grid may have.  The grid's members are expanded and
+# parsed before any runs, so the product of its list lengths is checked first.
+SWEEP_BUDGET = 10**4
+
 
 def _worker_count() -> int:
     env = os.environ.get("JETLAB_WORKERS")
@@ -83,11 +89,11 @@ def _cmd_run_model(args) -> int:
     return _audit_exit(summary["failed_audits"])
 
 
-def _expand_grid(template: dict, grid_doc: dict):
-    """Cartesian product of dotted-path overrides applied to the template; a
-    ConfigError when an override value or path has the wrong shape."""
-    paths = sorted(grid_doc)
-    for combo in itertools.product(*(_shaped(grid_doc, p, list, f"<grid> {p}") for p in paths)):
+def _expand_grid(template: dict, axes: dict):
+    """Cartesian product of the dotted-path override lists ``axes`` applied to
+    the template; a ConfigError when an override path has the wrong shape."""
+    paths = list(axes)
+    for combo in itertools.product(*axes.values()):
         doc = json.loads(json.dumps(template))
         for path, value in zip(paths, combo):
             node = doc
@@ -124,7 +130,11 @@ def _run_one_sweep(payload) -> dict:
 def _cmd_sweep(args) -> int:
     template = read_document(Path(args.template).read_bytes(), "<template>")
     grid_doc = read_document(Path(args.grid).read_bytes(), "<grid>")
-    jobs = list(enumerate(_expand_grid(template, grid_doc)))
+    axes = {p: _shaped(grid_doc, p, list, f"<grid> {p}") for p in sorted(grid_doc)}
+    size = math.prod(map(len, axes.values()))
+    if size > SWEEP_BUDGET:
+        raise ConfigError("<grid>", f"{size} members exceed the sweep budget of {SWEEP_BUDGET}")
+    jobs = list(enumerate(_expand_grid(template, axes)))
     if not jobs:
         raise ConfigError("<grid>", "empty parameter grid")
     outputs = template.get("outputs")

@@ -225,14 +225,14 @@ class RiccatiSample:
     cauchy_rhs: float  # c^2 (L/2) int omega^2/x^2
 
 
-def riccati_audit(run, c: float) -> List[RiccatiSample]:
+def riccati_audit(run) -> List[RiccatiSample]:
     """Margins of the blow-up inequality chain at the interior records of a run.
 
     A view over the records: dF/dt and both margins are the ones
     fill_margin_fields derived from the recorded F series, and the strong
     term was recorded with the same quadrature as F itself, which makes the
-    Cauchy--Schwarz comparison an exact weighted-sum inequality.  ``c`` is
-    not read: the records hold the strong term at the run's own coupling.
+    Cauchy--Schwarz comparison an exact weighted-sum inequality.  The
+    records hold the strong term at the run's own coupling c.
     """
     records = run.diagnostics
     if len(records) < 3:

@@ -97,9 +97,12 @@ def _rk4(plan: KernelPlan, y: np.ndarray, dt: float, k: np.ndarray, out: np.ndar
         advanced(k[1], dt, 4)
 
 
-def _state(grid: PeriodicGrid, y: np.ndarray, time: float) -> EvolutionState:
-    """The state of the stacked rows ``y``, on copies of them."""
-    theta = PeriodicField(grid, y[1].copy()) if len(y) > 1 else None
+def _state(model: ModelSpec, grid: PeriodicGrid, y: np.ndarray, time: float) -> EvolutionState:
+    """The state of the stacked rows ``y``, on copies of them; a theta model's
+    one-row ``y`` has theta = +0.0 at every node."""
+    theta = None
+    if model.has_theta:
+        theta = PeriodicField(grid, y[1].copy() if len(y) > 1 else np.zeros(grid.n_points))
     return EvolutionState(PeriodicField(grid, y[0].copy()), theta, time)
 
 
@@ -124,7 +127,7 @@ def step_rk4(
         k[0] = k1
     out = np.empty_like(y)
     _rk4(plan, y, dt, k, out)
-    return _state(s.grid, out, s.time + dt)
+    return _state(model, s.grid, out, s.time + dt)
 
 
 def run(
@@ -145,13 +148,16 @@ def run(
 
     The run steps the stacked rows (omega[, theta]) in one workspace: one
     :class:`KernelPlan` and fixed stage buffers.  It builds states only to
-    record them.
+    record them.  A theta that starts at +0.0 at every node stays exactly
+    +0.0, so the run then steps omega's row alone and records theta as zeros.
     """
     if model.has_theta != (init.theta is not None):
         raise ValueError("initial state theta presence must match the model")
     grid = init.grid
     plan = KernelPlan(model, grid, cfg.dealias)
     y = state_rows(model, init)
+    if model.has_theta and not (np.any(y[1]) or np.any(np.signbit(y[1]))):
+        y = y[:1]  # theta = +0.0 everywhere, and it stays so
     y_next = np.empty_like(y)
     k = np.empty((4,) + y.shape)
 
@@ -204,10 +210,10 @@ def run(
         sup_omega = sup_new
         step += 1
         if step % cfg.record_every == 0:
-            record(_state(grid, y, t), bkm)
+            record(_state(model, grid, y, t), bkm)
 
     if not records or records[-1].t != t:
-        record(init if step == 0 else _state(grid, y, t), bkm)
+        record(init if step == 0 else _state(model, grid, y, t), bkm)
     fill_margin_fields(records, grid.period_L)
     return RunResult(snapshots, records, termination, t, grid.period_L)
 

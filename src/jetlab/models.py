@@ -173,6 +173,13 @@ class KernelPlan:
     A rate costs one rfft of the stacked rows ``y = (omega[, theta])`` and
     one batched irfft of u, u_x, omega_x and theta_x; with ``dealias``,
     ``dealias_filter`` filters all nonlinear products in one more pair.
+
+    A one-row ``y`` of a theta model stands for theta = +0.0 at every node,
+    which theta_t = -u*theta_x keeps exactly (each stage adds coef*(+-0.0) to
+    +0.0).  Its rate is omega's row alone, with ``+ 0.0`` where theta_x was
+    added, so omega's rate keeps the sign of zero the two-row rate gives.
+    ``evolve.run`` steps such rows; ``rhs``, ``step_rk4`` and ``biot_savart``
+    always pass the full rows.
     """
 
     def __init__(self, model: ModelSpec, grid: PeriodicGrid, dealias: bool = False):
@@ -183,9 +190,8 @@ class KernelPlan:
         self._derivative = m["derivative"]
         self._stretching, self._theta = row.stretching, row.theta
         self._weight = -(model.a_ok if row.transport is None else row.transport)
-        # the spectra of [u,] [u_x,] omega_x[, theta_x], back in one batched irfft
-        n_back = (self._multiplier is not None) + row.stretching + 1 + row.theta
-        self._spectra_shape = (n_back, n // 2 + 1)
+        # the spectra of [u,] [u_x,] and the rows' derivatives, back in one batched irfft
+        self._n_velocity = (self._multiplier is not None) + row.stretching
         self._real_law = self._REAL_SPACE_LAWS.get(row.law)  # unbound: no reference cycle
         if row.law == LOCAL:
             self._minus_c = -model.c
@@ -231,7 +237,8 @@ class KernelPlan:
             if self._multiplier is None:
                 return self._real_law(self, y[0])
             return np.fft.irfft(np.fft.rfft(y[0]) * self._multiplier, n=n)
-        y_hat, spectra = np.fft.rfft(y), np.empty(self._spectra_shape, complex)
+        y_hat = np.fft.rfft(y)
+        spectra = np.empty((self._n_velocity + len(y), n // 2 + 1), complex)
         if self._multiplier is not None:
             np.multiply(y_hat[0], self._multiplier, out=spectra[0])
         if self._stretching:
@@ -244,20 +251,23 @@ class KernelPlan:
 
     def _rate(self, y: np.ndarray, u: np.ndarray, back: np.ndarray, rate: np.ndarray) -> None:
         # omega_t = -w*u*omega_x [+ u_x*omega] [+ theta_x], theta_t = -u*theta_x
-        derivatives = back[-1 - self._theta :]  # omega_x[, theta_x]
+        theta = len(y) > 1  # a one-row y of a theta model has theta = +0.0
+        derivatives = back[-len(y) :]  # omega_x[, theta_x]
         products = [u * derivatives[0]]
         if self._stretching:
             products.append(back[1] * y[0])
-        if self._theta:
+        if theta:
             products.append(u * derivatives[1])
         if self._dealias:
             products = dealias_filter(np.array(products))
         rate[0] = self._weight * products[0]
         if self._stretching:
             rate[0] += products[1]
-        if self._theta:
+        if theta:
             rate[0] += derivatives[1]
             rate[1] = -products[-1]
+        elif self._theta:
+            rate[0] += 0.0  # theta_x = +0.0; the sum turns -0.0 into +0.0
 
 
 def biot_savart(model: ModelSpec, omega: PeriodicField) -> PeriodicField:

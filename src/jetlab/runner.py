@@ -11,7 +11,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .diagnostics import (
     CSV_COLUMNS,
-    diagnostic_coupling,
     resolved_until,
     riccati_audit,
 )
@@ -34,7 +33,6 @@ def preflight_output_dir(path: str) -> Path:
 
 def theorem_audit(result: RunResult, config: ExperimentConfig) -> Dict[str, object]:
     """Pass/fail of every theorem-run invariant, judged inside the resolved phase."""
-    c = diagnostic_coupling(config.model)
     L = config.grid.period_L
     records = result.diagnostics
     t_res = resolved_until(records)
@@ -79,7 +77,7 @@ def theorem_audit(result: RunResult, config: ExperimentConfig) -> Dict[str, obje
     )
 
     if len(records) >= 3:
-        samples = [a for a in riccati_audit(result, c) if a.t < t_res]
+        samples = [a for a in riccati_audit(result) if a.t < t_res]
         out["riccati_margin_ok"] = all(
             a.riccati_margin >= -1e-4 * max(a.F**2, 1.0) for a in samples
         )

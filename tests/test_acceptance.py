@@ -141,7 +141,7 @@ def test_c04_blowup_bound(blowup_run):
 
 def test_c05_inequality_chain(blowup_run):
     t_res = resolved_until(blowup_run.diagnostics)
-    samples = [a for a in riccati_audit(blowup_run, C_RUN) if a.t < t_res]
+    samples = [a for a in riccati_audit(blowup_run) if a.t < t_res]
     assert len(samples) >= 10
     riccati_ok = all(
         a.riccati_margin >= -1e-4 * max(a.F**2, 1.0) for a in samples

@@ -446,6 +446,22 @@ class TestConfigFailures:
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_sweep_grid_is_rejected_before_expanding(self, tmp_path, capsys, monkeypatch):
+        def expanded(template, axes):
+            raise AssertionError("the grid was expanded")
+
+        monkeypatch.setattr("jetlab.cli.SWEEP_BUDGET", 8)
+        monkeypatch.setattr("jetlab.cli._expand_grid", expanded)
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(minimal_q0(tmp_path)))
+        grid_path = tmp_path / "grid.json"
+        grid = {"model.a": [0.0, 0.5, 1.0], "grid.n": [64, 128, 256], "stepper.cfl": [0.1, 0.2, 0.3]}
+        grid_path.write_text(json.dumps(grid))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: <grid>: 27 members exceed the sweep budget of 8\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_worker_count(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("JETLAB_WORKERS", "abc")
         template_path = tmp_path / "template.json"

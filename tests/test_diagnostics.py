@@ -174,7 +174,7 @@ class TestRiccatiAudit:
             PeriodicField(grid, np.zeros(64)), PeriodicField(grid, np.zeros(64)), 0.0
         )
         res = run(ModelSpec.q0(1 / 3), init, StepperConfig(t_end=0.5, record_every=2))
-        samples = riccati_audit(res, 1 / 3)
+        samples = riccati_audit(res)
         assert len(samples) >= 3
         for a in samples:
             assert a.F == 0.0 and a.F_dot == 0.0
@@ -187,7 +187,7 @@ class TestRiccatiAudit:
             states = []
 
         with pytest.raises(ValueError, match="at least 3"):
-            riccati_audit(Fake(), 1.0)
+            riccati_audit(Fake())
 
 
 def _pinned(f):
@@ -242,7 +242,7 @@ class TestStreamedRecords:
             )
             for i in range(1, len(recorded) - 1)
         ]
-        assert riccati_audit(res, c) == expected
+        assert riccati_audit(res) == expected
         for i, r in enumerate(res.diagnostics):
             assert r.F_dot_measured == float(F_dot[i])
             assert r.strong_margin == float(F_dot[i] - strong[i])

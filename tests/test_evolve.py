@@ -166,14 +166,16 @@ class TestRun:
 
     def test_reference_run_counts(self, monkeypatch, tmp_path):
         # the theorem run: 1033 steps of four rates each, and one velocity for
-        # its snapshot's u column
+        # its snapshot's u column; theta0 = +0.0, so every evaluation sees
+        # omega's row alone
         import jetlab.evolve
 
-        calls, steps = [], []
+        calls, rows, steps = [], [], []
         evaluate, rk4 = KernelPlan.evaluate, jetlab.evolve._rk4
 
         def counted_evaluate(plan, y, rate=None):
             calls.append(rate is not None)
+            rows.append(len(y))
             return evaluate(plan, y, rate)
 
         def counted_rk4(*args):
@@ -192,6 +194,28 @@ class TestRun:
         assert result.termination == SUP_CAP_HIT and len(result.diagnostics) == 105
         assert len(steps) == 1033 and len(calls) == 4 * 1033 + 1 == 4133
         assert calls.count(False) == 1
+        assert rows == [1] * 4133
+
+    @pytest.mark.parametrize(
+        "entry, rows", [(0.0, 1), (5e-324, 2), (-0.0, 2)], ids=["zero", "nonzero", "minus-zero"]
+    )
+    def test_theta_row_is_stepped_unless_all_plus_zero(self, monkeypatch, entry, rows):
+        # one entry of theta0 that is not +0.0 keeps theta's row in every evaluation
+        seen = []
+        original = KernelPlan.evaluate
+
+        def counted(plan, y, rate=None):
+            seen.append(len(y))
+            return original(plan, y, rate)
+
+        monkeypatch.setattr(KernelPlan, "evaluate", counted)
+        s = sin_state(64)
+        theta = np.zeros(64)
+        theta[5] = entry
+        init = EvolutionState(s.omega, PeriodicField(s.grid, theta), 0.0)
+        cfg = StepperConfig(t_end=10 * 2.0**-7, dt_max=2.0**-7)
+        run(ModelSpec.q0(1 / 3), init, cfg)
+        assert seen == [rows] * 40
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_given_first_stage_is_bitwise_the_computed_one(self, dealias):
@@ -408,14 +432,16 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def rough_state(model, n):
+def rough_state(model, n, zero_theta=False):
     """Twelve seeded modes each, odd omega and even theta, so that the 2/3
-    filter removes part of every product."""
+    filter removes part of every product; with ``zero_theta``, theta = +0.0."""
     grid = PeriodicGrid(n, 2.0)
     rng = np.random.default_rng(n)
     k = np.arange(1, 13)[:, None] * np.pi * grid.nodes
     omega = PeriodicField(grid, rng.uniform(-1, 1, 12) / np.arange(1, 13) @ np.sin(k))
     theta = PeriodicField(grid, 0.3 + 0.1 * rng.uniform(-1, 1, 12) @ np.cos(k))
+    if zero_theta:
+        theta = PeriodicField(grid, np.zeros(n))
     return EvolutionState(omega, theta if model.has_theta else None, 0.0)
 
 
@@ -450,11 +476,24 @@ class TestBitwiseAgainstReference:
             assert same_bits(got.omega.values, want.omega.values) and got.time == want.time
             if model.has_theta:
                 assert same_bits(got.theta.values, want.theta.values)
+        if model.has_theta:
+            # a one-row y stands for theta = +0.0: omega's rate is the two-row one
+            y = state_rows(model, rough_state(model, n, zero_theta=True))
+            rate = np.empty_like(y[:1])
+            KernelPlan(model, s.grid, dealias).evaluate(y[:1], rate)
+            assert same_bits(rate[0], reference_evaluate(model, s.grid, y, dealias)[1][0])
 
     def test_run(self, model, dealias, n):
         cfg = StepperConfig(t_end=0.05, dt_max=0.004, record_every=3, dealias=dealias)
         res = assert_same_run(model, rough_state(model, n), cfg, (0.0, 0.02, 0.05))
         assert res.termination == REACHED_T_END and len(res.diagnostics) > 3
+        if model.has_theta:
+            # theta0 = +0.0: the run steps omega alone, the reference both rows
+            init = rough_state(model, n, zero_theta=True)
+            res = assert_same_run(model, init, cfg, (0.0, 0.02, 0.05))
+            assert res.termination == REACHED_T_END and len(res.diagnostics) > 3
+            for s in res.states:
+                assert not np.any(s.theta.values) and not np.any(np.signbit(s.theta.values))
 
 
 class TestBitwiseEndings:
