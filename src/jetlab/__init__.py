@@ -43,7 +43,6 @@ from .models import (
 )
 from .spectral import (
     antiderivative_zero_mean,
-    half_period_weighted_integral,
     hilbert_transform,
     resample,
     spectral_derivative,
@@ -65,7 +64,6 @@ from .strip import (
     manufactured_error,
     manufactured_omega,
     save_strip_field,
-    scaled_elliptic_residual,
     solve_elliptic,
 )
 

@@ -6,8 +6,8 @@ out-of-memory) error, 2 numerical failure, 3 invariant-audit failure; a sweep
 exits with its first nonzero member code.  Every failure prints one line: an
 error gets its line and code from the one table ``_FAILURES``, applied in
 ``main`` and, for isolation, to each sweep member.  JETLAB_WORKERS caps the
-sweep worker pool (default: logical core count); a sweep grid may have at most
-``SWEEP_BUDGET`` members.
+sweep worker pool (default and upper limit: the logical core count); a sweep
+grid may have at most ``SWEEP_BUDGET`` members.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ SWEEP_BUDGET = 10**4
 
 
 def _worker_count() -> int:
-    env = os.environ.get("JETLAB_WORKERS")
+    env, cores = os.environ.get("JETLAB_WORKERS"), os.cpu_count() or 1
     try:
-        return max(1, int(env)) if env else os.cpu_count() or 1
+        return min(max(1, int(env)), cores) if env else cores
     except ValueError:
         raise ConfigError("JETLAB_WORKERS", f"expected a whole number, got {env!r}") from None
 

@@ -16,7 +16,6 @@ from .models import LOCAL, EvolutionState, ModelSpec
 from .spectral import (
     half_period_integrals,
     half_period_nodes,
-    half_period_weighted_integral,
     is_pinned_at_zero,
     multipliers,
     spectral_derivative,
@@ -94,29 +93,26 @@ def energy(s: EvolutionState, c: float) -> float:
 
 def functional_F(omega: PeriodicField, c: float) -> float:
     """F = c * integral_0^{L/2} omega(x)/x dx."""
-    return c * half_period_weighted_integral(omega, "inv_x")
+    return c * half_period_integrals(omega)[0]
 
 
 def functional_G(theta: PeriodicField, c: float) -> float:
     """G = c * integral_0^{L/2} theta_x(x)/x dx with theta_x spectral."""
-    return c * half_period_weighted_integral(spectral_derivative(theta), "inv_x")
+    return c * half_period_integrals(spectral_derivative(theta))[0]
 
 
 def strong_term(omega: PeriodicField, c: float) -> float:
     """(c^2/2) * integral_0^{L/2} omega^2/x^2 dx, the lower bound on dF/dt."""
-    return 0.5 * c * c * half_period_weighted_integral(omega, "inv_x_squared")
+    return 0.5 * c * c * half_period_integrals(omega)[1]
 
 
-def symmetry_and_sign_monitor(
-    s: EvolutionState, theta_x: Optional[PeriodicField] = None
-) -> dict:
+def symmetry_and_sign_monitor(s: EvolutionState, theta_x: Optional[PeriodicField]) -> dict:
     """Odd/even defects, endpoint pinning, half-period minima and the theta
     scales sup|theta| and sup|theta_x| (0 without theta) for a state.
 
     Reflection about x = 0 and about x = L/2 coincide on the periodic grid,
     so the "combined over both symmetry points" defect is a single number.
-    ``theta_x``, the spectral derivative of ``s.theta``, is computed here
-    when the caller does not pass it.
+    ``theta_x`` is the spectral derivative of ``s.theta``, None without theta.
     """
     grid = s.grid
     omega = s.omega.values
@@ -130,8 +126,6 @@ def symmetry_and_sign_monitor(
     even_defect = min_thetax_half = sup_theta = sup_theta_x = 0.0
     if s.theta is not None:
         theta = s.theta.values
-        if theta_x is None:
-            theta_x = spectral_derivative(s.theta)
         sup_theta, sup_theta_x = s.theta.sup_norm, theta_x.sup_norm
         even_defect = float(np.max(np.abs(theta - reflect_values(theta)))) / max(sup_theta, _EPS)
         min_thetax_half = float(np.min(theta_x.values[half_idx]))
@@ -175,7 +169,7 @@ def compute_record(
     E = energy(s, c) if s.theta is not None else 0.0
     G = 0.0
     if theta_x is not None and is_pinned_at_zero(theta_x):
-        G = c * half_period_weighted_integral(theta_x, "inv_x")
+        G = c * half_period_integrals(theta_x)[0]
 
     tail = max(tail_energy_fraction(f, fhat) for f, fhat in zip(fields, spectra))
 

@@ -107,24 +107,16 @@ def _state(model: ModelSpec, grid: PeriodicGrid, y: np.ndarray, time: float) -> 
 
 
 def step_rk4(
-    model: ModelSpec,
-    s: EvolutionState,
-    dt: float,
-    dealias: bool = False,
-    k1: Optional[np.ndarray] = None,
+    model: ModelSpec, s: EvolutionState, dt: float, dealias: bool = False
 ) -> EvolutionState:
     """One classical 4-stage explicit step of the model's dynamics, run on the
-    stacked rows (omega[, theta]) with one finiteness check per stage.  ``k1``
-    is the rate at ``s`` when the caller already has it."""
+    stacked rows (omega[, theta]) with one finiteness check per stage."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     plan = KernelPlan(model, s.grid, dealias)
     y = state_rows(model, s)
     k = np.empty((4,) + y.shape)
-    if k1 is None:
-        plan.evaluate(y, k[0])
-    else:
-        k[0] = k1
+    plan.evaluate(y, k[0])
     out = np.empty_like(y)
     _rk4(plan, y, dt, k, out)
     return _state(model, s.grid, out, s.time + dt)

@@ -150,6 +150,8 @@ class StateRate:
 def _cky_cells(n: int, period_L: float, X: float) -> int:
     """Cells in [0, X]; X must be a grid node in (0, L/2], never silently misaligned."""
     p_float = X / (period_L / n)
+    if not np.isfinite(p_float):
+        raise ValueError("CKY truncation bound must lie in (0, L/2]")
     p = int(round(p_float))
     if abs(p_float - p) > 1e-8 * n:
         raise ValueError("CKY truncation bound must coincide with a grid node")

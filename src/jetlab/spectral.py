@@ -110,19 +110,6 @@ def half_period_nodes(grid: PeriodicGrid) -> Tuple[np.ndarray, np.ndarray, np.nd
     return idx, x, weights
 
 
-def _half_period_ratio(f: PeriodicField, slope_at_zero) -> np.ndarray:
-    """f(x)/x at the nodes of [0, L/2], with f'(0) at x = 0."""
-    if not is_pinned_at_zero(f):
-        raise ValueError("singular integrand: f(0) must vanish")
-    idx, x, _ = half_period_nodes(f.grid)
-    ratio = np.empty(x.size)
-    ratio[1:] = f.values[idx[1:]] / x[1:]
-    if slope_at_zero is None:
-        slope_at_zero = apply_multiplier(f.values, multipliers(f.grid)["derivative"])[idx[0]]
-    ratio[0] = slope_at_zero
-    return ratio
-
-
 def half_period_integrals(f: PeriodicField, slope_at_zero=None) -> Tuple[float, float]:
     """Integrate ``f(x)/x`` and ``f(x)^2/x^2`` over ``[0, L/2]``.
 
@@ -130,20 +117,19 @@ def half_period_integrals(f: PeriodicField, slope_at_zero=None) -> Tuple[float, 
     ``f(x)/x`` there with ``f'(0)``: ``slope_at_zero`` when the caller has it,
     else the spectral derivative; this requires ``f(0) = 0``.  Both integrals
     use the one ratio at the grid nodes (no re-interpolation) with the
-    order-4 composite rule above.
+    order-4 composite rule above.  A square past the float range gives a
+    second integral of +inf, without a warning; the first does not use it.
     """
-    ratio = _half_period_ratio(f, slope_at_zero)
-    weights = half_period_nodes(f.grid)[2]
-    return float(weights @ ratio), float(weights @ ratio**2)
-
-
-def half_period_weighted_integral(f: PeriodicField, weight: str) -> float:
-    """Integrate ``f(x)/x`` (``"inv_x"``) or ``f(x)^2/x^2`` (``"inv_x_squared"``)
-    over ``[0, L/2]``, computing only that one; see :func:`half_period_integrals`."""
-    if weight not in ("inv_x", "inv_x_squared"):
-        raise ValueError(f"unknown weight {weight!r}")
-    ratio = _half_period_ratio(f, None)
-    return float(half_period_nodes(f.grid)[2] @ (ratio if weight == "inv_x" else ratio**2))
+    if not is_pinned_at_zero(f):
+        raise ValueError("singular integrand: f(0) must vanish")
+    idx, x, weights = half_period_nodes(f.grid)
+    ratio = np.empty(x.size)
+    ratio[1:] = f.values[idx[1:]] / x[1:]
+    if slope_at_zero is None:
+        slope_at_zero = apply_multiplier(f.values, multipliers(f.grid)["derivative"])[idx[0]]
+    ratio[0] = slope_at_zero
+    with np.errstate(over="ignore"):
+        return float(weights @ ratio), float(weights @ ratio**2)
 
 
 def _two_thirds_cut(n_points: int) -> int:

@@ -225,11 +225,6 @@ def elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
     return elliptic_residuals(phi, omega, m)[0]
 
 
-def scaled_elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
-    """Scaled defect of :func:`elliptic_residuals`."""
-    return elliptic_residuals(phi, omega, m)[1]
-
-
 def _boundary_first_derivative(values: np.ndarray, dq: float) -> np.ndarray:
     """4th-order one-sided d/dq at q = 1 (5-point backward stencil)."""
     return (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jetlab import ConfigError, functional_F, parse_config, rhs
-from jetlab.cli import main
+from jetlab.cli import _worker_count, main
 from jetlab.initial_data import build_field
 from jetlab.models import ModelSpec
 from jetlab.runner import run_experiment
@@ -472,6 +472,22 @@ class TestConfigFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "JETLAB_WORKERS" in err
 
+    @pytest.mark.parametrize(
+        "env,cores,expected",
+        [
+            (None, 4, 4), (None, None, 1), ("0", 4, 1), ("3", 4, 3),
+            ("10000", 4, 4), ("10000", None, 1),
+        ],
+    )
+    def test_worker_count_is_at_most_the_core_count(self, monkeypatch, env, cores, expected):
+        # read directly, so no pool of the requested size is ever started
+        if env is None:
+            monkeypatch.delenv("JETLAB_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("JETLAB_WORKERS", env)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert _worker_count() == expected
+
     @pytest.mark.parametrize("where", ["run-model", "template", "grid"])
     @pytest.mark.parametrize(
         "data", [b"\x80{}", b"[" * 100_000], ids=["not-utf8", "nested-too-deeply"]
@@ -498,6 +514,7 @@ class TestConfigFailures:
         # 500 levels parse, but pickling the members for the workers overflows
         # the recursion limit
         monkeypatch.setenv("JETLAB_WORKERS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         notes = "[" * 500 + "]" * 500
         template_path = tmp_path / "template.json"
         template_path.write_text(json.dumps(minimal_q0(tmp_path))[:-1] + f', "notes": {notes}}}')
@@ -538,6 +555,7 @@ class TestUsage:
 class TestSweep:
     def test_sweep_grid(self, tmp_path, monkeypatch):
         monkeypatch.setenv("JETLAB_WORKERS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         template = minimal_q0(tmp_path)
         template["outputs"]["directory"] = str(tmp_path / "sweepout")
         template_path = tmp_path / "template.json"
@@ -554,6 +572,7 @@ class TestSweep:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failed_member_keeps_the_others(self, tmp_path, monkeypatch, workers):
         monkeypatch.setenv("JETLAB_WORKERS", workers)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         base = tmp_path / "sweepout"
         base.mkdir()
         (base / "sweep_0001").write_text("a file where member 1 writes")

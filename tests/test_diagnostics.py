@@ -23,7 +23,7 @@ from jetlab import (
     symmetry_and_sign_monitor,
 )
 from jetlab.diagnostics import _three_point_slopes, compute_record, diagnostic_coupling
-from jetlab.spectral import half_period_integrals, half_period_weighted_integral, tail_energy_fraction
+from jetlab.spectral import half_period_integrals, tail_energy_fraction
 
 from conftest import F0_SIN, INT_PI_SIN_OVER_X, INT_SIN2_OVER_X2, sin_state
 
@@ -111,7 +111,7 @@ class TestSymmetryMonitor:
             PeriodicField(grid, np.cos(np.pi * x)),
             0.0,
         )
-        m = symmetry_and_sign_monitor(s)
+        m = symmetry_and_sign_monitor(s, spectral_derivative(s.theta))
         assert m["odd_defect_omega"] <= 1e-15
         assert m["even_defect_theta"] <= 1e-15
         assert m["endpoint_omega"] <= 1e-15
@@ -119,7 +119,7 @@ class TestSymmetryMonitor:
     def test_even_function_maximally_defective(self):
         grid = PeriodicGrid(128, 2.0)
         s = EvolutionState(PeriodicField(grid, np.cos(np.pi * grid.nodes)), None, 0.0)
-        m = symmetry_and_sign_monitor(s)
+        m = symmetry_and_sign_monitor(s, None)
         assert m["odd_defect_omega"] == pytest.approx(2.0, abs=1e-14)
 
     def test_reproducible_across_grids(self):
@@ -140,7 +140,7 @@ class TestSymmetryMonitor:
             return EvolutionState(PeriodicField(grid, vals), None, 0.0)
 
         defects = [
-            symmetry_and_sign_monitor(build(n))["odd_defect_omega"]
+            symmetry_and_sign_monitor(build(n), None)["odd_defect_omega"]
             for n in (128, 256, 512)
         ]
         assert 0.0 < defects[0] <= 2.0
@@ -162,7 +162,7 @@ class TestSymmetryMonitor:
             PeriodicField(grid, 1.0 - np.cos(np.pi * x)),
             0.0,
         )
-        m = symmetry_and_sign_monitor(s)
+        m = symmetry_and_sign_monitor(s, spectral_derivative(s.theta))
         assert m["min_omega_half"] >= -1e-15  # sin(pi x) >= 0 on [0, 1]
         assert m["min_thetax_half"] >= -1e-12  # theta_x = pi sin(pi x) >= 0
 
@@ -280,7 +280,7 @@ def per_row_record(model, s, bkm_integral):
         F, strong = c * inv_x, 0.5 * c * c * inv_x_squared
     G = 0.0
     if theta_x is not None and _pinned(theta_x):
-        G = c * half_period_weighted_integral(theta_x, "inv_x")
+        G = c * half_period_integrals(theta_x)[0]
     tail = tail_energy_fraction(s.omega)
     if s.theta is not None:
         tail = max(tail, tail_energy_fraction(s.theta))

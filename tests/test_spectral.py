@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,12 @@ from jetlab import (
     PeriodicField,
     PeriodicGrid,
     antiderivative_zero_mean,
-    half_period_weighted_integral,
     hilbert_transform,
     resample,
     spectral_derivative,
     tail_energy_fraction,
 )
-from jetlab.spectral import composite_weights, dealias_filter
+from jetlab.spectral import composite_weights, dealias_filter, half_period_integrals
 
 from conftest import SI_PI, SI_2PI, INT_SIN2_OVER_X2
 
@@ -137,39 +138,44 @@ class TestAntiderivative:
 class TestHalfPeriodIntegral:
     def test_si_pi(self):
         f = field(512, 2.0, lambda x: np.sin(np.pi * x))
-        I = half_period_weighted_integral(f, "inv_x")
+        I = half_period_integrals(f)[0]
         assert abs(I - SI_PI) <= 1e-9
 
     def test_si_2pi(self):
         f = field(512, 2.0, lambda x: np.sin(2 * np.pi * x))
-        I = half_period_weighted_integral(f, "inv_x")
+        I = half_period_integrals(f)[0]
         assert abs(I - SI_2PI) <= 1e-9
 
     def test_zero_field(self):
         f = field(64, 2.0, lambda x: np.zeros_like(x))
-        assert half_period_weighted_integral(f, "inv_x") == 0.0
+        assert half_period_integrals(f) == (0.0, 0.0)
 
     def test_inv_x_squared_oracle(self):
         f = field(1024, 2.0, lambda x: np.sin(np.pi * x))
-        I = half_period_weighted_integral(f, "inv_x_squared")
+        I = half_period_integrals(f)[1]
         assert abs(I - INT_SIN2_OVER_X2) <= 1e-9
 
     def test_singular_integrand_rejected(self):
         f = field(64, 2.0, lambda x: np.cos(np.pi * x))
         with pytest.raises(ValueError, match="singular integrand"):
-            half_period_weighted_integral(f, "inv_x")
+            half_period_integrals(f)
 
-    def test_unknown_weight(self):
-        f = field(64, 2.0, lambda x: np.sin(np.pi * x))
-        with pytest.raises(ValueError, match="unknown weight"):
-            half_period_weighted_integral(f, "inv_x_cubed")
+    def test_squares_past_the_float_range_are_inf_without_a_warning(self):
+        # theta_x of cos(2 pi x / L) at L = 1e-100: (f/x)^2 passes 1e308
+        L = 1e-100
+        f = spectral_derivative(field(64, L, lambda x: np.cos(2 * np.pi * x / L)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv_x, inv_x_squared = half_period_integrals(f)
+        assert np.isfinite(inv_x) and inv_x_squared == np.inf
 
-    @pytest.mark.parametrize("weight,target", [("inv_x", SI_PI), ("inv_x_squared", INT_SIN2_OVER_X2)])
-    def test_order_four_even_interval_counts(self, weight, target):
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_order_four_even_interval_counts(self, index):
+        target = (SI_PI, INT_SIN2_OVER_X2)[index]
         errs = []
         for n in (32, 64, 128, 256):  # pure composite Simpson
             f = field(n, 2.0, lambda x: np.sin(np.pi * x))
-            errs.append(abs(half_period_weighted_integral(f, weight) - target))
+            errs.append(abs(half_period_integrals(f)[index] - target))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 3.8 and max(orders) <= 4.3
 
@@ -180,7 +186,7 @@ class TestHalfPeriodIntegral:
         errs = []
         for n in ns:
             f = field(n, 2.0, lambda x: np.sin(np.pi * x))
-            errs.append(abs(half_period_weighted_integral(f, "inv_x") - SI_PI))
+            errs.append(abs(half_period_integrals(f)[0] - SI_PI))
         assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
         h = [2.0 / n for n in ns]
         final_order = np.log(errs[-2] / errs[-1]) / np.log(h[-2] / h[-1])

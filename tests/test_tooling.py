@@ -108,16 +108,19 @@ def test_jet_verify_memory_guard():
 
 
 # One failure of each class: (arguments, run-model document or None, exit code).
-# The overflow case's Q0 velocity -c*omega overflows at c = 1e308.
+# The overflow case's Q0 velocity -c*omega overflows at c = 1e308; the CKY
+# case's X/dx overflows to inf.
 OVERFLOW = {
     "model": {"name": "Q0", "c": 1e308},
     "grid": {"n": 64},
     "initial_data": {"omega": {"name": "sin_k", "k": 1, "amplitude": 2}},
 }
+HUGE_CKY_X = {"model": {"name": "CKY", "X": 1e308}, "grid": {"n": 64, "L": 2.0}}
 FAILURE_CONTRACT = {
     "usage": (["simulate"], None, 1),
     "not-utf8": (["run-model"], b"\x80{}", 1),
     "bad-field": (["run-model"], json.dumps({"model": {"name": "Q0", "a": -2.0}}).encode(), 1),
+    "huge-cky-X": (["run-model"], json.dumps(HUGE_CKY_X).encode(), 1),
     "jet-verify-input": (["jet-verify", "1", "0", "exp"], None, 1),
     "numerical": (["run-model"], json.dumps(OVERFLOW).encode(), 2),
     "audit": (["jet-verify", "1", "16", "exp", "--n", "8"], None, 3),
