@@ -4,67 +4,55 @@ Seven comparison models (local and Hilbert-transform velocity laws) with
 adaptive RK4 evolution, the weighted-functional inequality audit for the
 blow-up argument, and a degenerate elliptic strip solver with boundary-jet
 extraction.
+
+Each exported name loads its submodule on first access (PEP 562), so
+``import jetlab`` loads no numpy: the CLI sets numpy's thread count first.
 """
 
-from .config import ConfigError, ExperimentConfig, parse_config
-from .diagnostics import (
-    CSV_COLUMNS,
-    DiagnosticRecord,
-    RiccatiSample,
-    energy,
-    functional_F,
-    functional_G,
-    resolved_until,
-    riccati_audit,
-    strong_term,
-    symmetry_and_sign_monitor,
-)
-from .evolve import (
-    DT_UNDERFLOW,
-    REACHED_T_END,
-    SUP_CAP_HIT,
-    RunResult,
-    StepperConfig,
-    estimate_blowup_time,
-    run,
-    step_rk4,
-)
-from .grid import PeriodicField, PeriodicGrid
-from .identities import identity_case_names, operator_identity_check
-from .models import (
-    ClosureParams,
-    EvolutionState,
-    ModelSpec,
-    StateRate,
-    biot_savart,
-    closure_coefficient,
-    reconstruct_rho,
-    rhs,
-)
-from .spectral import (
-    antiderivative_zero_mean,
-    hilbert_transform,
-    resample,
-    spectral_derivative,
-    tail_energy_fraction,
-)
-from .strip import (
-    JetRecord,
-    MANUFACTURED_CASES,
-    StripField,
-    StripGrid,
-    closure_residual,
-    compute_velocities,
-    elliptic_residual,
-    elliptic_residuals,
-    extract_jets,
-    jet_relation_residual,
-    load_strip_field,
-    manufactured_case,
-    manufactured_error,
-    manufactured_omega,
-    save_strip_field,
-    solve_elliptic,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {  # submodule -> the names it exports
+    "config": ("ConfigError", "ExperimentConfig", "parse_config"),
+    "diagnostics": (
+        "CSV_COLUMNS", "DiagnosticRecord", "RiccatiSample", "energy", "functional_F",
+        "functional_G", "resolved_until", "riccati_audit", "strong_term",
+        "symmetry_and_sign_monitor",
+    ),
+    "evolve": (
+        "DT_UNDERFLOW", "REACHED_T_END", "SUP_CAP_HIT", "RunResult", "StepperConfig",
+        "estimate_blowup_time", "run", "step_rk4",
+    ),
+    "grid": ("PeriodicField", "PeriodicGrid"),
+    "identities": ("identity_case_names", "operator_identity_check"),
+    "models": (
+        "ClosureParams", "EvolutionState", "ModelSpec", "StateRate", "biot_savart",
+        "closure_coefficient", "reconstruct_rho", "rhs",
+    ),
+    "spectral": (
+        "antiderivative_zero_mean", "hilbert_transform", "resample", "spectral_derivative",
+        "tail_energy_fraction",
+    ),
+    "strip": (
+        "JetRecord", "MANUFACTURED_CASES", "StripField", "StripGrid", "closure_residual",
+        "compute_velocities", "elliptic_residual", "elliptic_residuals", "extract_jets",
+        "jet_relation_residual", "load_strip_field", "manufactured_case", "manufactured_error",
+        "manufactured_omega", "save_strip_field", "solve_elliptic",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,16 +7,22 @@ exits with its first nonzero member code.  Every failure prints one line: an
 error gets its line and code from the one table ``_FAILURES``, applied in
 ``main`` and, for isolation, to each sweep member.  JETLAB_WORKERS caps the
 sweep worker pool (default and upper limit: the logical core count); a sweep
-grid may have at most ``SWEEP_BUDGET`` members.
+grid may have at most ``SWEEP_BUDGET`` members.  numpy's BLAS thread count
+defaults to 1 (see README), and jet-verify checks its memory budget first.
 """
 
 from __future__ import annotations
+
+import os
+
+# set before numpy loads: one BLAS thread, so F's bits do not depend on the core count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -64,6 +70,19 @@ def _worker_count() -> int:
         return min(max(1, int(env)), cores) if env else cores
     except ValueError:
         raise ConfigError("JETLAB_WORKERS", f"expected a whole number, got {env!r}") from None
+
+
+def _memory_available() -> float:
+    """Bytes this process may still allocate: the smaller of its address-space
+    limit and the free physical memory, where the platform reports both."""
+    try:
+        import resource
+
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ImportError, ValueError, OSError):  # not Linux
+        return math.inf
+    return free if limit == resource.RLIM_INFINITY else min(limit, free)
 
 
 def _fail(exc: Exception) -> int:
@@ -164,6 +183,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_jet_verify(args) -> int:
     try:
         grid = StripGrid(PeriodicGrid(args.n, 2.0 * np.pi), args.M)
+        # the README's 2.5 x 16(n/2+1)(M+1) bytes, checked before the strip
+        # exists: the kernel may grant memory that it cannot back
+        need, available = 40 * (args.n // 2 + 1) * (args.M + 1), _memory_available()
+        if need > available:
+            raise MemoryError(f"jet-verify needs {need} bytes, over the {available} available")
         omega = manufactured_omega(args.case, args.m, grid)
     except ValueError as exc:
         raise ConfigError("jetlab jet-verify", str(exc)) from None

@@ -157,7 +157,8 @@ def run(
     records: List[DiagnosticRecord] = []
 
     def record(s: EvolutionState, bkm: float) -> None:
-        records.append(compute_record(model, s, bkm))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan stays visible in the CSV
+            records.append(compute_record(model, s, bkm))
         for i, t_want in enumerate(snapshot_times):
             if abs(s.time - t_want) < abs(snapshots[i].time - t_want):
                 snapshots[i] = s

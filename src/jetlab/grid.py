@@ -25,6 +25,9 @@ class PeriodicGrid:
             raise ValueError("n_points must be an even integer >= 8")
         if not np.isfinite(self.period_L) or self.period_L <= 0:
             raise ValueError("period_L must be a positive real")
+        if not np.isfinite(2.0 * np.pi * self.n_points / self.period_L):
+            n, L = self.n_points, self.period_L
+            raise ValueError(f"period_L = {L!r} is too small for {n:.3g} points: 2*pi*n/L is not finite")
 
     @property
     def dx(self) -> float:

@@ -1,11 +1,13 @@
 import json
+import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from jetlab import ConfigError, functional_F, parse_config, rhs
-from jetlab.cli import _worker_count, main
+from jetlab.cli import _memory_available, _worker_count, main
 from jetlab.initial_data import build_field
 from jetlab.models import ModelSpec
 from jetlab.runner import run_experiment
@@ -74,6 +76,7 @@ class TestParseConfig:
             ({"n": -4}, "grid.n"),
             ({"n": 15}, "grid.n"),
             ({"L": 0.0}, "grid.L"),
+            ({"L": 1e-320}, "grid.L"),  # 2*pi*n/L is inf
             ({"n": 4}, "grid.n"),
         ],
     )
@@ -646,6 +649,32 @@ class TestJetVerify:
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
         assert expected in captured.err and captured.out == ""
+
+    def test_memory_budget_is_checked_before_the_strip(self, capsys, monkeypatch):
+        def no_strip(*args):
+            raise AssertionError("manufactured_omega called past the memory budget")
+
+        # 2.5 x 16(n/2+1)(M+1) = 23400 bytes at n = 16, M = 64
+        monkeypatch.setattr("jetlab.cli.manufactured_omega", no_strip)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 23399)
+        assert main(["jet-verify", "1", "64", "exp", "--n", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "config error: out of memory: jet-verify needs 23400 bytes, over the 23399 available\n"
+        )
+
+    def test_memory_budget_that_fits_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 23400)
+        assert main(["jet-verify", "1", "64", "linear", "--n", "16"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux limits")
+    def test_memory_available_is_the_smaller_limit(self, monkeypatch):
+        import resource
+
+        assert 0 < _memory_available() < math.inf  # the free physical memory is always read
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (12345, resource.RLIM_INFINITY))
+        assert _memory_available() == 12345
 
     def test_output_directory_under_file(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("not a directory")

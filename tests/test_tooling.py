@@ -109,18 +109,32 @@ def test_jet_verify_memory_guard():
 
 # One failure of each class: (arguments, run-model document or None, exit code).
 # The overflow case's Q0 velocity -c*omega overflows at c = 1e308; the CKY
-# case's X/dx overflows to inf.
+# case's X/dx overflows to inf; at L = 1e-320 the top wavenumber 2*pi*n/L is
+# inf.  The two huge amplitudes are no failure: their first record passes the
+# float range (power spectrum, slopes, ratio), and the run ends at the sup cap.
 OVERFLOW = {
     "model": {"name": "Q0", "c": 1e308},
     "grid": {"n": 64},
     "initial_data": {"omega": {"name": "sin_k", "k": 1, "amplitude": 2}},
 }
 HUGE_CKY_X = {"model": {"name": "CKY", "X": 1e308}, "grid": {"n": 64, "L": 2.0}}
+TINY_L = {"model": {"name": "Q0"}, "grid": {"n": 64, "L": 1e-320}}
+
+
+def huge_amplitude(amplitude: float) -> bytes:
+    omega = {"name": "sin_fundamental", "amplitude": amplitude}
+    return json.dumps({"model": {"name": "DeGregorio"}, "grid": {"n": 64},
+                       "initial_data": {"omega": omega}}).encode()
+
+
 FAILURE_CONTRACT = {
     "usage": (["simulate"], None, 1),
     "not-utf8": (["run-model"], b"\x80{}", 1),
     "bad-field": (["run-model"], json.dumps({"model": {"name": "Q0", "a": -2.0}}).encode(), 1),
     "huge-cky-X": (["run-model"], json.dumps(HUGE_CKY_X).encode(), 1),
+    "tiny-L": (["run-model"], json.dumps(TINY_L).encode(), 1),
+    "record-past-the-float-range": (["run-model"], huge_amplitude(1e160), 0),
+    "record-of-inf-and-nan": (["run-model"], huge_amplitude(1e308), 0),
     "jet-verify-input": (["jet-verify", "1", "0", "exp"], None, 1),
     "numerical": (["run-model"], json.dumps(OVERFLOW).encode(), 2),
     "audit": (["jet-verify", "1", "16", "exp", "--n", "8"], None, 3),
@@ -130,7 +144,7 @@ FAILURE_CONTRACT = {
 @pytest.mark.parametrize("case", sorted(FAILURE_CONTRACT))
 def test_failure_contract(tmp_path, case):
     """Each failure is its documented exit code and one stderr line, never a
-    traceback or a numpy warning."""
+    traceback or a numpy warning; a run that exits 0 prints no stderr line."""
     argv, document, code = FAILURE_CONTRACT[case]
     if document is not None:
         (tmp_path / "config.json").write_bytes(document)
@@ -140,4 +154,59 @@ def test_failure_contract(tmp_path, case):
         capture_output=True, text=True, env=jetlab_env(), cwd=tmp_path, timeout=120,
     )
     assert result.returncode == code, result.stderr
-    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == (code != 0) and "Traceback" not in result.stderr
+
+
+# numpy reads these when it loads; the CLI sets each to "1" unless it is preset
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def unpinned_env(**preset) -> dict:
+    """``jetlab_env()`` without the BLAS thread variables, plus ``preset``.  This
+    process carries the CLI's "1"s once it has imported ``jetlab.cli``."""
+    env = jetlab_env()
+    for var in BLAS_THREAD_VARS:
+        env.pop(var, None)
+    return {**env, **preset}
+
+
+def python(argv, env) -> subprocess.CompletedProcess:
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                            timeout=120)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    return result
+
+
+def test_import_jetlab_loads_no_numpy():
+    code = ("import sys, jetlab\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'jetlab'))))")
+    assert python(["-c", code], unpinned_env()).stdout == "['jetlab']\n"
+
+
+@pytest.mark.parametrize("preset,expected", [
+    ({}, "1 1 1"),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "3 1 1"),
+])
+def test_cli_runs_blas_on_one_thread_unless_preset(preset, expected):
+    code = f"import os, jetlab.cli; print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))"
+    assert python(["-c", code], unpinned_env(**preset)).stdout == expected + "\n"
+
+
+# F's half-period dot product has length n/2 + 1; at n = 65536 a threaded BLAS
+# splits it, and the sums, so the CSV, would depend on the core count.
+WIDE_GRID = {
+    "model": {"name": "Q0", "c": 1 / 3},
+    "grid": {"n": 65536},
+    "initial_data": {"omega": {"name": "sin_fundamental"}, "theta": {"name": "zero"}},
+    "stepper": {"t_end": 1.5e-4, "dt_max": 1e-3, "record_every": 1},
+}
+
+
+def test_diagnostics_do_not_depend_on_blas_threads(tmp_path):
+    csv = []
+    for name, preset in (("unset", {}), ("one", dict.fromkeys(BLAS_THREAD_VARS, "1"))):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**WIDE_GRID, "outputs": {"directory": str(tmp_path / name)}}))
+        python(["-m", "jetlab.cli", "run-model", str(config)], unpinned_env(**preset))
+        csv.append((tmp_path / name / "diagnostics.csv").read_bytes())
+    assert csv[0].count(b"\n") == 7 and csv[0] == csv[1]
