@@ -76,8 +76,8 @@ class TestParseConfig:
             ({"n": -4}, "grid.n"),
             ({"n": 15}, "grid.n"),
             ({"L": 0.0}, "grid.L"),
-            ({"L": 1e-320}, "grid.L"),  # 2*pi*n/L is inf
             ({"n": 4}, "grid.n"),
+            ({"L": 1e-320}, "grid.L"),  # 2*pi*n/L is inf
         ],
     )
     def test_bad_grid(self, grid, path):
