@@ -35,7 +35,8 @@ _EXPORTS = {  # submodule -> the names it exports
         "tail_energy_fraction",
     ),
     "strip": (
-        "JetRecord", "MANUFACTURED_CASES", "StripField", "StripGrid", "closure_residual",
+        "JetRecord", "MANUFACTURED_CASES", "RankOneStripField", "StripField", "StripGrid",
+        "closure_residual",
         "compute_velocities", "elliptic_residual", "elliptic_residuals", "extract_jets",
         "jet_relation_residual", "load_strip_field", "manufactured_case", "manufactured_error",
         "manufactured_omega", "save_strip_field", "solve_elliptic",

@@ -183,13 +183,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_jet_verify(args) -> int:
     try:
         grid = StripGrid(PeriodicGrid(args.n, 2.0 * np.pi), args.M)
-        # the README's 2.5 x 16(n/2+1)(M+1) bytes, checked before the strip
-        # exists: the kernel may grant memory that it cannot back
-        need, available = 40 * (args.n // 2 + 1) * (args.M + 1), _memory_available()
+        # the README's 1.5 x 16(n/2+1)(M+1) bytes, checked before the solve
+        # allocates: the kernel may grant memory that it cannot back
+        need, available = 24 * (args.n // 2 + 1) * (args.M + 1), _memory_available()
         if need > available:
             raise MemoryError(f"jet-verify needs {need} bytes, over the {available} available")
         omega = manufactured_omega(args.case, args.m, grid)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an --n past the float range
         raise ConfigError("jetlab jet-verify", str(exc)) from None
     if args.out:
         preflight_output_dir(args.out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -15,8 +16,6 @@ from .models import EvolutionState, KernelPlan, ModelSpec, state_rows
 REACHED_T_END = "reached_t_end"
 SUP_CAP_HIT = "sup_cap_hit"
 DT_UNDERFLOW = "dt_underflow"
-
-_SPEED_FLOOR = 1e-300
 
 # The most steps a run may take.  dt never exceeds dt_max, so parsing rejects
 # a run with t_end / dt_max over the budget, and a run whose CFL step keeps dt
@@ -127,9 +126,10 @@ def run(
 ) -> RunResult:
     """March the model with CFL-limited RK4 steps until a termination event.
 
-    dt = clamp(cfl * dx / max(|u|_inf, eps), dt_min, dt_max), additionally
-    shortened to land exactly on t_end.  Diagnostics are recorded at t = 0,
-    every ``record_every`` steps and at termination.  A CFL time step below
+    dt = clamp(cfl * dx / |u|_inf, dt_min, dt_max), additionally shortened to
+    land exactly on t_end; the quotient is inf at u = 0 and past the float
+    range.  Diagnostics are recorded at t = 0, every ``record_every`` steps
+    and at termination.  A CFL time step below
     dt_min is the recorded termination ``dt_underflow``, not a failure; an
     overflow inside a stage is treated as a sup-cap event at the last finite
     state; a non-finite velocity, and a run that has taken ``STEP_BUDGET``
@@ -186,7 +186,8 @@ def run(
             raise FloatingPointError("velocity is not finite")
         if step == 0:
             record(init, 0.0)  # t = 0, once its velocity is known to be finite
-        dt_cfl = cfg.cfl * grid.dx / max(speed, _SPEED_FLOOR)
+        # no speed floor: a quotient past the float range is inf, which dt_max clamps
+        dt_cfl = cfg.cfl * grid.dx / speed if speed > 0.0 else math.inf
         if dt_cfl < cfg.dt_min:
             termination = DT_UNDERFLOW
             break

@@ -15,7 +15,10 @@ together by one elimination sweep over q, and the residual checks apply
 the same band.
 
 Strip values are stored x-contiguous (Fortran order of the (n, M+1) array),
-so every transform over x reads and writes contiguous memory.
+so every transform over x reads and writes contiguous memory.  The solve,
+the residual pass and the jets read omega through ``columns``, a block of
+q-columns at a time, so a rank-one omega (every manufactured case) is never
+built as a strip.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +76,46 @@ class StripField:
         if not np.all(np.isfinite(values)):
             raise ValueError("strip field values must be finite")
         object.__setattr__(self, "values", values)
+
+    def columns(self, lo: int, hi: int, out=None) -> np.ndarray:
+        """The x-contiguous (n, hi-lo) block of q-columns lo..hi-1, a view;
+        ``out`` is unused (see :meth:`RankOneStripField.columns`)."""
+        return self.values[:, lo:hi]
+
+
+@dataclass(frozen=True)
+class RankOneStripField:
+    """Real strip function f(x_i, q_j) = q_profile[j] * x_profile[i], held as
+    its two profiles; blocks of q-columns are built when they are read."""
+
+    grid: StripGrid
+    q_profile: np.ndarray
+    x_profile: np.ndarray
+
+    def __post_init__(self) -> None:
+        q, x = np.asarray(self.q_profile, dtype=float), np.asarray(self.x_profile, dtype=float)
+        shape = (self.grid.x_grid.n_points, self.grid.n_q_intervals + 1)
+        if x.shape != shape[:1] or q.shape != shape[1:]:
+            raise ValueError(f"values must have shape {shape}, got x {x.shape} by q {q.shape}")
+        # every product is at most the product of the two sup norms
+        if not np.isfinite(float(np.max(np.abs(q))) * float(np.max(np.abs(x)))):
+            raise ValueError("strip field values must be finite")
+        object.__setattr__(self, "q_profile", q)
+        object.__setattr__(self, "x_profile", x)
+
+    def columns(self, lo: int, hi: int, out=None) -> np.ndarray:
+        """The x-contiguous (n, hi-lo) block of q-columns lo..hi-1, written
+        into the first hi-lo rows of the (rows, n) scratch ``out`` if given."""
+        out = None if out is None else out[: hi - lo]
+        return np.multiply(self.q_profile[lo:hi, None], self.x_profile, out=out).T
+
+    @property
+    def values(self) -> np.ndarray:
+        """The whole strip, x-contiguous like :attr:`StripField.values`."""
+        return self.columns(0, self.grid.n_q_intervals + 1)
+
+
+AnyStripField = Union[StripField, RankOneStripField]
 
 
 @dataclass(frozen=True)
@@ -150,21 +193,24 @@ def _blocks(count: int):
         yield lo, min(lo + _RESIDUAL_BLOCK, count)
 
 
-def solve_elliptic(m: int, omega: StripField) -> StripField:
+def solve_elliptic(m: int, omega: AnyStripField) -> StripField:
     """Solve the degenerate stream equation for phi given omega on the strip.
 
-    The strip lives in one complex (M+1, n/2+1) buffer: omega is transformed
-    a block of q-columns at a time, negated into it, solved in place, and phi
-    is written back over it a block at a time in increasing q.  That is safe
-    because x-contiguous column q of phi ends at byte 8n(q+1), before row
-    q+1 of phi_hat starts at byte (8n+16)(q+1).  The returned values are a
-    Fortran-ordered float view of the buffer.
+    The strip lives in one complex (M+1, n/2+1) buffer: omega is read (in one
+    scratch block, so a rank-one omega is never built as a strip) and
+    transformed a block of q-columns at a time, negated into it, solved in
+    place, and phi is written back over it a block at a time in increasing q.
+    That is safe because x-contiguous column q of phi ends at byte 8n(q+1),
+    before row q+1 of phi_hat starts at byte (8n+16)(q+1).  The returned
+    values are a Fortran-ordered float view of the buffer.
     """
     grid = omega.grid
     n, M = grid.x_grid.n_points, grid.n_q_intervals
     rhs = np.empty((M + 1, n // 2 + 1), dtype=complex)
+    scratch = np.empty((_RESIDUAL_BLOCK, n))
     for lo, hi in _blocks(M + 1):
-        np.negative(np.fft.rfft(omega.values[:, lo:hi].T), out=rhs[lo:hi])
+        np.negative(np.fft.rfft(omega.columns(lo, hi, scratch).T), out=rhs[lo:hi])
+    del scratch
     rhs[M] = 0.0
     phi_hat = solve_banded(_band(m, M, grid.dq), grid.x_grid.wavenumbers**2, rhs)
     phi = phi_hat.view(float).reshape(-1)[: n * (M + 1)].reshape(M + 1, n)
@@ -185,7 +231,7 @@ def _band_product(ab: np.ndarray, k2: np.ndarray, v: np.ndarray) -> np.ndarray:
     return res
 
 
-def elliptic_residuals(phi: StripField, omega: StripField, m: int) -> Tuple[float, float]:
+def elliptic_residuals(phi: AnyStripField, omega: AnyStripField, m: int) -> Tuple[float, float]:
     """(absolute, scaled) defect on q < 1 of the solver's own discrete system
     A_k phi_hat_k = -omega_hat_k.
 
@@ -195,32 +241,38 @@ def elliptic_residuals(phi: StripField, omega: StripField, m: int) -> Tuple[floa
     the band entries, and so the absolute defect, grow like M^2.  The
     diagonal is negative on q < 1, so |A_k| is |band| with +k^2.
 
-    The pass runs a block of q-columns at a time: it transforms the block's
-    phi columns with the band's halo (one column below, two above) and its
-    omega columns, and inverse-transforms only that block of the defect, so
-    no strip-sized array is allocated.
+    The pass runs a block of q-columns at a time: it needs the block's phi
+    spectra with the band's halo (one column below, two above) and its omega
+    columns, and inverse-transforms only that block of the defect, so no
+    strip-sized array is allocated.  The previous block's last three phi
+    spectra are this block's first three, so each phi column is transformed
+    once.
     """
     grid = phi.grid
-    M = grid.n_q_intervals
+    n, M = grid.x_grid.n_points, grid.n_q_intervals
     band = _band(m, M, grid.dq)
     abs_band = np.abs(band)
     k2 = grid.x_grid.wavenumbers**2
+    scratch = np.empty((_RESIDUAL_BLOCK, n))
+    halo = np.empty((k2.size, 0), dtype=complex)  # the spectra carried forward
     absolute = worst = scale = omega_max = 0.0
     for lo, hi in _blocks(M):  # the rows q < 1
         a, b = max(lo - 1, 0), min(hi + 2, M + 1)
         rows = slice(lo - a, hi - a)
-        phi_hat = np.fft.rfft(phi.values[:, a:b], axis=0)
-        defect = np.fft.rfft(omega.values[:, lo:hi], axis=0)
+        fresh = phi.columns(a + halo.shape[1], b)  # the columns not carried forward
+        phi_hat = np.concatenate((halo, np.fft.rfft(fresh, axis=0)), axis=1)
+        halo = phi_hat[:, hi - 1 - a :].copy(order="F")  # the next window starts at column hi-1
+        defect = np.fft.rfft(omega.columns(lo, hi, scratch), axis=0)
         omega_max = max(omega_max, np.max(np.abs(defect)))
         defect += _band_product(band[:, a:b], k2, phi_hat)[:, rows]
         worst = max(worst, np.max(np.abs(defect)))
         scale = max(scale, np.max(_band_product(abs_band[:, a:b], -k2, np.abs(phi_hat))[:, rows]))
-        physical = np.fft.irfft(defect, n=grid.x_grid.n_points, axis=0)
+        physical = np.fft.irfft(defect, n=n, axis=0)
         absolute = max(absolute, np.max(np.abs(physical, out=physical)))
     return float(absolute), float(worst / max(scale + omega_max, _EPS))
 
 
-def elliptic_residual(phi: StripField, omega: StripField, m: int) -> float:
+def elliptic_residual(phi: AnyStripField, omega: AnyStripField, m: int) -> float:
     """Absolute defect of :func:`elliptic_residuals`."""
     return elliptic_residuals(phi, omega, m)[0]
 
@@ -247,7 +299,7 @@ def _boundary_second_derivative(values: np.ndarray, dq: float) -> np.ndarray:
 
 
 def extract_jets(
-    phi: StripField, omega: StripField, m: int, phi2_route: str = "pde"
+    phi: StripField, omega: AnyStripField, m: int, phi2_route: str = "pde"
 ) -> JetRecord:
     """Boundary jets at q = 1.
 
@@ -261,9 +313,9 @@ def extract_jets(
     if phi2_route not in ("pde", "difference"):
         raise ValueError(f"unknown phi2 route {phi2_route!r}")
     x_grid = phi.grid.x_grid
-    dq = phi.grid.dq
+    dq, M = phi.grid.dq, phi.grid.n_q_intervals
     phi1 = _boundary_first_derivative(phi.values, dq)
-    omega_b = omega.values[:, -1].copy()
+    omega_b = omega.columns(M, M + 1)[:, 0].copy()
     if phi2_route == "pde":
         phi2 = (-omega_b - (4.0 + 2.0 * m) * phi1) / 4.0
     else:
@@ -340,9 +392,11 @@ _CASE_PROFILES: Dict[str, Tuple[Callable, Callable, Callable]] = {
 MANUFACTURED_CASES = tuple(_CASE_PROFILES)
 
 
-def _case_profiles(name: str, m: int, grid: StripGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h(q), omega's q-profile, sin(k1 x)) of a manufactured case, whose
-    phi = h(q) sin(k1 x) and omega are rank one on the strip."""
+def manufactured_case(
+    name: str, m: int, grid: StripGrid
+) -> Tuple[RankOneStripField, RankOneStripField]:
+    """Exact (phi, omega) pair with phi = h(q) sin of the fundamental x-mode;
+    both are rank one on the strip."""
     if name not in _CASE_PROFILES:
         raise ValueError(
             f"unknown manufactured case {name!r}; choose from {', '.join(MANUFACTURED_CASES)}"
@@ -352,36 +406,22 @@ def _case_profiles(name: str, m: int, grid: StripGrid) -> Tuple[np.ndarray, np.n
     k1 = 2.0 * np.pi / grid.x_grid.period_L
     sin_x = np.sin(k1 * grid.x_grid.nodes)
     profile_omega = k1**2 * h(q) - 4.0 * q * hpp(q) - (4.0 + 2.0 * m) * hp(q)
-    return h(q), profile_omega, sin_x
+    return RankOneStripField(grid, h(q), sin_x), RankOneStripField(grid, profile_omega, sin_x)
 
 
-def _rank_one(grid: StripGrid, profile: np.ndarray, sin_x: np.ndarray) -> StripField:
-    # built q-major and transposed, so the field is x-contiguous with no copy
-    return StripField(grid, (profile[:, None] * sin_x[None, :]).T)
-
-
-def manufactured_case(
-    name: str, m: int, grid: StripGrid
-) -> Tuple[StripField, StripField]:
-    """Exact (phi, omega) pair with phi = h(q) sin of the fundamental x-mode."""
-    h_q, omega_q, sin_x = _case_profiles(name, m, grid)
-    return _rank_one(grid, h_q, sin_x), _rank_one(grid, omega_q, sin_x)
-
-
-def manufactured_omega(name: str, m: int, grid: StripGrid) -> StripField:
+def manufactured_omega(name: str, m: int, grid: StripGrid) -> RankOneStripField:
     """The omega of :func:`manufactured_case` alone."""
-    _, omega_q, sin_x = _case_profiles(name, m, grid)
-    return _rank_one(grid, omega_q, sin_x)
+    return manufactured_case(name, m, grid)[1]
 
 
-def manufactured_error(name: str, m: int, phi: StripField) -> float:
-    """Sup distance of ``phi`` from the case's exact phi = h(q) sin(k1 x),
-    measured a block of q-columns at a time, so the exact phi is never built
-    as a strip."""
-    h_q, _, sin_x = _case_profiles(name, m, phi.grid)
+def manufactured_error(name: str, m: int, phi: AnyStripField) -> float:
+    """Sup distance of ``phi`` from the case's exact phi, measured a block of
+    q-columns at a time, so neither is built as a strip."""
+    exact = manufactured_case(name, m, phi.grid)[0]
+    scratch = np.empty((_RESIDUAL_BLOCK, phi.grid.x_grid.n_points))
     worst = 0.0
-    for lo, hi in _blocks(h_q.size):
-        error = phi.values[:, lo:hi] - (h_q[lo:hi, None] * sin_x[None, :]).T
+    for lo, hi in _blocks(phi.grid.n_q_intervals + 1):
+        error = phi.columns(lo, hi) - exact.columns(lo, hi, scratch)
         worst = max(worst, np.max(np.abs(error, out=error)))
     return float(worst)
 
@@ -391,15 +431,15 @@ def manufactured_error(name: str, m: int, phi: StripField) -> float:
 _HEADER = struct.Struct("<qqd")  # n_x, M, period_L; payload is row-major <f8
 
 
-def save_strip_field(field: StripField, path) -> None:
+def save_strip_field(field: AnyStripField, path) -> None:
     """Flat little-endian binary (header n, M, L then row-major float64)
     plus a JSON sidecar describing the layout."""
     path = Path(path)
-    grid = field.grid
+    grid, values = field.grid, field.values  # read once: a rank-one field builds it
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(grid.x_grid.n_points, grid.n_q_intervals, grid.x_grid.period_L))
         for lo, hi in _blocks(grid.x_grid.n_points):  # x-rows, so no strip-sized copy
-            fh.write(np.ascontiguousarray(field.values[lo:hi], dtype="<f8"))
+            fh.write(np.ascontiguousarray(values[lo:hi], dtype="<f8"))
     sidecar = {
         "n_x": grid.x_grid.n_points,
         "n_q_intervals": grid.n_q_intervals,

@@ -654,17 +654,17 @@ class TestJetVerify:
         def no_strip(*args):
             raise AssertionError("manufactured_omega called past the memory budget")
 
-        # 2.5 x 16(n/2+1)(M+1) = 23400 bytes at n = 16, M = 64
+        # 1.5 x 16(n/2+1)(M+1) = 24 x 9 x 65 = 14040 bytes at n = 16, M = 64
         monkeypatch.setattr("jetlab.cli.manufactured_omega", no_strip)
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 23399)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 14039)
         assert main(["jet-verify", "1", "64", "exp", "--n", "16"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            "config error: out of memory: jet-verify needs 23400 bytes, over the 23399 available\n"
+            "config error: out of memory: jet-verify needs 14040 bytes, over the 14039 available\n"
         )
 
     def test_memory_budget_that_fits_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 23400)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 14040)
         assert main(["jet-verify", "1", "64", "linear", "--n", "16"]) == 0
         assert capsys.readouterr().err == ""
 

@@ -217,6 +217,36 @@ class TestRun:
         run(ModelSpec.q0(1 / 3), init, cfg)
         assert seen == [rows] * 40
 
+    def test_tiny_period_steps_at_the_cfl_scale(self, monkeypatch):
+        # dx and the speed both scale with L, so the CFL steps do not depend on
+        # it.  At L = 1e-305 the speed, about 1e-306, is under any absolute
+        # floor such as 1e-300, which shrinks dt about 10^6-fold; a budget of
+        # the two steps the run needs then ends it at once.
+        import jetlab.evolve
+
+        steps, rk4 = [], jetlab.evolve._rk4
+
+        def counted_rk4(*args):
+            steps.append(args[2])
+            return rk4(*args)
+
+        monkeypatch.setattr(jetlab.evolve, "_rk4", counted_rk4)
+        monkeypatch.setattr(jetlab.evolve, "STEP_BUDGET", 2)
+        runs = []
+        for L in (2.0, 1e-305):
+            doc = {
+                "model": {"name": "HouLuo"},
+                "grid": {"n": 64, "L": L},
+                "initial_data": {"theta": {"name": "zero"}},
+                "stepper": {"t_end": 0.05},
+            }
+            config = parse_config(json.dumps(doc))
+            result = run(config.model, config.initial_state(), config.stepper)
+            assert result.termination == REACHED_T_END and result.t_final == 0.05
+            runs.append(steps[:])
+            steps.clear()
+        assert len(runs[0]) == 2 and runs[1] == runs[0]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_velocity_is_a_numerical_failure(self):
         # u = -c*omega overflows although omega itself is finite

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from jetlab import (
+    MANUFACTURED_CASES,
     JetRecord,
     PeriodicField,
     PeriodicGrid,
+    RankOneStripField,
     StripField,
     StripGrid,
     closure_residual,
@@ -64,6 +66,62 @@ class TestGridAndField:
     def test_unknown_case_lists_the_cases(self):
         with pytest.raises(ValueError, match="choose from linear, quadratic, quadratic_minus, exp"):
             manufactured_case("cubic", 1, strip_grid(16, 16))
+
+
+class TestRankOneField:
+    """RankOneStripField against the dense strip it stands for."""
+
+    def test_values_and_columns_are_the_outer_product(self):
+        grid = strip_grid(16, 32)
+        rng = np.random.RandomState(4)
+        q, x = rng.randn(33), rng.randn(16)
+        field = RankOneStripField(grid, q, x)
+        assert field.values.flags.f_contiguous
+        assert_same_bits(field.values, x[:, None] * q[None, :])
+        scratch = np.full((4, 16), np.nan)
+        block = field.columns(5, 8, scratch)
+        assert block.shape == (16, 3) and np.shares_memory(block, scratch)
+        assert_same_bits(block, field.values[:, 5:8])
+        assert_same_bits(field.columns(32, 33), field.values[:, 32:])
+
+    @pytest.mark.parametrize(
+        "q_shape,x_shape", [((32,), (16,)), ((33,), (17,)), ((33, 1), (16,)), ((), (16,))]
+    )
+    def test_profile_shapes_are_checked(self, q_shape, x_shape):
+        with pytest.raises(ValueError, match=r"values must have shape \(16, 33\)"):
+            RankOneStripField(strip_grid(16, 32), np.ones(q_shape), np.ones(x_shape))
+
+    @pytest.mark.parametrize(
+        "q_entry,x_entry",
+        [(np.nan, 1.0), (1.0, np.inf), (1e200, 1e200), (0.0, np.inf)],
+        ids=["nan", "inf", "product-overflows", "zero-times-inf"],
+    )
+    def test_values_must_be_finite(self, q_entry, x_entry):
+        q, x = np.ones(33), np.ones(16)
+        q[7], x[3] = q_entry, x_entry
+        with pytest.raises(ValueError, match="must be finite"):
+            RankOneStripField(strip_grid(16, 32), q, x)
+
+    def test_manufactured_fields_are_rank_one(self):
+        phi, omega = manufactured_case("exp", 1, strip_grid(16, 32))
+        assert isinstance(phi, RankOneStripField) and isinstance(omega, RankOneStripField)
+        assert isinstance(manufactured_omega("exp", 1, strip_grid(16, 32)), RankOneStripField)
+
+    @pytest.mark.parametrize("block", [1, 5, 16, 64])
+    @pytest.mark.parametrize("case", MANUFACTURED_CASES)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_strip_passes_see_the_bits_of_the_dense_copy(self, monkeypatch, m, case, block):
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+        grid = strip_grid(64, 48)
+        omega = manufactured_omega(case, m, grid)
+        dense = StripField(grid, omega.values)
+        phi = solve_elliptic(m, omega)
+        assert_same_bits(phi.values, solve_elliptic(m, dense).values)
+        assert elliptic_residuals(phi, omega, m) == elliptic_residuals(phi, dense, m)
+        for route in ("pde", "difference"):
+            jets, dense_jets = extract_jets(phi, omega, m, route), extract_jets(phi, dense, m, route)
+            for name in ("phi1", "phi2", "omega_boundary"):
+                assert_same_bits(getattr(jets, name).values, getattr(dense_jets, name).values)
 
 
 class TestManufactured:
@@ -368,7 +426,7 @@ class TestResidualPass:
         _, omega = manufactured_case("linear", m, grid)
         self.assert_matches_oracle(solve_elliptic(m, omega), omega, m)
 
-    @pytest.mark.parametrize("block", [1, 5, 7, 16])
+    @pytest.mark.parametrize("block", [1, 5, 7, 16, 2, 3, 64])
     def test_block_size_does_not_change_the_bits(self, monkeypatch, block):
         monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
         grid = strip_grid(64, 48)  # 33 modes
@@ -377,6 +435,24 @@ class TestResidualPass:
         assert_same_bits(solved, one_pass_solve(1, omega))
         phi = StripField(grid, solved + 1e-3)
         self.assert_matches_oracle(phi, omega, 1)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 16, 64])
+    def test_each_phi_column_is_transformed_once(self, monkeypatch, block):
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+        grid = strip_grid(16, 20)
+        omega = random_forcing(grid, seed=block)
+        phi = solve_elliptic(1, omega)
+        read = []
+
+        class Recorded:  # phi as the pass reads it, column by column
+            grid = phi.grid
+
+            def columns(self, lo, hi, out=None):
+                read.extend(range(lo, hi))
+                return phi.columns(lo, hi, out)
+
+        assert elliptic_residuals(Recorded(), omega, 1) == two_pass_residuals(phi, omega, 1)
+        assert read == list(range(grid.n_q_intervals + 1))
 
 
 class TestJets:
@@ -519,6 +595,19 @@ class TestSerialization:
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
         assert payloads[0][_HEADER.size:] == c_values.astype("<f8").tobytes()
+
+    def test_rank_one_field_is_saved_like_its_dense_copy(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", 7)  # 40 x-rows: six blocks
+        field = manufactured_case("exp", 1, strip_grid(40, 16))[0]
+        builds, values = [], RankOneStripField.values
+        monkeypatch.setattr(
+            RankOneStripField, "values", property(lambda self: builds.append(1) or values.fget(self))
+        )
+        save_strip_field(field, tmp_path / "rank_one.bin")
+        assert builds == [1]  # the strip is built once, not once per block of rows
+        save_strip_field(StripField(field.grid, field.values), tmp_path / "dense.bin")
+        assert (tmp_path / "rank_one.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
+        assert (tmp_path / "rank_one.bin.json").read_text() == (tmp_path / "dense.bin.json").read_text()
 
     @pytest.mark.parametrize("block", [1, 7, 16, 64])
     def test_payload_does_not_depend_on_the_block_of_rows(self, tmp_path, monkeypatch, block):
