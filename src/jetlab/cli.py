@@ -180,12 +180,21 @@ def _cmd_sweep(args) -> int:
     return next((r["exit_code"] for r in rows if r["exit_code"]), EXIT_OK)
 
 
+def jet_verify_budget(n: int, M: int) -> int:
+    """Bytes that ``jet-verify`` at n x-points and M q-intervals allocates at
+    its peak, at most (see README): the solve's (M+1, n/2+1) complex spectrum
+    and its pivot checkpoints (real rows, one per 16 q-rows), 128 spectrum
+    rows for the per-block arrays of the strip passes, 160 bytes per q-node
+    for the band and its Python lists, and 64 KiB for the command itself."""
+    K = n // 2 + 1
+    return 16 * K * (M + 1 + 128) + 8 * K * (M // 16 + 1) + 160 * (M + 1) + 2**16
+
+
 def _cmd_jet_verify(args) -> int:
     try:
         grid = StripGrid(PeriodicGrid(args.n, 2.0 * np.pi), args.M)
-        # the README's 1.5 x 16(n/2+1)(M+1) bytes, checked before the solve
-        # allocates: the kernel may grant memory that it cannot back
-        need, available = 24 * (args.n // 2 + 1) * (args.M + 1), _memory_available()
+        # checked before the solve allocates: the kernel may grant memory that it cannot back
+        need, available = jet_verify_budget(args.n, args.M), _memory_available()
         if need > available:
             raise MemoryError(f"jet-verify needs {need} bytes, over the {available} available")
         omega = manufactured_omega(args.case, args.m, grid)

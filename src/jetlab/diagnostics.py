@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .grid import PeriodicField, reflect_values
+from .grid import PeriodicField, is_plus_zero, reflect_values
 from .models import LOCAL, EvolutionState, ModelSpec
 from .spectral import (
     half_period_integrals,
@@ -127,7 +127,8 @@ def symmetry_and_sign_monitor(s: EvolutionState, theta_x: Optional[PeriodicField
     if s.theta is not None:
         theta = s.theta.values
         sup_theta, sup_theta_x = s.theta.sup_norm, theta_x.sup_norm
-        even_defect = float(np.max(np.abs(theta - reflect_values(theta)))) / max(sup_theta, _EPS)
+        if sup_theta != 0.0:  # a theta of zeros is even: its defect is 0 / _EPS
+            even_defect = float(np.max(np.abs(theta - reflect_values(theta)))) / max(sup_theta, _EPS)
         min_thetax_half = float(np.min(theta_x.values[half_idx]))
 
     return {
@@ -149,16 +150,21 @@ def compute_record(
 
     F and the strong term are computed only when omega vanishes at x = 0, G
     only when theta_x does; otherwise they carry 0 so that arbitrary
-    exploratory data never aborts a run.
+    exploratory data never aborts a run.  A theta of +0.0 at every node is
+    not transformed: it is its own theta_x, with theta_xx(0) = 0 and a tail
+    fraction of 0.
     """
     c = diagnostic_coupling(model)
     grid = s.grid
-    fields = [s.omega] if s.theta is None else [s.omega, s.theta]
+    theta_zero = s.theta is not None and is_plus_zero(s.theta.values)
+    fields = [s.omega] if s.theta is None or theta_zero else [s.omega, s.theta]
     # one transform of the stacked rows serves the tail fractions, and one
     # inverse transform gives omega'(0) for F and theta_x
     spectra = np.fft.rfft(np.array([f.values for f in fields]))
     slopes = np.fft.irfft(spectra * multipliers(grid)["derivative"], n=grid.n_points)
-    theta_x = PeriodicField(grid, slopes[1]) if s.theta is not None else None
+    theta_x = None
+    if s.theta is not None:
+        theta_x = s.theta if theta_zero else PeriodicField(grid, slopes[1])
     monitor = symmetry_and_sign_monitor(s, theta_x)
 
     F = strong = 0.0
@@ -169,7 +175,7 @@ def compute_record(
     E = energy(s, c) if s.theta is not None else 0.0
     G = 0.0
     if theta_x is not None and is_pinned_at_zero(theta_x):
-        G = c * half_period_integrals(theta_x)[0]
+        G = c * half_period_integrals(theta_x, 0.0 if theta_zero else None)[0]
 
     tail = max(tail_energy_fraction(f, fhat) for f, fhat in zip(fields, spectra))
 

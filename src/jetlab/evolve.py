@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import DiagnosticRecord, compute_record, fill_margin_fields
-from .grid import PeriodicField, PeriodicGrid
+from .grid import PeriodicField, PeriodicGrid, is_plus_zero
 from .models import EvolutionState, KernelPlan, ModelSpec, state_rows
 
 REACHED_T_END = "reached_t_end"
@@ -148,7 +148,7 @@ def run(
     grid = init.grid
     plan = KernelPlan(model, grid, cfg.dealias)
     y = state_rows(model, init)
-    if model.has_theta and not (np.any(y[1]) or np.any(np.signbit(y[1]))):
+    if model.has_theta and is_plus_zero(y[1]):
         y = y[:1]  # theta = +0.0 everywhere, and it stays so
     y_next = np.empty_like(y)
     k = np.empty((4,) + y.shape)

@@ -81,3 +81,8 @@ class PeriodicField:
 def reflect_values(values: np.ndarray) -> np.ndarray:
     # node j maps to node (n - j) mod n under x -> -x
     return np.roll(values[::-1], 1)
+
+
+def is_plus_zero(values: np.ndarray) -> bool:
+    """Whether every entry is +0.0: none is nonzero and none is -0.0."""
+    return not (np.any(values) or np.any(np.signbit(values)))

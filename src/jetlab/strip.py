@@ -37,6 +37,17 @@ from .spectral import multipliers
 _EPS = 1e-300
 
 
+# lines per block of the strip passes: q-columns in the transforms and the
+# finiteness check, x-rows when a field is saved, pivot rows per checkpoint
+_RESIDUAL_BLOCK = 16
+
+
+def _blocks(count: int):
+    """(lo, hi) bounds of consecutive blocks of at most _RESIDUAL_BLOCK lines."""
+    for lo in range(0, count, _RESIDUAL_BLOCK):
+        yield lo, min(lo + _RESIDUAL_BLOCK, count)
+
+
 @dataclass(frozen=True)
 class StripGrid:
     """Periodic x-grid crossed with M+1 uniform q-nodes on [0, 1]."""
@@ -73,7 +84,8 @@ class StripField:
         shape = (self.grid.x_grid.n_points, self.grid.n_q_intervals + 1)
         if values.shape != shape:
             raise ValueError(f"values must have shape {shape}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        # a block of q-columns at a time: a strip-sized bool array would outgrow the solve
+        if not all(np.isfinite(values[:, lo:hi]).all() for lo, hi in _blocks(shape[1])):
             raise ValueError("strip field values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -161,36 +173,54 @@ def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     entry against row 1 (whose sub-diagonal is zero for m = 2), which makes
     the system tridiagonal; a Thomas sweep then solves it.  Every row is
     weakly diagonally dominant for m = 1 and 2, so no pivoting is needed.
+
+    The sweep's pivots are not kept: the forward sweep saves every
+    _RESIDUAL_BLOCK-th pivot row, and the back substitution, walking the
+    segments between these checkpoints from the top down, recomputes each
+    segment's rows from its checkpoint with the same operations, so the
+    bits are those of a sweep that keeps them all.  Besides ``rhs`` the
+    solve holds (M/_RESIDUAL_BLOCK + _RESIDUAL_BLOCK + 1) real rows of K.
     """
-    M = ab.shape[1] - 1
+    M, K, B = ab.shape[1] - 1, k2.size, _RESIDUAL_BLOCK
+    diag = ab[2].tolist()
     upper, lower = ab[1, 1:].tolist(), ab[3, :-1].tolist()  # a[i, i+1], a[i+1, i]
-    pivot = np.subtract.outer(ab[2], k2)
-    pivot[M] = ab[2, M]
+    rows = np.empty((B, K))  # the pivots of one segment: row i is rows[i % B]
+    checkpoints = np.empty((M // B + 1, K))  # pivot rows 0, B, 2B, ...
+    w, w_upper, t = np.empty(K), np.empty(K), np.empty(K, dtype=complex)
+
+    def pivot(i: int) -> None:
+        """Pivot row i from row i-1, into rows[i % B]; w is left as row i's multiplier."""
+        out = rows[i % B]
+        np.divide(lower[i - 1], rows[(i - 1) % B], out=w)
+        np.multiply(w, upper[i - 1], out=w_upper)
+        if i < M:
+            np.subtract(diag[i], k2, out=out)
+        else:
+            out.fill(diag[M])  # the row of phi(1) = 0 has no -k^2
+        np.subtract(out, w_upper, out=out)
+
     x = rhs  # eliminated in place
     f = ab[0, 2] / upper[1]  # row 0 -= f * row 1
-    pivot[0] -= f * lower[0]
-    upper[0] = upper[0] - f * pivot[1]  # now one entry per mode
+    upper[0] = upper[0] - f * (diag[1] - k2)  # now one entry per mode
     x[0] -= f * x[1]
+    np.subtract(diag[0], k2, out=rows[0])
+    rows[0] -= f * lower[0]
+    checkpoints[0] = rows[0]
     for i in range(1, M + 1):
-        w = lower[i - 1] / pivot[i - 1]
-        pivot[i] -= w * upper[i - 1]
-        x[i] -= w * x[i - 1]
-    x[M] /= pivot[M]
-    for i in range(M - 1, -1, -1):
-        x[i] -= upper[i] * x[i + 1]
-        x[i] /= pivot[i]
+        pivot(i)
+        np.subtract(x[i], np.multiply(w, x[i - 1], out=t), out=x[i])
+        if i % B == 0:
+            checkpoints[i // B] = rows[0]
+    for lo in range(M - M % B, -1, -B):  # the segments from the top down
+        if lo + B <= M:  # the top segment's rows are still in place
+            rows[0] = checkpoints[lo // B]
+            for i in range(lo + 1, lo + B):
+                pivot(i)
+        for i in range(min(lo + B, M + 1) - 1, lo - 1, -1):
+            if i < M:
+                np.subtract(x[i], np.multiply(upper[i], x[i + 1], out=t), out=x[i])
+            np.divide(x[i], rows[i % B], out=x[i])
     return x
-
-
-# lines per block of the strip passes: q-columns in the transforms, x-rows
-# when a field is saved
-_RESIDUAL_BLOCK = 16
-
-
-def _blocks(count: int):
-    """(lo, hi) bounds of consecutive blocks of at most _RESIDUAL_BLOCK lines."""
-    for lo in range(0, count, _RESIDUAL_BLOCK):
-        yield lo, min(lo + _RESIDUAL_BLOCK, count)
 
 
 def solve_elliptic(m: int, omega: AnyStripField) -> StripField:

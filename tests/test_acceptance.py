@@ -192,6 +192,16 @@ def test_c07_symmetry_and_sign(blowup_run):
     )
 
 
+def test_resolution_cutoff_precedes_the_shock(blowup_run):
+    # with theta = 0 the Q0 law u = -c*omega makes v = -c*omega a Burgers
+    # solution, v_t + v v_x = 0, whose slope blows up at 1/max(-v0') =
+    # 1/(c max omega0') = 3/pi for omega0 = sin(pi x): invariants must stop
+    # being asserted before that
+    shock = 1.0 / (C_RUN * np.pi)
+    t_res = resolved_until(blowup_run.diagnostics)
+    assert t_res < shock, f"resolved_until {t_res} is not before the shock time {shock}"
+
+
 def _self_convergence(model, L, omega0_fn, theta0_fn, n, dt, t_end, every=20):
     """Shared-node disagreement between (n, dt) and (2n, dt/2) runs.
 

@@ -654,17 +654,17 @@ class TestJetVerify:
         def no_strip(*args):
             raise AssertionError("manufactured_omega called past the memory budget")
 
-        # 1.5 x 16(n/2+1)(M+1) = 24 x 9 x 65 = 14040 bytes at n = 16, M = 64
+        # 16 x 9 x (65 + 128) + 8 x 9 x 5 + 160 x 65 + 2^16 = 104088 bytes at n = 16, M = 64
         monkeypatch.setattr("jetlab.cli.manufactured_omega", no_strip)
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 14039)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 104087)
         assert main(["jet-verify", "1", "64", "exp", "--n", "16"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            "config error: out of memory: jet-verify needs 14040 bytes, over the 14039 available\n"
+            "config error: out of memory: jet-verify needs 104088 bytes, over the 104087 available\n"
         )
 
     def test_memory_budget_that_fits_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 14040)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 104088)
         assert main(["jet-verify", "1", "64", "linear", "--n", "16"]) == 0
         assert capsys.readouterr().err == ""
 

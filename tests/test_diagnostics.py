@@ -338,3 +338,17 @@ class TestRecordTransforms:
             name: repr(value) for name, value in expected.items()
         }
         assert (record.F != 0.0) == odd and record.tail_energy_fraction > 0.0
+
+    @pytest.mark.parametrize("sign,calls", [(1.0, 2), (-1.0, 4)])
+    def test_theta_of_zeros_is_not_transformed(self, monkeypatch, sign, calls):
+        # +0.0 everywhere skips theta's transforms; -0.0 is transformed
+        model, odd = ModelSpec.q0(1 / 3), rough_state(256, 3)
+        s = EvolutionState(odd.omega, PeriodicField(odd.grid, sign * np.zeros(256)), 0.25)
+        records = []
+        assert self.fft_calls(monkeypatch, lambda: records.append(compute_record(model, s, 0.5))) == calls
+        monkeypatch.undo()
+        expected = per_row_record(model, s, 0.5)
+        assert {name: repr(getattr(records[0], name)) for name in expected} == {
+            name: repr(value) for name, value in expected.items()
+        }
+        assert (records[0].G, records[0].even_defect_theta, records[0].min_thetax_half) == (0.0,) * 3

@@ -49,6 +49,13 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             StripField(grid, np.full((16, 17), np.inf))
 
+    @pytest.mark.parametrize("column", [0, 15, 16, 32])  # blocks of 16 q-columns: 0..15, 16..31, 32
+    def test_every_block_is_checked_for_finiteness(self, column):
+        values = np.zeros((16, 33))
+        values[5, column] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            StripField(strip_grid(16, 32), values)
+
     def test_values_are_stored_x_contiguous(self):
         grid = strip_grid(16, 32)
         c_values = np.random.RandomState(1).randn(16, 33)
@@ -363,15 +370,58 @@ def two_pass_residuals(phi, omega, m):
     return absolute, float(defect / max(scale, 1e-300))
 
 
+def full_pivot_sweep(ab, k2, rhs):
+    """The elimination of solve_banded keeping every pivot row, (M+1, K)
+    reals: the oracle the checkpointed sweep must match bit for bit."""
+    M = ab.shape[1] - 1
+    upper, lower = ab[1, 1:].tolist(), ab[3, :-1].tolist()
+    pivot = np.subtract.outer(ab[2], k2)
+    pivot[M] = ab[2, M]
+    x = rhs
+    f = ab[0, 2] / upper[1]
+    pivot[0] -= f * lower[0]
+    upper[0] = upper[0] - f * pivot[1]
+    x[0] -= f * x[1]
+    for i in range(1, M + 1):
+        w = lower[i - 1] / pivot[i - 1]
+        pivot[i] -= w * upper[i - 1]
+        x[i] -= w * x[i - 1]
+    x[M] /= pivot[M]
+    for i in range(M - 1, -1, -1):
+        x[i] -= upper[i] * x[i + 1]
+        x[i] /= pivot[i]
+    return x
+
+
 def one_pass_solve(m, omega):
     """The solve as one whole-strip pass: rfft, a negated C-ordered copy,
-    the sweep, irfft; the oracle the blocked solve must match bit for bit."""
+    the full-pivot sweep, irfft; the oracle the blocked solve must match bit
+    for bit."""
     grid = omega.grid
     M = grid.n_q_intervals
     rhs = np.negative(np.fft.rfft(omega.values, axis=0).T, order="C")
     rhs[M] = 0.0
-    phi_hat = strip.solve_banded(_band(m, M, grid.dq), grid.x_grid.wavenumbers**2, rhs)
+    phi_hat = full_pivot_sweep(_band(m, M, grid.dq), grid.x_grid.wavenumbers**2, rhs)
     return np.fft.irfft(phi_hat.T, n=grid.x_grid.n_points, axis=0)
+
+
+class TestCheckpointedSweep:
+    """solve_banded, which keeps one pivot row per block, against the sweep
+    that keeps them all."""
+
+    # M + 1 rows in blocks of 16: M = 31 fills two blocks, M = 16 and 32 leave
+    # a top segment of one row, M = 100 spans seven.  Other block sizes are
+    # TestResidualPass.test_block_size_does_not_change_the_bits.
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("M", [16, 17, 31, 32, 33, 100])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_matches_full_pivot_sweep(self, m, M, n):
+        ab, k2 = _band(m, M, 1.0 / M), strip_grid(n, M).x_grid.wavenumbers**2
+        rng = np.random.default_rng(1000 * m + 10 * M + n)
+        rhs = rng.standard_normal((M + 1, k2.size)) + 1j * rng.standard_normal((M + 1, k2.size))
+        expected = full_pivot_sweep(ab, k2, rhs.copy())
+        solved = strip.solve_banded(ab, k2, rhs)
+        assert solved is rhs and solved.tobytes() == expected.tobytes()
 
 
 class TestBlockedSolve:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetlab.cli import main
+from jetlab.cli import jet_verify_budget, main
 from jetlab.grid import PeriodicGrid
 from jetlab.strip import StripGrid, elliptic_residuals, manufactured_case, solve_elliptic
 
@@ -91,12 +91,12 @@ MEMORY_UNIT = (MEMORY_N // 2 + 1) * (MEMORY_M + 1) * np.dtype(complex).itemsize
 
 
 def test_strip_memory_guard():
-    # the solve keeps its right-hand side and the sweep's pivots (half a
-    # unit); the residual pass holds one block of q-columns
+    # the solve keeps its right-hand side and one pivot row per 16 q-rows;
+    # the residual pass holds one block of q-columns
     grid = StripGrid(PeriodicGrid(MEMORY_N, 2 * np.pi), MEMORY_M)
     _, omega = manufactured_case("exp", 1, grid)
     phi = solve_elliptic(1, omega)
-    assert traced_peak(lambda: solve_elliptic(1, omega)) <= 1.75 * MEMORY_UNIT
+    assert traced_peak(lambda: solve_elliptic(1, omega)) <= 1.25 * MEMORY_UNIT
     assert traced_peak(lambda: elliptic_residuals(phi, omega, 1)) <= 0.6 * MEMORY_UNIT
 
 
@@ -105,6 +105,20 @@ def test_jet_verify_memory_guard():
     argv = ["jet-verify", "1", str(MEMORY_M), "exp", "--n", str(MEMORY_N)]
     assert main(argv) == 0  # first-call caches are not the command's cost
     assert traced_peak(lambda: main(argv)) <= 1.9 * MEMORY_UNIT
+
+
+# small M, where the strip passes' per-block arrays outweigh the spectrum,
+# up to large M, where the spectrum and the pivot checkpoints dominate
+@pytest.mark.parametrize("n,M", [(4096, 16), (4096, 64), (512, 256), (256, 2048), (2048, 1024)])
+def test_jet_verify_stays_in_its_budget(n, M):
+    argv = ["jet-verify", "1", str(M), "linear", "--n", str(n)]
+    assert main(argv) == 0
+    assert traced_peak(lambda: main(argv)) <= jet_verify_budget(n, M)
+
+
+def test_jet_verify_budget_is_not_loose():
+    spectrum = (2048 // 2 + 1) * (1024 + 1) * np.dtype(complex).itemsize
+    assert jet_verify_budget(2048, 1024) <= 1.25 * spectrum
 
 
 # One failure of each class: (arguments, run-model document or None, exit code).
