@@ -35,11 +35,11 @@ _EXPORTS = {  # submodule -> the names it exports
         "tail_energy_fraction",
     ),
     "strip": (
-        "JetRecord", "MANUFACTURED_CASES", "RankOneStripField", "StripField", "StripGrid",
-        "closure_residual",
+        "JetRecord", "MANUFACTURED_CASES", "ManufacturedChecks", "RankOneStripField",
+        "StripField", "StripGrid", "closure_residual",
         "compute_velocities", "elliptic_residual", "elliptic_residuals", "extract_jets",
         "jet_relation_residual", "load_strip_field", "manufactured_case", "manufactured_error",
-        "manufactured_omega", "save_strip_field", "solve_elliptic",
+        "manufactured_omega", "manufactured_pass", "save_strip_field", "solve_elliptic",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

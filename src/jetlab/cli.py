@@ -35,12 +35,9 @@ from .runner import preflight_output_dir, run_experiment
 from .strip import (
     MANUFACTURED_CASES,
     StripGrid,
-    elliptic_residuals,
-    extract_jets,
     jet_relation_residual,
-    manufactured_error,
     manufactured_omega,
-    solve_elliptic,
+    manufactured_pass,
 )
 
 EXIT_OK = 0
@@ -182,12 +179,13 @@ def _cmd_sweep(args) -> int:
 
 def jet_verify_budget(n: int, M: int) -> int:
     """Bytes that ``jet-verify`` at n x-points and M q-intervals allocates at
-    its peak, at most (see README): the solve's (M+1, n/2+1) complex spectrum
-    and its pivot checkpoints (real rows, one per 16 q-rows), 128 spectrum
-    rows for the per-block arrays of the strip passes, 160 bytes per q-node
-    for the band and its Python lists, and 64 KiB for the command itself."""
+    its peak, at most (see README).  It holds no strip-sized array: the
+    solve's checkpoints, one real pivot row and one complex right-hand-side
+    row per 16 q-rows; 160 spectrum rows (complex, n/2+1 each) for the
+    per-block arrays of the solve and the checks; 80 bytes per q-node for
+    the band and the manufactured profiles; and 64 KiB for the command."""
     K = n // 2 + 1
-    return 16 * K * (M + 1 + 128) + 8 * K * (M // 16 + 1) + 160 * (M + 1) + 2**16
+    return 24 * K * (M // 16 + 1) + 16 * K * 160 + 80 * (M + 1) + 2**16
 
 
 def _cmd_jet_verify(args) -> int:
@@ -202,20 +200,17 @@ def _cmd_jet_verify(args) -> int:
         raise ConfigError("jetlab jet-verify", str(exc)) from None
     if args.out:
         preflight_output_dir(args.out)
-    phi = solve_elliptic(args.m, omega)
-    pde_residual, pde_residual_scaled = elliptic_residuals(phi, omega, args.m)
-    jets_pde = extract_jets(phi, omega, args.m, phi2_route="pde")
-    jets_diff = extract_jets(phi, omega, args.m, phi2_route="difference")
+    checks = manufactured_pass(args.case, args.m, omega)
     report = {
         "case": args.case,
         "m": args.m,
         "n": args.n,
         "M": args.M,
-        "solve_max_error": manufactured_error(args.case, args.m, phi),
-        "pde_residual": pde_residual,
-        "pde_residual_scaled": pde_residual_scaled,
-        "jet_relation_residual_pde": jet_relation_residual(jets_pde),
-        "jet_relation_residual_difference": jet_relation_residual(jets_diff),
+        "solve_max_error": checks.solve_max_error,
+        "pde_residual": checks.residuals[0],
+        "pde_residual_scaled": checks.residuals[1],
+        "jet_relation_residual_pde": jet_relation_residual(checks.jets["pde"]),
+        "jet_relation_residual_difference": jet_relation_residual(checks.jets["difference"]),
     }
     gates = {"jet_relation_residual_pde": 1e-12, "jet_relation_residual_difference": 1e-4}
     failed = [key for key, gate in gates.items() if not report[key] <= gate]

@@ -14,6 +14,14 @@ q = 0 row); each x-mode adds its -k^2 diagonal.  All modes are solved
 together by one elimination sweep over q, and the residual checks apply
 the same band.
 
+The sweep checkpoints every _RESIDUAL_BLOCK-th row and yields the solution
+a segment of q-rows at a time from the top down (single-level
+checkpointing, as in Griewank & Walther's revolve, ACM TOMS 26, 2000), so
+the checks consume each segment as it comes: ``jet-verify``'s pass,
+:func:`manufactured_pass`, holds no strip-sized array, and the field
+routes (``solve_elliptic``, ``elliptic_residuals``, ``manufactured_error``,
+``extract_jets``) feed the same checks a field's blocks, with the same bits.
+
 Strip values are stored x-contiguous (Fortran order of the (n, M+1) array),
 so every transform over x reads and writes contiguous memory.  The solve,
 the residual pass and the jets read omega through ``columns``, a block of
@@ -27,7 +35,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Iterator, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -118,8 +126,11 @@ class RankOneStripField:
     def columns(self, lo: int, hi: int, out=None) -> np.ndarray:
         """The x-contiguous (n, hi-lo) block of q-columns lo..hi-1, written
         into the first hi-lo rows of the (rows, n) scratch ``out`` if given."""
-        out = None if out is None else out[: hi - lo]
-        return np.multiply(self.q_profile[lo:hi, None], self.x_profile, out=out).T
+        out = np.empty((hi - lo, self.x_profile.size)) if out is None else out[: hi - lo]
+        # a row at a time: numpy buffers the broadcast outer product, up to 128 KiB
+        for row, q in zip(out, self.q_profile[lo:hi].tolist()):
+            np.multiply(q, self.x_profile, out=row)
+        return out.T
 
     @property
     def values(self) -> np.ndarray:
@@ -163,102 +174,219 @@ def _band(m: int, M: int, dq: float) -> np.ndarray:
     return ab
 
 
-def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve every x-mode's system at once, in place: column j of the complex,
-    C-ordered (M+1, K) ``rhs`` is overwritten with the solution of the band
-    ``ab`` (see :func:`_band`) minus ``k2[j]`` on the diagonal of rows
-    0..M-1, and ``rhs`` is returned.
+def solve_banded_segments(
+    ab: np.ndarray, k2: np.ndarray, load: Callable[[int, int], np.ndarray]
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Solve every x-mode's system at once, a segment of q-rows at a time.
+
+    Column j of the right-hand side is solved against the band ``ab`` (see
+    :func:`_band`) minus ``k2[j]`` on the diagonal of rows 0..M-1.
+    ``load(lo, hi)`` returns rows lo..hi-1 of the right-hand side as a new
+    complex (hi-lo, K) array, which the solve then works in.  Yields
+    (lo, hi, x) for the segments of :func:`_blocks` from the top one down,
+    x being the solution's rows lo..hi-1.
 
     Gaussian elimination without pivoting.  Row 0 first sheds its upper-2
     entry against row 1 (whose sub-diagonal is zero for m = 2), which makes
     the system tridiagonal; a Thomas sweep then solves it.  Every row is
     weakly diagonally dominant for m = 1 and 2, so no pivoting is needed.
 
-    The sweep's pivots are not kept: the forward sweep saves every
-    _RESIDUAL_BLOCK-th pivot row, and the back substitution, walking the
-    segments between these checkpoints from the top down, recomputes each
-    segment's rows from its checkpoint with the same operations, so the
-    bits are those of a sweep that keeps them all.  Besides ``rhs`` the
-    solve holds (M/_RESIDUAL_BLOCK + _RESIDUAL_BLOCK + 1) real rows of K.
+    Neither the pivots nor the eliminated right-hand side are kept: the
+    forward sweep saves both at the first row of each segment, and the back
+    substitution reloads each segment below the top one, recomputes its rows
+    from those checkpoints with the same operations and substitutes from the
+    row just above it.  So the bits are those of a sweep that keeps every
+    row; ``load`` is called twice for each segment but the top one and must
+    return the same values each time.  Besides the segment in hand, the
+    solve holds 24 bytes per mode for each checkpoint and a segment of real
+    pivot rows.
     """
     M, K, B = ab.shape[1] - 1, k2.size, _RESIDUAL_BLOCK
-    diag = ab[2].tolist()
-    upper, lower = ab[1, 1:].tolist(), ab[3, :-1].tolist()  # a[i, i+1], a[i+1, i]
-    rows = np.empty((B, K))  # the pivots of one segment: row i is rows[i % B]
-    checkpoints = np.empty((M // B + 1, K))  # pivot rows 0, B, 2B, ...
+    f = ab[0, 2] / ab[1, 2]  # row 0 -= f * row 1
+    upper0 = ab[1, 1] - f * (ab[2, 1] - k2)  # a[0, 1], now one entry per mode
+    pivots = np.empty((B, K))  # of the segment's q-rows lo..hi-1
+    pivot_checkpoints = np.empty((M // B + 1, K))  # q-rows 0, B, 2B, ...
+    x_checkpoints = np.empty((M // B + 1, K), dtype=complex)
+    # q-row lo-1 in the forward sweep (pivot and eliminated right-hand side),
+    # q-row hi of the solution in the back substitution
+    pivot_below, below, above = np.empty(K), np.empty(K, dtype=complex), np.empty(K, dtype=complex)
     w, w_upper, t = np.empty(K), np.empty(K), np.empty(K, dtype=complex)
 
-    def pivot(i: int) -> None:
-        """Pivot row i from row i-1, into rows[i % B]; w is left as row i's multiplier."""
-        out = rows[i % B]
-        np.divide(lower[i - 1], rows[(i - 1) % B], out=w)
-        np.multiply(w, upper[i - 1], out=w_upper)
-        if i < M:
-            np.subtract(diag[i], k2, out=out)
-        else:
-            out.fill(diag[M])  # the row of phi(1) = 0 has no -k^2
-        np.subtract(out, w_upper, out=out)
+    def coefficients(lo: int, hi: int):
+        """The band entries that q-rows lo..hi-1 read, as Python floats:
+        (base, diag, upper, lower), entry i - base of each list belonging to
+        q-row i: a[i, i], a[i, i+1] and a[i+1, i]."""
+        base = max(lo - 1, 0)
+        diag, upper = ab[2, base:hi].tolist(), ab[1, base + 1 : hi + 1].tolist()
+        if base == 0:
+            upper[0] = upper0
+        return base, diag, upper, ab[3, base:hi].tolist()
 
-    x = rhs  # eliminated in place
-    f = ab[0, 2] / upper[1]  # row 0 -= f * row 1
-    upper[0] = upper[0] - f * (diag[1] - k2)  # now one entry per mode
-    x[0] -= f * x[1]
-    np.subtract(diag[0], k2, out=rows[0])
-    rows[0] -= f * lower[0]
-    checkpoints[0] = rows[0]
-    for i in range(1, M + 1):
-        pivot(i)
-        np.subtract(x[i], np.multiply(w, x[i - 1], out=t), out=x[i])
-        if i % B == 0:
-            checkpoints[i // B] = rows[0]
-    for lo in range(M - M % B, -1, -B):  # the segments from the top down
-        if lo + B <= M:  # the top segment's rows are still in place
-            rows[0] = checkpoints[lo // B]
-            for i in range(lo + 1, lo + B):
-                pivot(i)
-        for i in range(min(lo + B, M + 1) - 1, lo - 1, -1):
-            if i < M:
-                np.subtract(x[i], np.multiply(upper[i], x[i + 1], out=t), out=x[i])
-            np.divide(x[i], rows[i % B], out=x[i])
-    return x
+    def eliminate(i: int, s: int, base: int, diag, upper, lower) -> None:
+        """Pivot q-row i, row s of the segment in hand, against the row below
+        it and eliminate its right-hand side."""
+        np.divide(lower[i - 1 - base], pivots[s - 1] if s else pivot_below, out=w)
+        np.multiply(w, upper[i - 1 - base], out=w_upper)
+        if i < M:
+            np.subtract(diag[i - base], k2, out=pivots[s])
+        else:
+            pivots[s].fill(diag[i - base])  # the row of phi(1) = 0 has no -k^2
+        np.subtract(pivots[s], w_upper, out=pivots[s])
+        np.subtract(x[s], np.multiply(w, x[s - 1] if s else below, out=t), out=x[s])
+
+    segments = list(_blocks(M + 1))
+    for lo, hi in segments:  # the forward sweep
+        band = _, diag, _, lower = coefficients(lo, hi)
+        x = load(lo, hi)
+        if lo == 0:  # row 1 is in the next segment only for segments of one row
+            x[0] -= f * (x[1] if hi > 1 else load(1, 2)[0])
+            np.subtract(diag[0], k2, out=pivots[0])
+            pivots[0] -= f * lower[0]
+        for i in range(max(lo, 1), hi):
+            eliminate(i, i - lo, *band)
+        pivot_checkpoints[lo // B], x_checkpoints[lo // B] = pivots[0], x[0]
+        pivot_below[:], below[:] = pivots[hi - lo - 1], x[hi - lo - 1]
+        if hi <= M:
+            del x  # carried in below; the top segment stays in hand
+    for lo, hi in reversed(segments):  # the back substitution
+        band = base, _, upper, _ = coefficients(lo, hi)
+        if hi <= M:  # below the top segment
+            x = load(lo, hi)
+            pivots[0], x[0] = pivot_checkpoints[lo // B], x_checkpoints[lo // B]
+            for i in range(lo + 1, hi):
+                eliminate(i, i - lo, *band)
+        for i in range(hi - 1, lo - 1, -1):
+            s = i - lo
+            if i < M:  # x[s + 1] is not bound to a name: a view would keep x alive
+                np.multiply(upper[i - base], x[s + 1] if i + 1 < hi else above, out=t)
+                np.subtract(x[s], t, out=x[s])
+            np.divide(x[s], pivots[s], out=x[s])
+        yield lo, hi, x
+        above[:] = x[0]
+        del x  # the next segment loads in its place
+
+
+def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every x-mode's system at once, in place: column j of the complex
+    (M+1, K) ``rhs`` is overwritten with the solution of the band ``ab``
+    minus ``k2[j]`` on the diagonal of rows 0..M-1, and ``rhs`` is returned
+    (see :func:`solve_banded_segments`)."""
+    for lo, hi, x in solve_banded_segments(ab, k2, lambda lo, hi: rhs[lo:hi].copy()):
+        rhs[lo:hi] = x  # the rows below are still the right-hand side's
+    return rhs
+
+
+def _stream_rhs(omega: AnyStripField, scratch: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """The ``load`` of :func:`solve_banded_segments` for the stream
+    equation: -omega_hat on q-rows lo..hi-1, transformed from omega's
+    columns built in the first hi-lo rows of ``scratch``, and 0 on the row
+    phi(1) = 0."""
+    M = omega.grid.n_q_intervals
+
+    def load(lo: int, hi: int) -> np.ndarray:
+        rhs = np.fft.rfft(omega.columns(lo, hi, scratch).T)
+        np.negative(rhs, out=rhs)
+        if hi > M:
+            rhs[M - lo] = 0.0
+        return rhs
+
+    return load
 
 
 def solve_elliptic(m: int, omega: AnyStripField) -> StripField:
     """Solve the degenerate stream equation for phi given omega on the strip.
 
-    The strip lives in one complex (M+1, n/2+1) buffer: omega is read (in one
-    scratch block, so a rank-one omega is never built as a strip) and
-    transformed a block of q-columns at a time, negated into it, solved in
-    place, and phi is written back over it a block at a time in increasing q.
-    That is safe because x-contiguous column q of phi ends at byte 8n(q+1),
-    before row q+1 of phi_hat starts at byte (8n+16)(q+1).  The returned
-    values are a Fortran-ordered float view of the buffer.
+    The solve streams (see :func:`solve_banded_segments`), and each solved
+    segment is transformed back into phi a column at a time, so phi is the
+    one strip-sized array.  omega is read a block of q-columns at a time (a
+    rank-one omega is never built as a strip), built in phi's lowest
+    columns: the segments come from the top down, so those are written last,
+    after their own block was read.
     """
     grid = omega.grid
     n, M = grid.x_grid.n_points, grid.n_q_intervals
-    rhs = np.empty((M + 1, n // 2 + 1), dtype=complex)
-    scratch = np.empty((_RESIDUAL_BLOCK, n))
-    for lo, hi in _blocks(M + 1):
-        np.negative(np.fft.rfft(omega.columns(lo, hi, scratch).T), out=rhs[lo:hi])
-    del scratch
-    rhs[M] = 0.0
-    phi_hat = solve_banded(_band(m, M, grid.dq), grid.x_grid.wavenumbers**2, rhs)
-    phi = phi_hat.view(float).reshape(-1)[: n * (M + 1)].reshape(M + 1, n)
-    for lo, hi in _blocks(M + 1):
-        phi[lo:hi] = np.fft.irfft(phi_hat[lo:hi], n=n)
-    return StripField(grid, phi.T)
+    phi = np.empty((n, M + 1), order="F")
+    segments = solve_banded_segments(
+        _band(m, M, grid.dq), grid.x_grid.wavenumbers**2, _stream_rhs(omega, phi.T)
+    )
+    for lo, hi, phi_hat in segments:
+        for s in range(hi - lo):
+            phi[:, lo + s] = np.fft.irfft(phi_hat[s], n=n)
+        del phi_hat  # before the next segment loads
+    return StripField(grid, phi)
 
 
-def _band_product(ab: np.ndarray, k2: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A_k v_k for every mode on a window of q-columns ``v`` (K, w); ``ab`` is
-    the band cut to the same window.  The window's first and last rows lack
-    a neighbour, so only the rows inside it are the operator's."""
-    res = ab[2] * v
-    res[:, :-1] += ab[1, 1:] * v[:, 1:]
-    res[:, :-2] += ab[0, 2:] * v[:, 2:]
-    res[:, 1:] += ab[3, :-1] * v[:, :-1]
-    res -= k2[:, None] * v
-    return res
+def _scratch(grid: StripGrid) -> np.ndarray:
+    """One (_RESIDUAL_BLOCK + 1, n) block of real rows, in which the strip
+    passes build the blocks of q-columns of a rank-one field."""
+    return np.empty((_RESIDUAL_BLOCK + 1, grid.x_grid.n_points))
+
+
+def _band_product(ab: np.ndarray, k2: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A_k v_k for every mode on a window of q-columns ``v`` (K, w), written
+    into ``out`` of the same shape; ``ab`` is the band cut to the same
+    window.  The window's first and last rows lack a neighbour, so only the
+    rows inside it are the operator's."""
+    np.multiply(ab[2], v, out=out)
+    out[:, :-1] += ab[1, 1:] * v[:, 1:]
+    out[:, :-2] += ab[0, 2:] * v[:, 2:]
+    out[:, 1:] += ab[3, :-1] * v[:, :-1]
+    out -= k2[:, None] * v
+    return out
+
+
+class _ResidualPass:
+    """The defect of A_k phi_hat_k = -omega_hat_k on q < 1 (see
+    :func:`elliptic_residuals`), fed phi a block of q-columns at a time from
+    the top down, as ``check(lo, hi, phi[:, lo:hi])``; ``result()`` is the
+    (absolute, scaled) pair.
+
+    Each block's columns are transformed once.  Their spectra, followed by
+    the halo (the lowest two spectra of the blocks before), make the window,
+    and the block finishes every row whose stencil the window holds:
+    [r-1, r+1], or [0, 2] for row 0, the one row with an upper-2 entry.
+    Only the window's band is cut, and the window's band product and moduli
+    live in one scratch.
+    """
+
+    def __init__(self, band: np.ndarray, omega: AnyStripField, scratch: np.ndarray):
+        grid = omega.grid
+        self.band, self.omega, self.scratch = band, omega, scratch
+        self.M, self.k2 = grid.n_q_intervals, grid.x_grid.wavenumbers**2
+        # mode-contiguous, like the transforms over x, so that their blocks of columns are too
+        shape = (self.k2.size, _RESIDUAL_BLOCK + 2)
+        self.window, self.product = (np.empty(shape, complex, order="F") for _ in range(2))
+        self.absolute = self.worst = self.scale = self.omega_max = 0.0
+
+    def __call__(self, lo: int, hi: int, phi: np.ndarray) -> None:
+        fresh, halo = hi - lo, min(2, self.M + 1 - hi)
+        window = self.window[:, : fresh + halo]  # q-columns lo..lo+width-1
+        window[:, fresh:] = window[:, :halo]  # the previous window's first columns
+        window[:, :fresh] = np.fft.rfft(phi, axis=0)
+        first, last = (lo + 1 if lo else 0), min(hi + 1, self.M)  # the rows finished here
+        if first >= last:
+            return
+        rows, width = slice(first - lo, last - lo), fresh + halo
+        ab = self.band[:, lo : lo + width]
+        product = _band_product(ab, self.k2, window, self.product[:, :width])
+        defect = np.fft.rfft(self.omega.columns(first, last, self.scratch), axis=0)
+        self.omega_max = max(self.omega_max, np.max(np.abs(defect)))
+        defect += product[:, rows]
+        self.worst = max(self.worst, np.max(np.abs(defect)))
+        # |A_k| |phi_hat_k|: the moduli in the product's imaginary plane, their product in the real
+        moduli = np.abs(window, out=product.imag)
+        scaled = _band_product(np.abs(ab), -self.k2, moduli, product.real)
+        self.scale = max(self.scale, np.max(scaled[:, rows]))
+        physical = np.fft.irfft(defect, n=self.scratch.shape[1], axis=0)
+        self.absolute = max(self.absolute, np.max(np.abs(physical, out=physical)))
+
+    def result(self) -> Tuple[float, float]:
+        return float(self.absolute), float(self.worst / max(self.scale + self.omega_max, _EPS))
+
+
+def _top_down(grid: StripGrid):
+    """The (lo, hi) blocks of q-columns, from the top one down."""
+    return reversed(list(_blocks(grid.n_q_intervals + 1)))
 
 
 def elliptic_residuals(phi: AnyStripField, omega: AnyStripField, m: int) -> Tuple[float, float]:
@@ -271,35 +399,15 @@ def elliptic_residuals(phi: AnyStripField, omega: AnyStripField, m: int) -> Tupl
     the band entries, and so the absolute defect, grow like M^2.  The
     diagonal is negative on q < 1, so |A_k| is |band| with +k^2.
 
-    The pass runs a block of q-columns at a time: it needs the block's phi
-    spectra with the band's halo (one column below, two above) and its omega
-    columns, and inverse-transforms only that block of the defect, so no
-    strip-sized array is allocated.  The previous block's last three phi
-    spectra are this block's first three, so each phi column is transformed
-    once.
+    phi's blocks of q-columns are fed from the top down to the pass that
+    ``jet-verify`` feeds its solve's segments to (see
+    :func:`manufactured_pass`); no strip-sized array is allocated.
     """
     grid = phi.grid
-    n, M = grid.x_grid.n_points, grid.n_q_intervals
-    band = _band(m, M, grid.dq)
-    abs_band = np.abs(band)
-    k2 = grid.x_grid.wavenumbers**2
-    scratch = np.empty((_RESIDUAL_BLOCK, n))
-    halo = np.empty((k2.size, 0), dtype=complex)  # the spectra carried forward
-    absolute = worst = scale = omega_max = 0.0
-    for lo, hi in _blocks(M):  # the rows q < 1
-        a, b = max(lo - 1, 0), min(hi + 2, M + 1)
-        rows = slice(lo - a, hi - a)
-        fresh = phi.columns(a + halo.shape[1], b)  # the columns not carried forward
-        phi_hat = np.concatenate((halo, np.fft.rfft(fresh, axis=0)), axis=1)
-        halo = phi_hat[:, hi - 1 - a :].copy(order="F")  # the next window starts at column hi-1
-        defect = np.fft.rfft(omega.columns(lo, hi, scratch), axis=0)
-        omega_max = max(omega_max, np.max(np.abs(defect)))
-        defect += _band_product(band[:, a:b], k2, phi_hat)[:, rows]
-        worst = max(worst, np.max(np.abs(defect)))
-        scale = max(scale, np.max(_band_product(abs_band[:, a:b], -k2, np.abs(phi_hat))[:, rows]))
-        physical = np.fft.irfft(defect, n=n, axis=0)
-        absolute = max(absolute, np.max(np.abs(physical, out=physical)))
-    return float(absolute), float(worst / max(scale + omega_max, _EPS))
+    check = _ResidualPass(_band(m, grid.n_q_intervals, grid.dq), omega, _scratch(grid))
+    for lo, hi in _top_down(grid):
+        check(lo, hi, phi.columns(lo, hi))
+    return check.result()
 
 
 def elliptic_residual(phi: AnyStripField, omega: AnyStripField, m: int) -> float:
@@ -328,6 +436,29 @@ def _boundary_second_derivative(values: np.ndarray, dq: float) -> np.ndarray:
     ) / dq**2
 
 
+_PHI2_ROUTES = ("pde", "difference")
+
+
+def _jets(top: np.ndarray, omega: AnyStripField, m: int, phi2_route: str) -> JetRecord:
+    """The jets of :func:`extract_jets` from phi's top five q-columns ``top``
+    (n, 5), the column q = 1 last."""
+    if phi2_route not in _PHI2_ROUTES:
+        raise ValueError(f"unknown phi2 route {phi2_route!r}")
+    grid = omega.grid
+    phi1 = _boundary_first_derivative(top, grid.dq)
+    omega_b = omega.columns(grid.n_q_intervals, grid.n_q_intervals + 1)[:, 0].copy()
+    if phi2_route == "pde":
+        phi2 = (-omega_b - (4.0 + 2.0 * m) * phi1) / 4.0
+    else:
+        phi2 = _boundary_second_derivative(top, grid.dq)
+    return JetRecord(
+        phi1=PeriodicField(grid.x_grid, phi1),
+        phi2=PeriodicField(grid.x_grid, phi2),
+        omega_boundary=PeriodicField(grid.x_grid, omega_b),
+        m=m,
+    )
+
+
 def extract_jets(
     phi: StripField, omega: AnyStripField, m: int, phi2_route: str = "pde"
 ) -> JetRecord:
@@ -338,24 +469,11 @@ def extract_jets(
     q = 1 (where phi = 0 kills the x-derivatives):
     phi2 = (-omega(.,1) - (4+2m)*phi1) / 4, which is exact for the discrete
     solution; the "difference" route is the independent one-sided
-    second-derivative cross-check, 2nd order in dq.
+    second-derivative cross-check, 2nd order in dq.  Both read phi's top
+    five q-columns only.
     """
-    if phi2_route not in ("pde", "difference"):
-        raise ValueError(f"unknown phi2 route {phi2_route!r}")
-    x_grid = phi.grid.x_grid
-    dq, M = phi.grid.dq, phi.grid.n_q_intervals
-    phi1 = _boundary_first_derivative(phi.values, dq)
-    omega_b = omega.columns(M, M + 1)[:, 0].copy()
-    if phi2_route == "pde":
-        phi2 = (-omega_b - (4.0 + 2.0 * m) * phi1) / 4.0
-    else:
-        phi2 = _boundary_second_derivative(phi.values, dq)
-    return JetRecord(
-        phi1=PeriodicField(x_grid, phi1),
-        phi2=PeriodicField(x_grid, phi2),
-        omega_boundary=PeriodicField(x_grid, omega_b),
-        m=m,
-    )
+    M = phi.grid.n_q_intervals
+    return _jets(phi.columns(M - 4, M + 1), omega, m, phi2_route)
 
 
 def jet_relation_residual(jets: JetRecord) -> float:
@@ -444,16 +562,50 @@ def manufactured_omega(name: str, m: int, grid: StripGrid) -> RankOneStripField:
     return manufactured_case(name, m, grid)[1]
 
 
+def _block_error(exact: AnyStripField, lo: int, hi: int, phi: np.ndarray, scratch) -> float:
+    """Sup distance of phi's q-columns lo..hi-1 from those of ``exact``,
+    which are built in ``scratch``."""
+    error = phi - exact.columns(lo, hi, scratch)
+    return float(np.max(np.abs(error, out=error)))
+
+
 def manufactured_error(name: str, m: int, phi: AnyStripField) -> float:
     """Sup distance of ``phi`` from the case's exact phi, measured a block of
-    q-columns at a time, so neither is built as a strip."""
-    exact = manufactured_case(name, m, phi.grid)[0]
-    scratch = np.empty((_RESIDUAL_BLOCK, phi.grid.x_grid.n_points))
-    worst = 0.0
-    for lo, hi in _blocks(phi.grid.n_q_intervals + 1):
-        error = phi.columns(lo, hi) - exact.columns(lo, hi, scratch)
-        worst = max(worst, np.max(np.abs(error, out=error)))
-    return float(worst)
+    q-columns at a time, from the top down, so neither is built as a strip."""
+    exact, scratch = manufactured_case(name, m, phi.grid)[0], _scratch(phi.grid)
+    blocks = _top_down(phi.grid)
+    return max(_block_error(exact, lo, hi, phi.columns(lo, hi), scratch) for lo, hi in blocks)
+
+
+class ManufacturedChecks(NamedTuple):
+    """What :func:`manufactured_pass` measures of one manufactured solve."""
+
+    solve_max_error: float  # as manufactured_error
+    residuals: Tuple[float, float]  # (absolute, scaled), as elliptic_residuals
+    jets: Dict[str, JetRecord]  # by phi2 route, as extract_jets
+
+
+def manufactured_pass(name: str, m: int, omega: AnyStripField) -> ManufacturedChecks:
+    """Solve for ``omega`` and check phi against the case's exact phi in one
+    pass: the numbers, bit for bit, of solve_elliptic followed by
+    manufactured_error, elliptic_residuals and extract_jets on both routes,
+    with no strip-sized array.  Each segment of the solve is transformed
+    back and fed to the checks as it comes, from the top down; the band and
+    one scratch block serve the solve and the checks, and phi's top five
+    q-columns are kept for the jets."""
+    grid = omega.grid
+    band, scratch = _band(m, grid.n_q_intervals, grid.dq), _scratch(grid)
+    exact, residual = manufactured_case(name, m, grid)[0], _ResidualPass(band, omega, scratch)
+    error, top = 0.0, np.empty((grid.x_grid.n_points, 0))
+    load = _stream_rhs(omega, scratch)
+    for lo, hi, phi_hat in solve_banded_segments(band, grid.x_grid.wavenumbers**2, load):
+        phi = np.fft.irfft(phi_hat, n=grid.x_grid.n_points).T
+        error = max(error, _block_error(exact, lo, hi, phi, scratch))
+        residual(lo, hi, phi)
+        if top.shape[1] < 5:
+            top = np.concatenate((phi[:, -5:], top), axis=1)[:, -5:]
+    jets = {route: _jets(top, omega, m, route) for route in _PHI2_ROUTES}
+    return ManufacturedChecks(error, residual.result(), jets)
 
 
 # -- serialization ------------------------------------------------------------

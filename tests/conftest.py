@@ -30,7 +30,8 @@ def sin_state(n: int, theta_amplitude: float = 0.0) -> EvolutionState:
 
 @pytest.fixture(scope="session")
 def blowup_run():
-    """The reference blow-up run: Q0, c = 1/3, L = 2, sin data, n = 2048."""
+    """The reference blow-up run: Q0, c = 1/3, L = 2, sin data, n = 2048,
+    keeping the recorded states nearest t = 0.3, 0.6 and 0.9."""
     model = ModelSpec.q0(1.0 / 3.0)
     init = sin_state(2048)
     cfg = StepperConfig(
@@ -42,4 +43,4 @@ def blowup_run():
         record_every=10,
         dealias=False,
     )
-    return run(model, init, cfg)
+    return run(model, init, cfg, snapshot_times=(0.3, 0.6, 0.9))

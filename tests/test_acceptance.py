@@ -31,12 +31,15 @@ from jetlab import (
     solve_elliptic,
     spectral_derivative,
     step_rk4,
+    StepperConfig,
     StripGrid,
+    run,
 )
 from jetlab.cli import main as cli_main
 from jetlab.evolve import SUP_CAP_HIT
 from jetlab.identities import operator_sides
 
+import oracles
 from conftest import F0_SIN, sin_state
 
 L_RUN = 2.0
@@ -200,6 +203,45 @@ def test_resolution_cutoff_precedes_the_shock(blowup_run):
     shock = 1.0 / (C_RUN * np.pi)
     t_res = resolved_until(blowup_run.diagnostics)
     assert t_res < shock, f"resolved_until {t_res} is not before the shock time {shock}"
+
+
+# max|omega - omega_exact| on the reference run, at the recorded states
+# nearest t = 0.3, 0.6 and 0.9, was measured at 1.99e-13 (t = 0.305),
+# 9.16e-13 (0.598) and 3.87e-9 (0.902); the bounds leave a small margin
+BURGERS_BOUNDS = (2.0e-13, 1.0e-12, 3.9e-9)
+
+
+def test_q0_without_theta_is_exact_burgers(blowup_run):
+    t_res = resolved_until(blowup_run.diagnostics)
+    assert [s.time < t_res for s in blowup_run.states] == [True] * 3
+    for state, bound in zip(blowup_run.states, BURGERS_BOUNDS, strict=True):
+        exact = oracles.burgers_q0(
+            lambda x: np.sin(np.pi * x), lambda x: np.pi * np.cos(np.pi * x),
+            C_RUN, state.grid.nodes, state.time,
+        )
+        error = float(np.max(np.abs(state.omega.values - exact)))
+        assert error <= bound, f"max error {error:.3e} at t = {state.time:.4f} over {bound:.1e}"
+
+
+def test_clm_is_exact_and_blows_up_on_time():
+    # omega0 = sin(pi x) + 0.3 cos(pi x) = A sin(pi x + phase), A = sqrt(1.09):
+    # H omega0 = +-A cos(pi x + phase), so max{H omega0 : omega0 = 0} = A
+    grid = PeriodicGrid(1024, 2.0)
+    x = grid.nodes
+    omega0 = PeriodicField(grid, np.sin(np.pi * x) + 0.3 * np.cos(np.pi * x))
+    cfg = StepperConfig(t_end=4.0, cfl=0.4, dt_min=1e-12, dt_max=0.01, omega_sup_cap=1e4)
+    init = EvolutionState(omega0, None, 0.0)
+    result = run(ModelSpec.clm(), init, cfg, snapshot_times=(0.5, 1.0, 1.5))
+    blowup = 2.0 / np.hypot(1.0, 0.3)
+    # measured: the errors 8.0e-14 (t = 0.492), 9.2e-13 (0.995) and 3.4e-11
+    # (1.490); the sup cap at 1.91555, 1.1e-4 before the blow-up at 1.91565
+    t_res = resolved_until(result.diagnostics)
+    for state, bound in zip(result.states, (1.0e-13, 1.0e-12, 4.0e-11), strict=True):
+        assert state.time < t_res
+        error = float(np.max(np.abs(state.omega.values - oracles.clm(omega0, state.time))))
+        assert error <= bound, f"max error {error:.3e} at t = {state.time:.4f} over {bound:.1e}"
+    assert result.termination == SUP_CAP_HIT and t_res < blowup
+    assert 0.0 < blowup - result.t_final <= 5e-4, f"t_final {result.t_final} against T = {blowup}"
 
 
 def _self_convergence(model, L, omega0_fn, theta0_fn, n, dt, t_end, every=20):

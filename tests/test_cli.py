@@ -654,17 +654,17 @@ class TestJetVerify:
         def no_strip(*args):
             raise AssertionError("manufactured_omega called past the memory budget")
 
-        # 16 x 9 x (65 + 128) + 8 x 9 x 5 + 160 x 65 + 2^16 = 104088 bytes at n = 16, M = 64
+        # 24 x 9 x 5 + 16 x 9 x 160 + 80 x 65 + 2^16 = 94856 bytes at n = 16, M = 64
         monkeypatch.setattr("jetlab.cli.manufactured_omega", no_strip)
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 104087)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 94855)
         assert main(["jet-verify", "1", "64", "exp", "--n", "16"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            "config error: out of memory: jet-verify needs 104088 bytes, over the 104087 available\n"
+            "config error: out of memory: jet-verify needs 94856 bytes, over the 94855 available\n"
         )
 
     def test_memory_budget_that_fits_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 104088)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 94856)
         assert main(["jet-verify", "1", "64", "linear", "--n", "16"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -685,9 +685,9 @@ class TestJetVerify:
 
     def test_output_directory_checked_before_the_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args):
-            raise AssertionError("solve_elliptic called before --out was checked")
+            raise AssertionError("solved before --out was checked")
 
-        monkeypatch.setattr("jetlab.cli.solve_elliptic", no_solve)
+        monkeypatch.setattr("jetlab.cli.manufactured_pass", no_solve)
         (tmp_path / "blocker").write_text("not a directory")
         out = tmp_path / "blocker" / "jets"
         assert main(["jet-verify", "1", "16", "exp", "--out", str(out)]) == 1
@@ -698,9 +698,9 @@ class TestJetVerify:
         self, tmp_path, capsys, monkeypatch
     ):
         def no_solve(*args):
-            raise AssertionError("solve_elliptic called before --out was checked")
+            raise AssertionError("solved before --out was checked")
 
-        monkeypatch.setattr("jetlab.cli.solve_elliptic", no_solve)
+        monkeypatch.setattr("jetlab.cli.manufactured_pass", no_solve)
         out = tmp_path / "jets"
         (out / ".write_probe").mkdir(parents=True)  # fails the probe even as root
         assert main(["jet-verify", "1", "16", "exp", "--out", str(out)]) == 1
@@ -708,7 +708,7 @@ class TestJetVerify:
         assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
         assert "not writable" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("where", ["manufactured_omega", "solve_elliptic"])
+    @pytest.mark.parametrize("where", ["manufactured_omega", "manufactured_pass"])
     def test_out_of_memory_is_a_config_error(self, capsys, monkeypatch, where):
         # stands in for an n * (M+1) strip that cannot be allocated
         def no_memory(*args, **kwargs):

@@ -423,6 +423,29 @@ class TestCheckpointedSweep:
         solved = strip.solve_banded(ab, k2, rhs)
         assert solved is rhs and solved.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("block", [1, 2, 5, 16])
+    def test_segments_come_top_down_from_two_loads_each(self, monkeypatch, block):
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+        M = 33
+        ab, k2 = _band(2, M, 1.0 / M), strip_grid(16, M).x_grid.wavenumbers**2
+        rng = np.random.default_rng(block)
+        rhs = rng.standard_normal((M + 1, k2.size)) + 1j * rng.standard_normal((M + 1, k2.size))
+        loads = []
+
+        def load(lo, hi):
+            loads.append((lo, hi))
+            return rhs[lo:hi].copy()
+
+        segments = [(lo, hi, x.copy()) for lo, hi, x in strip.solve_banded_segments(ab, k2, load)]
+        blocks = [(lo, min(lo + block, M + 1)) for lo in range(0, M + 1, block)]
+        assert [(lo, hi) for lo, hi, _ in segments] == blocks[::-1]
+        solution = np.concatenate([x for _, _, x in segments[::-1]])
+        assert solution.tobytes() == full_pivot_sweep(ab, k2, rhs.copy()).tobytes()
+        # the forward sweep, with row 1 read apart when it is not in row 0's segment,
+        # then every segment below the top one again
+        shed = [(1, 2)] if block == 1 else []
+        assert loads == blocks[:1] + shed + blocks[1:] + blocks[-2::-1]
+
 
 class TestBlockedSolve:
     """solve_elliptic against the one-pass oracle, bit for bit."""
@@ -435,16 +458,26 @@ class TestBlockedSolve:
         omega = random_forcing(strip_grid(n, M), seed=n + M + m)
         assert_same_bits(solve_elliptic(m, omega).values, one_pass_solve(m, omega))
 
+    @pytest.mark.parametrize("block", [1, 16, 64])
     @pytest.mark.parametrize("m", [1, 2])
-    def test_phi_is_written_over_its_own_spectrum(self, m):
-        n, M = 64, 100
-        omega = random_forcing(strip_grid(n, M), seed=m)
-        values = solve_elliptic(m, omega).values
-        spectrum = values.base
-        while spectrum.base is not None:
-            spectrum = spectrum.base
-        assert spectrum.dtype == complex and spectrum.shape == (M + 1, n // 2 + 1)
-        assert values.flags.f_contiguous and np.shares_memory(values, spectrum)
+    def test_omega_blocks_are_built_in_phi(self, monkeypatch, m, block):
+        # phi is the solve's one strip: omega's blocks are built in its lowest
+        # columns, which the top-down back substitution writes last
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+        omega = manufactured_omega("exp", m, strip_grid(64, 100))
+        scratches = []
+
+        class Recorded:  # omega as the solve reads it
+            grid = omega.grid
+
+            def columns(self, lo, hi, out=None):
+                scratches.append(out)
+                return omega.columns(lo, hi, out)
+
+        values = solve_elliptic(m, Recorded()).values
+        assert values.base is None and values.flags.f_contiguous
+        assert scratches and all(np.shares_memory(out, values) for out in scratches)
+        assert_same_bits(values, one_pass_solve(m, StripField(omega.grid, omega.values)))
 
 
 class TestResidualPass:
@@ -502,7 +535,49 @@ class TestResidualPass:
                 return phi.columns(lo, hi, out)
 
         assert elliptic_residuals(Recorded(), omega, 1) == two_pass_residuals(phi, omega, 1)
-        assert read == list(range(grid.n_q_intervals + 1))
+        top_down = [range(lo, min(lo + block, 21)) for lo in reversed(range(0, 21, block))]
+        assert read == [column for columns in top_down for column in columns]  # each once, top down
+
+
+class TestStreamedPass:
+    """manufactured_pass, jet-verify's one pass over the solve's segments,
+    against the field routes and the whole-strip oracles, bit for bit."""
+
+    @staticmethod
+    def assert_matches_field_routes(case, m, grid):
+        phi_exact, omega = manufactured_case(case, m, grid)
+        checks = strip.manufactured_pass(case, m, omega)
+        phi = solve_elliptic(m, omega)
+        assert_same_bits(phi.values, one_pass_solve(m, omega))
+        assert checks.solve_max_error == manufactured_error(case, m, phi)
+        assert checks.solve_max_error == float(np.max(np.abs(phi.values - phi_exact.values)))
+        assert checks.residuals == elliptic_residuals(phi, omega, m)
+        assert checks.residuals == two_pass_residuals(phi, omega, m)
+        assert set(checks.jets) == {"pde", "difference"}
+        for route, jets in checks.jets.items():
+            expected = extract_jets(phi, omega, m, route)
+            for name in ("phi1", "phi2", "omega_boundary"):
+                assert_same_bits(getattr(jets, name).values, getattr(expected, name).values)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("M", [16, 17, 31, 32, 33, 100])
+    @pytest.mark.parametrize("case", MANUFACTURED_CASES)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_the_field_routes(self, monkeypatch, m, case, M, n):
+        # M + 1 columns in blocks: 17 columns fill one block of 16 with a top
+        # segment of one column, 32 fill two, 101 leave a partial top segment
+        for block in (1, 2, 3, 5, 16, 64):
+            monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+            self.assert_matches_field_routes(case, m, strip_grid(n, M))
+
+    def test_unknown_case_fails_before_the_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved for an unknown case")
+
+        monkeypatch.setattr(strip, "solve_banded_segments", no_solve)
+        omega = manufactured_omega("exp", 1, strip_grid(16, 16))
+        with pytest.raises(ValueError, match="choose from"):
+            strip.manufactured_pass("cubic", 1, omega)
 
 
 class TestJets:
