@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 _EXPORTS = {  # submodule -> the names it exports
     "config": ("ConfigError", "ExperimentConfig", "parse_config"),
     "diagnostics": (
-        "CSV_COLUMNS", "DiagnosticRecord", "RiccatiSample", "energy", "functional_F",
-        "functional_G", "resolved_until", "riccati_audit", "strong_term",
-        "symmetry_and_sign_monitor",
+        "CSV_COLUMNS", "DiagnosticRecord", "RiccatiSample", "energy", "resolved_until",
+        "riccati_audit", "symmetry_and_sign_monitor",
     ),
     "evolve": (
         "DT_UNDERFLOW", "REACHED_T_END", "SUP_CAP_HIT", "RunResult", "StepperConfig",
@@ -31,15 +30,14 @@ _EXPORTS = {  # submodule -> the names it exports
         "closure_coefficient", "reconstruct_rho", "rhs",
     ),
     "spectral": (
-        "antiderivative_zero_mean", "hilbert_transform", "resample", "spectral_derivative",
+        "antiderivative_zero_mean", "hilbert_transform", "spectral_derivative",
         "tail_energy_fraction",
     ),
     "strip": (
         "JetRecord", "MANUFACTURED_CASES", "ManufacturedChecks", "RankOneStripField",
-        "StripField", "StripGrid", "closure_residual",
-        "compute_velocities", "elliptic_residual", "elliptic_residuals", "extract_jets",
-        "jet_relation_residual", "load_strip_field", "manufactured_case", "manufactured_error",
-        "manufactured_omega", "manufactured_pass", "save_strip_field", "solve_elliptic",
+        "StripField", "StripGrid", "closure_residual", "compute_velocities",
+        "elliptic_residual", "elliptic_residuals", "extract_jets", "jet_relation_residual",
+        "manufactured_case", "manufactured_pass", "solve_elliptic",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

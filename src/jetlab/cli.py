@@ -36,7 +36,7 @@ from .strip import (
     MANUFACTURED_CASES,
     StripGrid,
     jet_relation_residual,
-    manufactured_omega,
+    manufactured_case,
     manufactured_pass,
 )
 
@@ -195,12 +195,12 @@ def _cmd_jet_verify(args) -> int:
         need, available = jet_verify_budget(args.n, args.M), _memory_available()
         if need > available:
             raise MemoryError(f"jet-verify needs {need} bytes, over the {available} available")
-        omega = manufactured_omega(args.case, args.m, grid)
+        phi_exact, omega = manufactured_case(args.case, args.m, grid)
     except (ValueError, OverflowError) as exc:  # OverflowError: an --n past the float range
         raise ConfigError("jetlab jet-verify", str(exc)) from None
     if args.out:
         preflight_output_dir(args.out)
-    checks = manufactured_pass(args.case, args.m, omega)
+    checks = manufactured_pass(phi_exact, omega, args.m)
     report = {
         "case": args.case,
         "m": args.m,

@@ -17,7 +17,9 @@ from . import evolve
 from .evolve import StepperConfig
 from .grid import PeriodicGrid, reflect_values
 from .initial_data import build_field
-from .models import HALF_LINE, LOCAL, MODEL_TABLE, EvolutionState, ModelSpec
+from .models import (
+    HALF_LINE, LOCAL, MODEL_TABLE, ClosureParams, EvolutionState, ModelSpec, closure_coefficient,
+)
 
 DEFAULTS = {"n": 1024, "L": 2.0, "t_end": 10.0}  # the other defaults are StepperConfig's
 
@@ -136,7 +138,11 @@ def _parse_model(doc: dict) -> ModelSpec:
         m = _number(section, "m", 1, "model.m", whole=True)
         a_jet = _number(section, "a", 0.0, "model.a")
         try:
-            return ModelSpec.q0_from_closure(m, a_jet)
+            closure = ClosureParams(m, a_jet)
+        except ValueError as exc:
+            raise ConfigError("model.m", str(exc)) from None
+        try:
+            params["c"] = closure_coefficient(closure)
         except ValueError as exc:
             raise ConfigError("model.a", str(exc)) from None
     try:

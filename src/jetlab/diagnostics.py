@@ -18,11 +18,13 @@ from .spectral import (
     half_period_nodes,
     is_pinned_at_zero,
     multipliers,
-    spectral_derivative,
     tail_energy_fraction,
 )
 
 _EPS = 1e-300
+
+#: Tail-energy fraction above which a record counts as under-resolved.
+TAIL_THRESHOLD = 1e-8
 
 #: Fixed CSV column order for DiagnosticRecord serialization.
 CSV_COLUMNS = (
@@ -89,21 +91,6 @@ def energy(s: EvolutionState, c: float) -> float:
     u = -c * s.omega.values
     integrand = 0.5 * u * u - c * s.theta.values
     return float(np.mean(integrand) * s.grid.period_L)
-
-
-def functional_F(omega: PeriodicField, c: float) -> float:
-    """F = c * integral_0^{L/2} omega(x)/x dx."""
-    return c * half_period_integrals(omega)[0]
-
-
-def functional_G(theta: PeriodicField, c: float) -> float:
-    """G = c * integral_0^{L/2} theta_x(x)/x dx with theta_x spectral."""
-    return c * half_period_integrals(spectral_derivative(theta))[0]
-
-
-def strong_term(omega: PeriodicField, c: float) -> float:
-    """(c^2/2) * integral_0^{L/2} omega^2/x^2 dx, the lower bound on dF/dt."""
-    return 0.5 * c * c * half_period_integrals(omega)[1]
 
 
 def symmetry_and_sign_monitor(s: EvolutionState, theta_x: Optional[PeriodicField]) -> dict:
@@ -265,9 +252,10 @@ def fill_margin_fields(records: Sequence[DiagnosticRecord], L: float) -> None:
         r.strong_margin = float(F_dot[i] - r.strong_term)
 
 
-def resolved_until(records: Sequence[DiagnosticRecord], threshold: float = 1e-8) -> float:
-    """Time of the first tail-energy violation; +inf if the run stays resolved."""
+def resolved_until(records: Sequence[DiagnosticRecord]) -> float:
+    """Time of the first record whose tail fraction exceeds TAIL_THRESHOLD;
+    +inf if the run stays resolved."""
     for r in records:
-        if r.tail_energy_fraction > threshold:
+        if r.tail_energy_fraction > TAIL_THRESHOLD:
             return r.t
     return float("inf")

@@ -87,38 +87,6 @@ class ModelSpec:
         if self.row.law == HALF_LINE:
             _cky_cells(grid.n_points, grid.period_L, self.truncation_X)
 
-    @classmethod
-    def clm(cls) -> "ModelSpec":
-        return cls("clm")
-
-    @classmethod
-    def de_gregorio(cls) -> "ModelSpec":
-        return cls("de_gregorio")
-
-    @classmethod
-    def ccf(cls) -> "ModelSpec":
-        return cls("ccf")
-
-    @classmethod
-    def okamoto(cls, a_ok: float = 1.0) -> "ModelSpec":
-        return cls("okamoto", a_ok=a_ok)
-
-    @classmethod
-    def hou_luo(cls) -> "ModelSpec":
-        return cls("hou_luo")
-
-    @classmethod
-    def cky(cls, truncation_X: float) -> "ModelSpec":
-        return cls("cky", truncation_X=truncation_X)
-
-    @classmethod
-    def q0(cls, c: float) -> "ModelSpec":
-        return cls("q0", c=c)
-
-    @classmethod
-    def q0_from_closure(cls, m: int, a_jet: float = 0.0) -> "ModelSpec":
-        return cls.q0(closure_coefficient(ClosureParams(m, a_jet)))
-
 
 @dataclass(frozen=True)
 class EvolutionState:

@@ -21,7 +21,10 @@ from .models import biot_savart
 def preflight_output_dir(path: str) -> Path:
     """Create the output directory and prove writability before any stepping."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # an embedded NUL byte
+        raise OSError(f"output directory {path!r} is not a valid path: {exc}") from None
     probe = out / ".write_probe"
     try:
         probe.write_text("ok")

@@ -146,19 +146,6 @@ def dealias_filter(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(fhat, n=n)
 
 
-def resample(f: PeriodicField, n_new: int) -> PeriodicField:
-    """Trigonometric resampling of ``f`` onto an ``n_new``-point grid."""
-    n = f.grid.n_points
-    fhat = np.fft.rfft(f.values)
-    out = np.zeros(n_new // 2 + 1, dtype=complex)
-    m = min(fhat.size, out.size)
-    out[:m] = fhat[:m]
-    if n_new > n:
-        out[n // 2] *= 0.5  # split the old Nyquist bin between +/- modes
-    grid = PeriodicGrid(n_new, f.grid.period_L)
-    return PeriodicField(grid, np.fft.irfft(out, n=n_new) * (n_new / n))
-
-
 def tail_energy_fraction(f: PeriodicField, fhat=None) -> float:
     """Fraction of spectral energy carried by the top third of the modes;
     ``fhat`` is ``rfft(f.values)`` when the caller has it."""

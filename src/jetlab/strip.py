@@ -19,8 +19,8 @@ a segment of q-rows at a time from the top down (single-level
 checkpointing, as in Griewank & Walther's revolve, ACM TOMS 26, 2000), so
 the checks consume each segment as it comes: ``jet-verify``'s pass,
 :func:`manufactured_pass`, holds no strip-sized array, and the field
-routes (``solve_elliptic``, ``elliptic_residuals``, ``manufactured_error``,
-``extract_jets``) feed the same checks a field's blocks, with the same bits.
+routes (``solve_elliptic``, ``elliptic_residuals``, ``extract_jets``) feed
+the same checks a field's blocks, with the same bits.
 
 Strip values are stored x-contiguous (Fortran order of the (n, M+1) array),
 so every transform over x reads and writes contiguous memory.  The solve,
@@ -31,10 +31,7 @@ built as a strip.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, Iterator, NamedTuple, Tuple, Union
 
 import numpy as np
@@ -46,7 +43,7 @@ _EPS = 1e-300
 
 
 # lines per block of the strip passes: q-columns in the transforms and the
-# finiteness check, x-rows when a field is saved, pivot rows per checkpoint
+# finiteness check, pivot rows per checkpoint
 _RESIDUAL_BLOCK = 16
 
 
@@ -131,11 +128,6 @@ class RankOneStripField:
         for row, q in zip(out, self.q_profile[lo:hi].tolist()):
             np.multiply(q, self.x_profile, out=row)
         return out.T
-
-    @property
-    def values(self) -> np.ndarray:
-        """The whole strip, x-contiguous like :attr:`StripField.values`."""
-        return self.columns(0, self.grid.n_q_intervals + 1)
 
 
 AnyStripField = Union[StripField, RankOneStripField]
@@ -384,11 +376,6 @@ class _ResidualPass:
         return float(self.absolute), float(self.worst / max(self.scale + self.omega_max, _EPS))
 
 
-def _top_down(grid: StripGrid):
-    """The (lo, hi) blocks of q-columns, from the top one down."""
-    return reversed(list(_blocks(grid.n_q_intervals + 1)))
-
-
 def elliptic_residuals(phi: AnyStripField, omega: AnyStripField, m: int) -> Tuple[float, float]:
     """(absolute, scaled) defect on q < 1 of the solver's own discrete system
     A_k phi_hat_k = -omega_hat_k.
@@ -405,7 +392,7 @@ def elliptic_residuals(phi: AnyStripField, omega: AnyStripField, m: int) -> Tupl
     """
     grid = phi.grid
     check = _ResidualPass(_band(m, grid.n_q_intervals, grid.dq), omega, _scratch(grid))
-    for lo, hi in _top_down(grid):
+    for lo, hi in reversed(list(_blocks(grid.n_q_intervals + 1))):  # from the top down
         check(lo, hi, phi.columns(lo, hi))
     return check.result()
 
@@ -557,89 +544,35 @@ def manufactured_case(
     return RankOneStripField(grid, h(q), sin_x), RankOneStripField(grid, profile_omega, sin_x)
 
 
-def manufactured_omega(name: str, m: int, grid: StripGrid) -> RankOneStripField:
-    """The omega of :func:`manufactured_case` alone."""
-    return manufactured_case(name, m, grid)[1]
-
-
-def _block_error(exact: AnyStripField, lo: int, hi: int, phi: np.ndarray, scratch) -> float:
-    """Sup distance of phi's q-columns lo..hi-1 from those of ``exact``,
-    which are built in ``scratch``."""
-    error = phi - exact.columns(lo, hi, scratch)
-    return float(np.max(np.abs(error, out=error)))
-
-
-def manufactured_error(name: str, m: int, phi: AnyStripField) -> float:
-    """Sup distance of ``phi`` from the case's exact phi, measured a block of
-    q-columns at a time, from the top down, so neither is built as a strip."""
-    exact, scratch = manufactured_case(name, m, phi.grid)[0], _scratch(phi.grid)
-    blocks = _top_down(phi.grid)
-    return max(_block_error(exact, lo, hi, phi.columns(lo, hi), scratch) for lo, hi in blocks)
-
-
 class ManufacturedChecks(NamedTuple):
     """What :func:`manufactured_pass` measures of one manufactured solve."""
 
-    solve_max_error: float  # as manufactured_error
+    solve_max_error: float  # sup |phi - phi_exact|
     residuals: Tuple[float, float]  # (absolute, scaled), as elliptic_residuals
     jets: Dict[str, JetRecord]  # by phi2 route, as extract_jets
 
 
-def manufactured_pass(name: str, m: int, omega: AnyStripField) -> ManufacturedChecks:
-    """Solve for ``omega`` and check phi against the case's exact phi in one
-    pass: the numbers, bit for bit, of solve_elliptic followed by
-    manufactured_error, elliptic_residuals and extract_jets on both routes,
-    with no strip-sized array.  Each segment of the solve is transformed
-    back and fed to the checks as it comes, from the top down; the band and
-    one scratch block serve the solve and the checks, and phi's top five
-    q-columns are kept for the jets."""
+def manufactured_pass(
+    phi_exact: AnyStripField, omega: AnyStripField, m: int
+) -> ManufacturedChecks:
+    """Solve for ``omega`` and check phi against ``phi_exact`` in one pass:
+    the numbers, bit for bit, of solve_elliptic followed by the sup error,
+    elliptic_residuals and extract_jets on both routes, with no strip-sized
+    array.  Each segment of the solve is transformed back and fed to the
+    checks as it comes, from the top down; the band and one scratch block
+    serve the solve and the checks, and phi's top five q-columns are kept
+    for the jets."""
     grid = omega.grid
     band, scratch = _band(m, grid.n_q_intervals, grid.dq), _scratch(grid)
-    exact, residual = manufactured_case(name, m, grid)[0], _ResidualPass(band, omega, scratch)
+    residual, load = _ResidualPass(band, omega, scratch), _stream_rhs(omega, scratch)
     error, top = 0.0, np.empty((grid.x_grid.n_points, 0))
-    load = _stream_rhs(omega, scratch)
     for lo, hi, phi_hat in solve_banded_segments(band, grid.x_grid.wavenumbers**2, load):
         phi = np.fft.irfft(phi_hat, n=grid.x_grid.n_points).T
-        error = max(error, _block_error(exact, lo, hi, phi, scratch))
+        defect = phi - phi_exact.columns(lo, hi, scratch)
+        error = max(error, float(np.max(np.abs(defect, out=defect))))
+        del defect  # not alive beside the residual pass's block arrays
         residual(lo, hi, phi)
         if top.shape[1] < 5:
             top = np.concatenate((phi[:, -5:], top), axis=1)[:, -5:]
     jets = {route: _jets(top, omega, m, route) for route in _PHI2_ROUTES}
     return ManufacturedChecks(error, residual.result(), jets)
-
-
-# -- serialization ------------------------------------------------------------
-
-_HEADER = struct.Struct("<qqd")  # n_x, M, period_L; payload is row-major <f8
-
-
-def save_strip_field(field: AnyStripField, path) -> None:
-    """Flat little-endian binary (header n, M, L then row-major float64)
-    plus a JSON sidecar describing the layout."""
-    path = Path(path)
-    grid, values = field.grid, field.values  # read once: a rank-one field builds it
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(grid.x_grid.n_points, grid.n_q_intervals, grid.x_grid.period_L))
-        for lo, hi in _blocks(grid.x_grid.n_points):  # x-rows, so no strip-sized copy
-            fh.write(np.ascontiguousarray(values[lo:hi], dtype="<f8"))
-    sidecar = {
-        "n_x": grid.x_grid.n_points,
-        "n_q_intervals": grid.n_q_intervals,
-        "period_L": grid.x_grid.period_L,
-        "byte_order": "little",
-        "header": "int64 n_x, int64 M, float64 L",
-        "dtype": "<f8",
-        "layout": "row-major, x index outermost",
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    )
-
-
-def load_strip_field(path) -> StripField:
-    path = Path(path)
-    raw = path.read_bytes()
-    n, M, L = _HEADER.unpack_from(raw)
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n, M + 1)
-    grid = StripGrid(PeriodicGrid(int(n), float(L)), int(M))
-    return StripField(grid, values.copy(order="F"))

@@ -32,7 +32,7 @@ def sin_state(n: int, theta_amplitude: float = 0.0) -> EvolutionState:
 def blowup_run():
     """The reference blow-up run: Q0, c = 1/3, L = 2, sin data, n = 2048,
     keeping the recorded states nearest t = 0.3, 0.6 and 0.9."""
-    model = ModelSpec.q0(1.0 / 3.0)
+    model = ModelSpec("q0", c=1.0 / 3.0)
     init = sin_state(2048)
     cfg = StepperConfig(
         t_end=4.0,

@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from jetlab import ConfigError, functional_F, parse_config, rhs
+from jetlab import ConfigError, parse_config, rhs
 from jetlab.cli import _memory_available, _worker_count, main
 from jetlab.initial_data import build_field
 from jetlab.models import ModelSpec
 from jetlab.runner import run_experiment
+from jetlab.spectral import half_period_integrals
 
 from conftest import sin_state
 
@@ -48,6 +49,11 @@ class TestParseConfig:
             parse_config(json.dumps({"model": {"name": "Q0", "m": 1, "a": -2.0}}))
         assert err.value.path == "model.a"
 
+    def test_closure_weight_violation_with_path(self):
+        with pytest.raises(ConfigError, match="m must be 1 or 2") as err:
+            parse_config(json.dumps({"model": {"name": "Q0", "m": 3}}))
+        assert err.value.path == "model.m"
+
     def test_okamoto_zero_weight_matches_clm(self):
         config = parse_config(
             json.dumps(
@@ -62,7 +68,7 @@ class TestParseConfig:
 
         no_theta = EvolutionState(state.omega, None, 0.0)
         r_config = rhs(config.model, no_theta)
-        r_clm = rhs(ModelSpec.clm(), no_theta)
+        r_clm = rhs(ModelSpec("clm"), no_theta)
         assert np.max(np.abs(r_config.d_omega - r_clm.d_omega)) == 0.0
 
     def test_unknown_model(self):
@@ -187,7 +193,7 @@ class TestRunModel:
         summary = run_experiment(config)
         audits = summary["audits"]
         omega0 = config.initial_state().omega
-        expected = 2.0 / functional_F(omega0, config.model.c)
+        expected = 2.0 / (config.model.c * half_period_integrals(omega0)[0])
         assert audits["bound_L_over_F0"] == pytest.approx(expected, rel=1e-12)
         # t_end is below the bound, so the blow-up claim is not yet testable
         assert "blowup_bound_holds" not in audits
@@ -622,6 +628,19 @@ class TestSweep:
         grid_path.write_text(json.dumps({"model.a": [0.0, -2.0]}))
         assert main(["sweep", str(template_path), str(grid_path)]) == 1
 
+    def test_sweep_output_directory_with_a_nul_byte(self, tmp_path, capsys):
+        template = minimal_q0(tmp_path)
+        template["outputs"]["directory"] = "a\x00b"
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(template))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5]}))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "config error: output directory 'a\\x00b' is not a valid path: embedded null byte\n"
+        )
+
 
 class TestJetVerify:
     def test_report_written(self, tmp_path):
@@ -652,10 +671,10 @@ class TestJetVerify:
 
     def test_memory_budget_is_checked_before_the_strip(self, capsys, monkeypatch):
         def no_strip(*args):
-            raise AssertionError("manufactured_omega called past the memory budget")
+            raise AssertionError("manufactured_case called past the memory budget")
 
         # 24 x 9 x 5 + 16 x 9 x 160 + 80 x 65 + 2^16 = 94856 bytes at n = 16, M = 64
-        monkeypatch.setattr("jetlab.cli.manufactured_omega", no_strip)
+        monkeypatch.setattr("jetlab.cli.manufactured_case", no_strip)
         monkeypatch.setattr("jetlab.cli._memory_available", lambda: 94855)
         assert main(["jet-verify", "1", "64", "exp", "--n", "16"]) == 1
         captured = capsys.readouterr()
@@ -683,6 +702,17 @@ class TestJetVerify:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and "blocker" in err
 
+    def test_output_directory_with_a_nul_byte(self, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before --out was checked")
+
+        monkeypatch.setattr("jetlab.cli.manufactured_pass", no_solve)
+        assert main(["jet-verify", "1", "16", "exp", "--n", "8", "--out", "a\x00b"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "config error: output directory 'a\\x00b' is not a valid path: embedded null byte\n"
+        )
+
     def test_output_directory_checked_before_the_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args):
             raise AssertionError("solved before --out was checked")
@@ -708,7 +738,7 @@ class TestJetVerify:
         assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
         assert "not writable" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("where", ["manufactured_omega", "manufactured_pass"])
+    @pytest.mark.parametrize("where", ["manufactured_case", "manufactured_pass"])
     def test_out_of_memory_is_a_config_error(self, capsys, monkeypatch, where):
         # stands in for an n * (M+1) strip that cannot be allocated
         def no_memory(*args, **kwargs):

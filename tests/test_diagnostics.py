@@ -9,9 +9,6 @@ from jetlab import (
     PeriodicGrid,
     StepperConfig,
     energy,
-    functional_F,
-    functional_G,
-    resample,
     RiccatiSample,
     biot_savart,
     riccati_audit,
@@ -19,7 +16,6 @@ from jetlab import (
     run,
     spectral_derivative,
     step_rk4,
-    strong_term,
     symmetry_and_sign_monitor,
 )
 from jetlab.diagnostics import _three_point_slopes, compute_record, diagnostic_coupling
@@ -47,9 +43,7 @@ class TestEnergy:
     def test_grid_refinement_consistency(self):
         s = sin_state(128, theta_amplitude=0.3)
         E1 = energy(s, 1 / 3)
-        s2 = EvolutionState(
-            resample(s.omega, 256), resample(s.theta, 256), 0.0
-        )
+        s2 = sin_state(256, theta_amplitude=0.3)
         E2 = energy(s2, 1 / 3)
         assert abs(E1 - E2) <= 1e-11 * max(abs(E1), 1.0)
 
@@ -63,17 +57,18 @@ class TestEnergy:
 class TestFunctionals:
     def test_F_sin_oracle(self):
         s = sin_state(1024)
-        assert functional_F(s.omega, 1 / 3) == pytest.approx(F0_SIN, abs=1e-10)
+        assert half_period_integrals(s.omega)[0] / 3 == pytest.approx(F0_SIN, abs=1e-10)
 
     def test_F_zero(self):
         grid = PeriodicGrid(64, 2.0)
-        assert functional_F(PeriodicField(grid, np.zeros(64)), 1 / 3) == 0.0
+        assert half_period_integrals(PeriodicField(grid, np.zeros(64)))[0] == 0.0
 
     def test_G_oracle(self):
         # theta = 1 - cos(pi x): G = (1/3) integral_0^1 pi sin(pi x)/x dx
         grid = PeriodicGrid(1024, 2.0)
         theta = PeriodicField(grid, 1.0 - np.cos(np.pi * grid.nodes))
-        assert functional_G(theta, 1 / 3) == pytest.approx(
+        G = half_period_integrals(spectral_derivative(theta))[0] / 3
+        assert G == pytest.approx(
             INT_PI_SIN_OVER_X / 3.0, abs=1e-9
         )
 
@@ -97,8 +92,9 @@ class TestFunctionals:
             values += rng.randn() / k * np.sin(np.pi * k * x)
         omega = PeriodicField(grid, values)
         c, L = 0.7, 2.0
-        F = functional_F(omega, c)
-        rhs = L * strong_term(omega, c)  # = c^2 (L/2) int omega^2/x^2
+        inv_x, inv_x_squared = half_period_integrals(omega)
+        F = c * inv_x
+        rhs = L * (0.5 * c * c * inv_x_squared)  # = c^2 (L/2) int omega^2/x^2
         assert F**2 <= rhs * (1 + 1e-13) + 1e-300
 
 
@@ -173,7 +169,7 @@ class TestRiccatiAudit:
         init = EvolutionState(
             PeriodicField(grid, np.zeros(64)), PeriodicField(grid, np.zeros(64)), 0.0
         )
-        res = run(ModelSpec.q0(1 / 3), init, StepperConfig(t_end=0.5, record_every=2))
+        res = run(ModelSpec("q0", c=1 / 3), init, StepperConfig(t_end=0.5, record_every=2))
         samples = riccati_audit(res)
         assert len(samples) >= 3
         for a in samples:
@@ -199,7 +195,7 @@ class TestStreamedRecords:
     recomputed from every state of the run, the way the audits once did."""
 
     def test_against_replayed_states(self):
-        model, c, L = ModelSpec.q0(1 / 3), 1 / 3, 2.0
+        model, c, L = ModelSpec("q0", c=1 / 3), 1 / 3, 2.0
         init = sin_state(128, theta_amplitude=0.5)
         cfg = StepperConfig(t_end=0.2, dt_max=0.005, record_every=3)
         res = run(model, init, cfg)
@@ -219,12 +215,14 @@ class TestStreamedRecords:
         strong = []
         for s, r in zip(recorded, res.diagnostics):
             theta_x = spectral_derivative(s.theta)
-            strong.append(strong_term(s.omega, c) if _pinned(s.omega) else 0.0)
+            pinned = _pinned(s.omega)
+            inv_x, inv_x_squared = half_period_integrals(s.omega) if pinned else (0.0, 0.0)
+            strong.append(0.5 * c * c * inv_x_squared)
             assert r.strong_term == strong[-1]
             assert r.sup_theta == float(np.max(np.abs(s.theta.values)))
             assert r.sup_theta_x == float(np.max(np.abs(theta_x.values)))
-            assert r.F == (functional_F(s.omega, c) if _pinned(s.omega) else 0.0)
-            assert r.G == (functional_G(s.theta, c) if _pinned(theta_x) else 0.0)
+            assert r.F == c * inv_x
+            assert r.G == (c * half_period_integrals(theta_x)[0] if _pinned(theta_x) else 0.0)
         assert all(x > 0 for x in strong)
 
         t = np.array([r.t for r in res.diagnostics])
@@ -250,7 +248,7 @@ class TestStreamedRecords:
 
 class TestRecords:
     def test_csv_row_parses_back(self):
-        rec = compute_record(ModelSpec.q0(1 / 3), sin_state(256), 0.125)
+        rec = compute_record(ModelSpec("q0", c=1 / 3), sin_state(256), 0.125)
         row = rec.to_csv_row()
         parts = row.split(",")
         assert len(parts) == len(CSV_COLUMNS)
@@ -321,7 +319,7 @@ class TestRecordTransforms:
 
     @pytest.mark.parametrize("with_theta,calls", [(True, 4), (False, 2)])
     def test_fft_calls_per_record(self, monkeypatch, with_theta, calls):
-        model = ModelSpec.q0(1 / 3) if with_theta else ModelSpec.ccf()
+        model = ModelSpec("q0", c=1 / 3) if with_theta else ModelSpec("ccf")
         s, records = rough_state(256, 1, with_theta), []
         assert self.fft_calls(monkeypatch, lambda: records.append(compute_record(model, s, 0.0))) == calls
         assert records[0].F != 0.0 and (records[0].G != 0.0) == with_theta  # F and G computed
@@ -330,7 +328,7 @@ class TestRecordTransforms:
     @pytest.mark.parametrize("with_theta", [True, False])
     @pytest.mark.parametrize("odd", [True, False])
     def test_record_is_bitwise_the_per_row_formulas(self, n, with_theta, odd):
-        model = ModelSpec.q0(1 / 3) if with_theta else ModelSpec.ccf()
+        model = ModelSpec("q0", c=1 / 3) if with_theta else ModelSpec("ccf")
         s = rough_state(n, n, with_theta, odd)
         record = compute_record(model, s, 0.5)
         expected = per_row_record(model, s, 0.5)
@@ -342,7 +340,7 @@ class TestRecordTransforms:
     @pytest.mark.parametrize("sign,calls", [(1.0, 2), (-1.0, 4)])
     def test_theta_of_zeros_is_not_transformed(self, monkeypatch, sign, calls):
         # +0.0 everywhere skips theta's transforms; -0.0 is transformed
-        model, odd = ModelSpec.q0(1 / 3), rough_state(256, 3)
+        model, odd = ModelSpec("q0", c=1 / 3), rough_state(256, 3)
         s = EvolutionState(odd.omega, PeriodicField(odd.grid, sign * np.zeros(256)), 0.25)
         records = []
         assert self.fft_calls(monkeypatch, lambda: records.append(compute_record(model, s, 0.5))) == calls

@@ -43,7 +43,7 @@ class TestStepRK4:
             PeriodicField(grid, np.full(64, 7.0)),
             0.0,
         )
-        out = step_rk4(ModelSpec.q0(1 / 3), s, 0.05)
+        out = step_rk4(ModelSpec("q0", c=1 / 3), s, 0.05)
         assert np.max(np.abs(out.omega.values)) == 0.0
         assert np.max(np.abs(out.theta.values - 7.0)) == 0.0
         assert out.time == pytest.approx(0.05)
@@ -53,7 +53,7 @@ class TestStepRK4:
         # with the implicit characteristic solution u = u0(x - u t) obtained
         # by fixed-point iteration, well before wave breaking at 3/pi
         c = 1 / 3
-        model = ModelSpec.q0(c)
+        model = ModelSpec("q0", c=c)
         init = sin_state(1024)
         t = 0.3
         s = fixed_dt_run(model, init, 1e-3, t)
@@ -69,7 +69,7 @@ class TestStepRK4:
         assert np.max(np.abs(u_num - u)) <= 1e-8
 
     def test_fourth_order_richardson(self):
-        model = ModelSpec.q0(1 / 3)
+        model = ModelSpec("q0", c=1 / 3)
         init = sin_state(128, theta_amplitude=0.1)
         t_end = 0.2
         ref = fixed_dt_run(model, init, t_end / 3200, t_end)
@@ -82,7 +82,7 @@ class TestStepRK4:
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step_rk4(ModelSpec.q0(1 / 3), sin_state(64), 0.0)
+            step_rk4(ModelSpec("q0", c=1 / 3), sin_state(64), 0.0)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_reported(self):
@@ -90,7 +90,7 @@ class TestStepRK4:
         huge = PeriodicField(grid, 1e300 * np.sin(np.pi * grid.nodes))
         s = EvolutionState(huge, PeriodicField(grid, np.zeros(64)), 0.0)
         with pytest.raises(FloatingPointError, match="numerical overflow in stage"):
-            step_rk4(ModelSpec.q0(1 / 3), s, 1e6)
+            step_rk4(ModelSpec("q0", c=1 / 3), s, 1e6)
 
 
 class TestRun:
@@ -99,7 +99,7 @@ class TestRun:
         init = EvolutionState(
             PeriodicField(grid, np.zeros(64)), PeriodicField(grid, np.zeros(64)), 0.0
         )
-        res = run(ModelSpec.q0(1 / 3), init, StepperConfig(t_end=1.0))
+        res = run(ModelSpec("q0", c=1 / 3), init, StepperConfig(t_end=1.0))
         assert res.termination == REACHED_T_END
         assert res.t_final == pytest.approx(1.0, abs=1e-12)
         for r in res.diagnostics:
@@ -108,7 +108,7 @@ class TestRun:
 
     def test_records_share_timestamps(self):
         # dt_max = 2^-7 binds, so record times are exact and midpoints are ties
-        model, init = ModelSpec.q0(1 / 3), sin_state(128, theta_amplitude=0.2)
+        model, init = ModelSpec("q0", c=1 / 3), sin_state(128, theta_amplitude=0.2)
         cfg = StepperConfig(t_end=0.2, dt_max=2.0**-7, record_every=5)
         plain = run(model, init, cfg)
         assert plain.states == []
@@ -130,7 +130,7 @@ class TestRun:
         # theta_x >= 0 feeds omega, so the sup genuinely grows
         init = sin_state(128, theta_amplitude=1.0)
         cfg = StepperConfig(t_end=50.0, omega_sup_cap=2.0, dt_max=0.01)
-        res = run(ModelSpec.q0(1 / 3), init, cfg)
+        res = run(ModelSpec("q0", c=1 / 3), init, cfg)
         assert res.termination == SUP_CAP_HIT
         assert res.diagnostics[-1].sup_omega >= 2.0
         assert res.t_final < 50.0
@@ -138,12 +138,12 @@ class TestRun:
     def test_dt_underflow_termination(self):
         init = sin_state(64)
         cfg = StepperConfig(t_end=1.0, dt_min=0.5, dt_max=0.5)
-        res = run(ModelSpec.q0(1 / 3), init, cfg)
+        res = run(ModelSpec("q0", c=1 / 3), init, cfg)
         assert res.termination == DT_UNDERFLOW
 
     def test_bkm_integral_nondecreasing(self):
         init = sin_state(128, theta_amplitude=0.5)
-        res = run(ModelSpec.q0(1 / 3), init, StepperConfig(t_end=0.5))
+        res = run(ModelSpec("q0", c=1 / 3), init, StepperConfig(t_end=0.5))
         bkm = [r.bkm_integral for r in res.diagnostics]
         assert all(b2 >= b1 for b1, b2 in zip(bkm, bkm[1:]))
 
@@ -158,7 +158,7 @@ class TestRun:
             return original(plan, y, rate)
 
         monkeypatch.setattr(KernelPlan, "evaluate", counted)
-        model, init = ModelSpec.q0(1 / 3), sin_state(64, theta_amplitude=0.2)
+        model, init = ModelSpec("q0", c=1 / 3), sin_state(64, theta_amplitude=0.2)
         cfg = StepperConfig(t_end=10 * 2.0**-7, dt_max=2.0**-7, dealias=dealias)
         res = run(model, init, cfg)
         assert res.termination == REACHED_T_END and res.t_final == 10 * 2.0**-7
@@ -214,7 +214,7 @@ class TestRun:
         theta[5] = entry
         init = EvolutionState(s.omega, PeriodicField(s.grid, theta), 0.0)
         cfg = StepperConfig(t_end=10 * 2.0**-7, dt_max=2.0**-7)
-        run(ModelSpec.q0(1 / 3), init, cfg)
+        run(ModelSpec("q0", c=1 / 3), init, cfg)
         assert seen == [rows] * 40
 
     def test_tiny_period_steps_at_the_cfl_scale(self, monkeypatch):
@@ -253,13 +253,13 @@ class TestRun:
         s = sin_state(64)
         init = EvolutionState(PeriodicField(s.grid, 2.0 * s.omega.values), s.theta, 0.0)
         with pytest.raises(FloatingPointError, match="velocity is not finite"):
-            run(ModelSpec.q0(1e308), init, StepperConfig(t_end=1.0))
+            run(ModelSpec("q0", c=1e308), init, StepperConfig(t_end=1.0))
 
     def test_mismatched_theta_rejected(self):
         grid = PeriodicGrid(64, 2.0)
         no_theta = EvolutionState(PeriodicField(grid, np.zeros(64)), None, 0.0)
         with pytest.raises(ValueError):
-            run(ModelSpec.q0(1 / 3), no_theta, StepperConfig(t_end=1.0))
+            run(ModelSpec("q0", c=1 / 3), no_theta, StepperConfig(t_end=1.0))
 
 
 class TestStepperConfig:
@@ -433,13 +433,13 @@ def reference_run(model, init, cfg, snapshot_times=()):
 
 
 ALL_MODELS = [
-    ModelSpec.clm(),
-    ModelSpec.de_gregorio(),
-    ModelSpec.ccf(),
-    ModelSpec.okamoto(0.5),
-    ModelSpec.hou_luo(),
-    ModelSpec.cky(0.5),
-    ModelSpec.q0(1 / 3),
+    ModelSpec("clm"),
+    ModelSpec("de_gregorio"),
+    ModelSpec("ccf"),
+    ModelSpec("okamoto", a_ok=0.5),
+    ModelSpec("hou_luo"),
+    ModelSpec("cky", truncation_X=0.5),
+    ModelSpec("q0", c=1 / 3),
 ]
 
 
@@ -513,7 +513,8 @@ class TestBitwiseAgainstReference:
 class TestBitwiseEndings:
     def test_sup_cap(self):
         cfg = StepperConfig(t_end=50.0, omega_sup_cap=2.0, dt_max=0.01, record_every=7)
-        res = assert_same_run(ModelSpec.q0(1 / 3), sin_state(128, theta_amplitude=1.0), cfg, (0.3,))
+        init = sin_state(128, theta_amplitude=1.0)
+        res = assert_same_run(ModelSpec("q0", c=1 / 3), init, cfg, (0.3,))
         assert res.termination == SUP_CAP_HIT
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -522,12 +523,13 @@ class TestBitwiseEndings:
         s = sin_state(64)
         init = EvolutionState(PeriodicField(s.grid, 1e200 * s.omega.values), None, 0.0)
         cfg = StepperConfig(t_end=1.0, dt_min=1e-300, omega_sup_cap=1e300)
-        res = assert_same_run(ModelSpec.ccf(), init, cfg)
+        res = assert_same_run(ModelSpec("ccf"), init, cfg)
         assert res.termination == SUP_CAP_HIT and res.t_final == 0.0
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_dt_underflow(self, dealias):
         # sup|omega| grows from 1, so the CFL step falls below 0.015 from 0.019
         cfg = StepperConfig(t_end=5.0, dt_min=0.015, dt_max=0.02, record_every=1, dealias=dealias)
-        res = assert_same_run(ModelSpec.q0(1 / 3), sin_state(128, theta_amplitude=1.0), cfg, (0.1,))
+        init = sin_state(128, theta_amplitude=1.0)
+        res = assert_same_run(ModelSpec("q0", c=1 / 3), init, cfg, (0.1,))
         assert res.termination == DT_UNDERFLOW and len(res.diagnostics) > 3

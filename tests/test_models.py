@@ -11,6 +11,7 @@ from jetlab import (
     biot_savart,
     closure_coefficient,
     hilbert_transform,
+    parse_config,
     reconstruct_rho,
     rhs,
     spectral_derivative,
@@ -43,24 +44,25 @@ class TestClosureAlgebra:
             ClosureParams(3, 0.0)
 
     def test_q0_from_closure(self):
-        assert ModelSpec.q0_from_closure(1, 0.0).c == pytest.approx(1.0 / 3.0, abs=0)
+        config = parse_config('{"model": {"name": "Q0", "m": 1, "a": 0.0}, "grid": {"n": 64}}')
+        assert config.model == ModelSpec("q0", c=1.0 / 3.0)
 
 
 class TestModelSpec:
     def test_theta_flags(self):
-        assert not ModelSpec.clm().has_theta
-        assert not ModelSpec.de_gregorio().has_theta
-        assert not ModelSpec.ccf().has_theta
-        assert not ModelSpec.okamoto(0.3).has_theta
-        assert ModelSpec.hou_luo().has_theta
-        assert ModelSpec.cky(1.0).has_theta
-        assert ModelSpec.q0(0.25).has_theta
+        assert not ModelSpec("clm").has_theta
+        assert not ModelSpec("de_gregorio").has_theta
+        assert not ModelSpec("ccf").has_theta
+        assert not ModelSpec("okamoto", a_ok=0.3).has_theta
+        assert ModelSpec("hou_luo").has_theta
+        assert ModelSpec("cky", truncation_X=1.0).has_theta
+        assert ModelSpec("q0", c=0.25).has_theta
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ModelSpec.q0(-1.0)
+            ModelSpec("q0", c=-1.0)
         with pytest.raises(ValueError):
-            ModelSpec.cky(0.0)
+            ModelSpec("cky", truncation_X=0.0)
         with pytest.raises(ValueError):
             ModelSpec("not_a_model")
 
@@ -69,20 +71,20 @@ class TestBiotSavart:
     def test_q0_local_law(self):
         grid = PeriodicGrid(64, 2.0)
         omega = PeriodicField(grid, np.sin(np.pi * grid.nodes))
-        u = biot_savart(ModelSpec.q0(1.0 / 3.0), omega)
+        u = biot_savart(ModelSpec("q0", c=1.0 / 3.0), omega)
         assert np.max(np.abs(u.values + np.sin(np.pi * grid.nodes) / 3.0)) <= 1e-15
 
     def test_ccf_is_hilbert(self):
         grid = PeriodicGrid(64, 2.0)
         omega = PeriodicField(grid, np.sin(np.pi * grid.nodes))
-        u = biot_savart(ModelSpec.ccf(), omega)
+        u = biot_savart(ModelSpec("ccf"), omega)
         assert np.max(np.abs(u.values + np.cos(np.pi * grid.nodes))) <= 1e-13
 
     def test_hou_luo_integrated_hilbert(self):
         L = 2.0
         grid = PeriodicGrid(64, L)
         omega = PeriodicField(grid, np.cos(2 * np.pi * grid.nodes / L))
-        u = biot_savart(ModelSpec.hou_luo(), omega)
+        u = biot_savart(ModelSpec("hou_luo"), omega)
         # u_x = H(omega) = sin, with zero-mean antiderivative -(L/2pi) cos
         u_x = spectral_derivative(u)
         assert np.max(np.abs(u_x.values - np.sin(2 * np.pi * grid.nodes / L))) <= 1e-12
@@ -95,7 +97,7 @@ class TestBiotSavart:
         # u(x) = -x * integral_x^1 dy = -x (1 - x), exactly on the nodes
         grid = PeriodicGrid(64, 4.0)
         omega = PeriodicField(grid, grid.nodes.copy())
-        u = biot_savart(ModelSpec.cky(1.0), omega)
+        u = biot_savart(ModelSpec("cky", truncation_X=1.0), omega)
         x = grid.nodes
         inside = (x >= 0) & (x <= 1)
         assert np.max(np.abs(u.values[inside] + x[inside] * (1 - x[inside]))) <= 1e-14
@@ -105,9 +107,9 @@ class TestBiotSavart:
         grid = PeriodicGrid(64, 4.0)
         omega = PeriodicField(grid, np.zeros(64))
         with pytest.raises(ValueError, match="grid node"):
-            biot_savart(ModelSpec.cky(1.0001), omega)
+            biot_savart(ModelSpec("cky", truncation_X=1.0001), omega)
         with pytest.raises(ValueError, match="lie in"):
-            biot_savart(ModelSpec.cky(3.0), omega)
+            biot_savart(ModelSpec("cky", truncation_X=3.0), omega)
 
 
 class TestRhs:
@@ -115,14 +117,14 @@ class TestRhs:
         L = 2.0
         grid = PeriodicGrid(128, L)
         s = make_state(grid, lambda x: np.cos(2 * np.pi * x / L))
-        rate = rhs(ModelSpec.clm(), s)
+        rate = rhs(ModelSpec("clm"), s)
         exact = 0.5 * np.sin(4 * np.pi * grid.nodes / L)
         assert np.max(np.abs(rate.d_omega - exact)) <= 1e-12
 
     def test_q0_example(self):
         grid = PeriodicGrid(128, 2.0)
         s = make_state(grid, lambda x: np.sin(np.pi * x), lambda x: np.zeros_like(x))
-        rate = rhs(ModelSpec.q0(1.0 / 3.0), s)
+        rate = rhs(ModelSpec("q0", c=1.0 / 3.0), s)
         x = grid.nodes
         exact = np.sin(np.pi * x) * np.pi * np.cos(np.pi * x) / 3.0
         assert np.max(np.abs(rate.d_omega - exact)) <= 1e-12
@@ -132,23 +134,23 @@ class TestRhs:
         L = 2.0
         grid = PeriodicGrid(128, L)
         s = make_state(grid, lambda x: np.sin(2 * np.pi * x / L))
-        rate = rhs(ModelSpec.ccf(), s)
+        rate = rhs(ModelSpec("ccf"), s)
         exact = (2 * np.pi / L) * np.cos(2 * np.pi * grid.nodes / L) ** 2
         assert np.max(np.abs(rate.d_omega - exact)) <= 1e-12
 
     def test_de_gregorio_cos_is_steady(self):
         grid = PeriodicGrid(128, 2 * np.pi)
         s = make_state(grid, np.cos)
-        rate = rhs(ModelSpec.de_gregorio(), s)
+        rate = rhs(ModelSpec("de_gregorio"), s)
         assert np.max(np.abs(rate.d_omega)) <= 1e-13
 
     def test_okamoto_interpolates_clm_and_de_gregorio(self):
         grid = PeriodicGrid(128, 2 * np.pi)
         s = make_state(grid, lambda x: np.cos(x) + 0.4 * np.sin(2 * x))
-        r_clm = rhs(ModelSpec.clm(), s)
-        r_dg = rhs(ModelSpec.de_gregorio(), s)
-        r_a0 = rhs(ModelSpec.okamoto(0.0), s)
-        r_a1 = rhs(ModelSpec.okamoto(1.0), s)
+        r_clm = rhs(ModelSpec("clm"), s)
+        r_dg = rhs(ModelSpec("de_gregorio"), s)
+        r_a0 = rhs(ModelSpec("okamoto", a_ok=0.0), s)
+        r_a1 = rhs(ModelSpec("okamoto", a_ok=1.0), s)
         assert np.max(np.abs(r_a0.d_omega - r_clm.d_omega)) == 0.0
         assert np.max(np.abs(r_a1.d_omega - r_dg.d_omega)) == 0.0
 
@@ -156,8 +158,8 @@ class TestRhs:
         L = 2 * np.pi
         grid = PeriodicGrid(128, L)
         s = make_state(grid, np.sin, lambda x: -np.cos(x))
-        rate = rhs(ModelSpec.hou_luo(), s)
-        u = biot_savart(ModelSpec.hou_luo(), s.omega)
+        rate = rhs(ModelSpec("hou_luo"), s)
+        u = biot_savart(ModelSpec("hou_luo"), s.omega)
         expected = (
             -u.values * spectral_derivative(s.omega).values
             + spectral_derivative(s.theta).values
@@ -169,9 +171,9 @@ class TestRhs:
     def test_theta_presence_must_match(self):
         grid = PeriodicGrid(64, 2.0)
         with pytest.raises(ValueError):
-            rhs(ModelSpec.clm(), make_state(grid, np.sin, lambda x: np.zeros_like(x)))
+            rhs(ModelSpec("clm"), make_state(grid, np.sin, lambda x: np.zeros_like(x)))
         with pytest.raises(ValueError):
-            rhs(ModelSpec.q0(0.5), make_state(grid, np.sin))
+            rhs(ModelSpec("q0", c=0.5), make_state(grid, np.sin))
 
 
 def composed_velocity(model, omega):
@@ -216,13 +218,13 @@ def composed_rate(model, s, dealias):
 
 
 ALL_MODELS = [
-    ModelSpec.clm(),
-    ModelSpec.de_gregorio(),
-    ModelSpec.ccf(),
-    ModelSpec.okamoto(0.4),
-    ModelSpec.hou_luo(),
-    ModelSpec.cky(np.pi / 2),
-    ModelSpec.q0(1 / 3),
+    ModelSpec("clm"),
+    ModelSpec("de_gregorio"),
+    ModelSpec("ccf"),
+    ModelSpec("okamoto", a_ok=0.4),
+    ModelSpec("hou_luo"),
+    ModelSpec("cky", truncation_X=np.pi / 2),
+    ModelSpec("q0", c=1 / 3),
 ]
 
 
@@ -268,7 +270,7 @@ class TestHalfLineLaw:
     @pytest.mark.parametrize("n,p", list(_cky_cases()))
     def test_matches_dense_rule(self, n, p):
         grid = PeriodicGrid(n, 2.0)
-        model = ModelSpec.cky(p * grid.dx)
+        model = ModelSpec("cky", truncation_X=p * grid.dx)
         x = grid.nodes
         smooth = np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x) + 0.1 * np.cos(np.pi * x)
         rough = np.random.default_rng(n + p).standard_normal(n)
@@ -289,7 +291,7 @@ class TestHalfLineLaw:
         omega = PeriodicField(grid, np.sin(np.pi * grid.nodes))
         tracemalloc.start()
         try:
-            biot_savart(ModelSpec.cky(1.0), omega)
+            biot_savart(ModelSpec("cky", truncation_X=1.0), omega)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,7 +308,7 @@ class TestStructuralProperties:
             PeriodicField(grid, omega), PeriodicField(grid, theta), 0.0
         )
 
-    @pytest.mark.parametrize("model", [ModelSpec.q0(1 / 3), ModelSpec.hou_luo()])
+    @pytest.mark.parametrize("model", [ModelSpec("q0", c=1 / 3), ModelSpec("hou_luo")])
     def test_parity_propagation(self, model):
         s = self._symmetric_state()
         rate = rhs(model, s)
@@ -320,7 +322,7 @@ class TestStructuralProperties:
     def test_q0_scaling_symmetry(self, lam, mu):
         # (omega', theta')(x) = ((mu/lam) omega(lam x), (mu^2/lam^2) theta(lam x))
         # must satisfy rhs' = ((mu^2/lam) omega_dot(lam x), (mu^3/lam^2) theta_dot(lam x))
-        model = ModelSpec.q0(1 / 3)
+        model = ModelSpec("q0", c=1 / 3)
         s = self._symmetric_state(n=256)
         n = s.grid.n_points
         rate = rhs(model, s)
@@ -344,7 +346,7 @@ class TestStructuralProperties:
     def test_q0_velocity_equation_identity(self):
         # -c * omega_dot must equal -u u_x - c theta_x for u = -c omega
         c = 1 / 3
-        model = ModelSpec.q0(c)
+        model = ModelSpec("q0", c=c)
         s = self._symmetric_state()
         rate = rhs(model, s)
         u = -c * s.omega.values
@@ -354,7 +356,7 @@ class TestStructuralProperties:
         rhs_vals = -u * u_x - c * theta_x
         assert np.max(np.abs(lhs - rhs_vals)) <= 1e-10 * max(np.max(np.abs(lhs)), 1.0)
 
-    @pytest.mark.parametrize("model", [ModelSpec.q0(1 / 3), ModelSpec.hou_luo()])
+    @pytest.mark.parametrize("model", [ModelSpec("q0", c=1 / 3), ModelSpec("hou_luo")])
     def test_theta_transport_integral_identity(self, model):
         # d/dt int theta = int u_x theta for pure transport: the discrete
         # integrals of theta_dot and u_x*theta agree to rounding
@@ -370,7 +372,7 @@ class TestStructuralProperties:
     def test_theta_extrema_preserved_pointwise(self):
         # transport keeps theta constant where theta_x = 0: theta_dot
         # vanishes at interior extrema of theta
-        model = ModelSpec.q0(1 / 3)
+        model = ModelSpec("q0", c=1 / 3)
         s = self._symmetric_state()
         rate = rhs(model, s)
         theta_x = np.abs(spectral_derivative(s.theta).values)

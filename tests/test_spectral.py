@@ -8,7 +8,6 @@ from jetlab import (
     PeriodicGrid,
     antiderivative_zero_mean,
     hilbert_transform,
-    resample,
     spectral_derivative,
     tail_energy_fraction,
 )
@@ -201,13 +200,6 @@ class TestHalfPeriodIntegral:
 
 
 class TestResampleAndTail:
-    def test_resample_exact_for_resolved(self):
-        f = field(64, 2.0, lambda x: np.sin(np.pi * x) + 0.2 * np.cos(3 * np.pi * x))
-        g = resample(f, 128)
-        x2 = g.grid.nodes
-        exact = np.sin(np.pi * x2) + 0.2 * np.cos(3 * np.pi * x2)
-        assert np.max(np.abs(g.values - exact)) <= 1e-13
-
     def test_tail_fraction_low_and_high(self):
         low = field(128, 2.0, lambda x: np.sin(np.pi * x))
         assert tail_energy_fraction(low) <= 1e-28

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -17,15 +15,12 @@ from jetlab import (
     elliptic_residuals,
     extract_jets,
     jet_relation_residual,
-    load_strip_field,
     manufactured_case,
-    manufactured_error,
-    manufactured_omega,
-    save_strip_field,
     solve_elliptic,
 )
 from jetlab import strip
-from jetlab.strip import _HEADER, _band
+from jetlab.cli import main
+from jetlab.strip import _band
 
 
 def strip_grid(n=64, M=256, L=2 * np.pi):
@@ -67,7 +62,7 @@ class TestGridAndField:
     def test_strip_builders_return_x_contiguous_values(self):
         phi_exact, omega = manufactured_case("exp", 2, strip_grid(16, 32))
         phi = solve_elliptic(2, omega)
-        for values in (phi_exact.values, omega.values, phi.values):
+        for values in (phi_exact.columns(0, 33), omega.columns(0, 33), phi.values):
             assert values.flags.f_contiguous
 
     def test_unknown_case_lists_the_cases(self):
@@ -83,13 +78,14 @@ class TestRankOneField:
         rng = np.random.RandomState(4)
         q, x = rng.randn(33), rng.randn(16)
         field = RankOneStripField(grid, q, x)
-        assert field.values.flags.f_contiguous
-        assert_same_bits(field.values, x[:, None] * q[None, :])
+        values = field.columns(0, 33)
+        assert values.flags.f_contiguous
+        assert_same_bits(values, x[:, None] * q[None, :])
         scratch = np.full((4, 16), np.nan)
         block = field.columns(5, 8, scratch)
         assert block.shape == (16, 3) and np.shares_memory(block, scratch)
-        assert_same_bits(block, field.values[:, 5:8])
-        assert_same_bits(field.columns(32, 33), field.values[:, 32:])
+        assert_same_bits(block, values[:, 5:8])
+        assert_same_bits(field.columns(32, 33), values[:, 32:])
 
     @pytest.mark.parametrize(
         "q_shape,x_shape", [((32,), (16,)), ((33,), (17,)), ((33, 1), (16,)), ((), (16,))]
@@ -112,7 +108,6 @@ class TestRankOneField:
     def test_manufactured_fields_are_rank_one(self):
         phi, omega = manufactured_case("exp", 1, strip_grid(16, 32))
         assert isinstance(phi, RankOneStripField) and isinstance(omega, RankOneStripField)
-        assert isinstance(manufactured_omega("exp", 1, strip_grid(16, 32)), RankOneStripField)
 
     @pytest.mark.parametrize("block", [1, 5, 16, 64])
     @pytest.mark.parametrize("case", MANUFACTURED_CASES)
@@ -120,8 +115,8 @@ class TestRankOneField:
     def test_strip_passes_see_the_bits_of_the_dense_copy(self, monkeypatch, m, case, block):
         monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
         grid = strip_grid(64, 48)
-        omega = manufactured_omega(case, m, grid)
-        dense = StripField(grid, omega.values)
+        _, omega = manufactured_case(case, m, grid)
+        dense = StripField(grid, omega.columns(0, 49))
         phi = solve_elliptic(m, omega)
         assert_same_bits(phi.values, solve_elliptic(m, dense).values)
         assert elliptic_residuals(phi, omega, m) == elliptic_residuals(phi, dense, m)
@@ -132,13 +127,28 @@ class TestRankOneField:
 
 
 class TestManufactured:
-    """jet-verify's omega-only builder and blocked error against the whole-strip pair."""
+    """What jet-verify hands its pass, and the pass's blocked error, against
+    the whole-strip pair."""
 
     @pytest.mark.parametrize("case", ["linear", "quadratic", "quadratic_minus", "exp"])
     @pytest.mark.parametrize("m", [1, 2])
-    def test_omega_alone_is_the_pairs_omega(self, case, m):
-        grid = strip_grid(32, 48)
-        assert_same_bits(manufactured_omega(case, m, grid).values, manufactured_case(case, m, grid)[1].values)
+    def test_omega_alone_is_the_pairs_omega(self, monkeypatch, capsys, case, m):
+        # jet-verify builds the case once and hands its exact pair to the pass
+        built, handed = [], []
+
+        def recorded(log, call):
+            return lambda *args: log.append(args) or call(*args)
+
+        monkeypatch.setattr("jetlab.cli.manufactured_case", recorded(built, manufactured_case))
+        monkeypatch.setattr(strip, "manufactured_case", recorded(built, manufactured_case))
+        monkeypatch.setattr("jetlab.cli.manufactured_pass", recorded(handed, strip.manufactured_pass))
+        main(["jet-verify", str(m), "48", case, "--n", "32"])
+        assert [args[:2] for args in built] == [(case, m)]
+        (phi_exact, omega, m_handed), = handed
+        pair = manufactured_case(case, m, strip_grid(32, 48))
+        assert m_handed == m
+        for field, expected in zip((phi_exact, omega), pair):
+            assert_same_bits(field.columns(0, 49), expected.columns(0, 49))
 
     @pytest.mark.parametrize("block", [1, 5, 16, 64])
     @pytest.mark.parametrize("case", ["linear", "exp"])
@@ -147,17 +157,10 @@ class TestManufactured:
         grid = strip_grid(32, 48)
         phi_exact, omega = manufactured_case(case, 2, grid)
         phi = solve_elliptic(2, omega)
-        expected = float(np.max(np.abs(phi.values - phi_exact.values)))
+        expected = float(np.max(np.abs(phi.values - phi_exact.columns(0, 49))))
         assert expected > 0.0
-        assert manufactured_error(case, 2, phi) == expected
-        assert manufactured_error(case, 2, phi_exact) == 0.0
-
-    def test_unknown_case_is_rejected_by_every_builder(self):
-        grid = strip_grid(16, 16)
-        zero = StripField(grid, np.zeros((16, 17)))
-        for build in (lambda: manufactured_omega("cubic", 1, grid), lambda: manufactured_error("cubic", 1, zero)):
-            with pytest.raises(ValueError, match="choose from"):
-                build()
+        assert strip.manufactured_pass(phi_exact, omega, 2).solve_max_error == expected
+        assert strip.manufactured_pass(phi, omega, 2).solve_max_error == 0.0
 
 
 class TestSolveElliptic:
@@ -175,13 +178,13 @@ class TestSolveElliptic:
         boundary_coef = 4 + 2 * m + 1
         assert np.max(
             np.abs(
-                omega.values[:, 0]
+                omega.columns(0, 1)[:, 0]
                 - boundary_coef * np.sin(grid.x_grid.nodes)
             )
         ) <= 1e-12  # omega(x, 0) = (7 - 0) sin for m = 1, (9 - 0) sin for m = 2
         phi = solve_elliptic(m, omega)
-        assert np.max(np.abs(phi.values - phi_exact.values)) <= 1e-6
-        assert elliptic_residual(phi, omega, m) <= 1e-10 * np.max(np.abs(omega.values))
+        assert np.max(np.abs(phi.values - phi_exact.columns(0, 257))) <= 1e-6
+        assert elliptic_residual(phi, omega, m) <= 1e-10 * np.max(np.abs(omega.columns(0, 257)))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_order_two_convergence(self, m):
@@ -190,7 +193,7 @@ class TestSolveElliptic:
             grid = strip_grid(64, M)
             phi_exact, omega = manufactured_case("exp", m, grid)
             phi = solve_elliptic(m, omega)
-            errors.append(np.max(np.abs(phi.values - phi_exact.values)))
+            errors.append(np.max(np.abs(phi.values - phi_exact.columns(0, M + 1))))
         for e1, e2 in zip(errors, errors[1:]):
             assert 3.6 <= e1 / e2 <= 4.4
 
@@ -201,7 +204,7 @@ class TestSolveElliptic:
         grid = strip_grid(64, 2048)
         _, omega = manufactured_case("linear", m, grid)
         phi = solve_elliptic(m, omega)
-        assert elliptic_residual(phi, omega, m) > 1e-10 * np.max(np.abs(omega.values))
+        assert elliptic_residual(phi, omega, m) > 1e-10 * np.max(np.abs(omega.columns(0, 2049)))
         assert elliptic_residuals(phi, omega, m)[1] <= 1e-14
 
     def test_k_zero_mode_handled(self):
@@ -352,8 +355,10 @@ def two_pass_residuals(phi, omega, m):
     its own transforms of row-major copies of phi and omega: the oracle the
     one-pass form must match bit for bit."""
     grid = phi.grid
-    phi_values, omega_values = np.ascontiguousarray(phi.values), np.ascontiguousarray(omega.values)
-    band = _band(m, grid.n_q_intervals, grid.dq)
+    M = grid.n_q_intervals
+    phi_values = np.ascontiguousarray(phi.values)
+    omega_values = np.ascontiguousarray(omega.columns(0, M + 1))
+    band = _band(m, M, grid.dq)
     k2 = grid.x_grid.wavenumbers**2
 
     res = two_pass_band_product(band, k2, np.fft.rfft(phi_values, axis=0))
@@ -399,7 +404,7 @@ def one_pass_solve(m, omega):
     for bit."""
     grid = omega.grid
     M = grid.n_q_intervals
-    rhs = np.negative(np.fft.rfft(omega.values, axis=0).T, order="C")
+    rhs = np.negative(np.fft.rfft(omega.columns(0, M + 1), axis=0).T, order="C")
     rhs[M] = 0.0
     phi_hat = full_pivot_sweep(_band(m, M, grid.dq), grid.x_grid.wavenumbers**2, rhs)
     return np.fft.irfft(phi_hat.T, n=grid.x_grid.n_points, axis=0)
@@ -464,7 +469,7 @@ class TestBlockedSolve:
         # phi is the solve's one strip: omega's blocks are built in its lowest
         # columns, which the top-down back substitution writes last
         monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
-        omega = manufactured_omega("exp", m, strip_grid(64, 100))
+        _, omega = manufactured_case("exp", m, strip_grid(64, 100))
         scratches = []
 
         class Recorded:  # omega as the solve reads it
@@ -477,7 +482,7 @@ class TestBlockedSolve:
         values = solve_elliptic(m, Recorded()).values
         assert values.base is None and values.flags.f_contiguous
         assert scratches and all(np.shares_memory(out, values) for out in scratches)
-        assert_same_bits(values, one_pass_solve(m, StripField(omega.grid, omega.values)))
+        assert_same_bits(values, one_pass_solve(m, StripField(omega.grid, omega.columns(0, 101))))
 
 
 class TestResidualPass:
@@ -546,11 +551,11 @@ class TestStreamedPass:
     @staticmethod
     def assert_matches_field_routes(case, m, grid):
         phi_exact, omega = manufactured_case(case, m, grid)
-        checks = strip.manufactured_pass(case, m, omega)
+        checks = strip.manufactured_pass(phi_exact, omega, m)
         phi = solve_elliptic(m, omega)
         assert_same_bits(phi.values, one_pass_solve(m, omega))
-        assert checks.solve_max_error == manufactured_error(case, m, phi)
-        assert checks.solve_max_error == float(np.max(np.abs(phi.values - phi_exact.values)))
+        expected = float(np.max(np.abs(phi.values - phi_exact.columns(0, grid.n_q_intervals + 1))))
+        assert checks.solve_max_error == expected
         assert checks.residuals == elliptic_residuals(phi, omega, m)
         assert checks.residuals == two_pass_residuals(phi, omega, m)
         assert set(checks.jets) == {"pde", "difference"}
@@ -570,14 +575,13 @@ class TestStreamedPass:
             monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
             self.assert_matches_field_routes(case, m, strip_grid(n, M))
 
-    def test_unknown_case_fails_before_the_solve(self, monkeypatch):
+    def test_unknown_case_fails_before_the_solve(self, monkeypatch, capsys):
         def no_solve(*args):
             raise AssertionError("solved for an unknown case")
 
         monkeypatch.setattr(strip, "solve_banded_segments", no_solve)
-        omega = manufactured_omega("exp", 1, strip_grid(16, 16))
-        with pytest.raises(ValueError, match="choose from"):
-            strip.manufactured_pass("cubic", 1, omega)
+        assert main(["jet-verify", "1", "16", "cubic", "--n", "16"]) == 1
+        assert "choose from" in capsys.readouterr().err
 
 
 class TestJets:
@@ -670,7 +674,7 @@ class TestVelocities:
     def test_manufactured_velocities(self):
         grid = strip_grid(64, 256)
         phi_exact, _ = manufactured_case("linear", 1, grid)
-        v, g = compute_velocities(phi_exact, 1)
+        v, g = compute_velocities(StripField(grid, phi_exact.columns(0, 257)), 1)
         x = grid.x_grid.nodes
         q = grid.q_nodes
         v_exact = np.cos(x)[:, None] * (1 - q)[None, :]
@@ -693,53 +697,3 @@ class TestVelocities:
         phi = solve_elliptic(1, omega)
         v, _ = compute_velocities(phi, 1)
         assert np.max(np.abs(v.values[:, -1])) <= 1e-11
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        grid = strip_grid(16, 32, 3.0)
-        rng = np.random.RandomState(0)
-        field = StripField(grid, rng.randn(16, 33))
-        path = tmp_path / "field.bin"
-        save_strip_field(field, path)
-        back = load_strip_field(path)
-        assert np.array_equal(back.values, field.values)
-        assert back.grid.x_grid.period_L == 3.0
-        sidecar = json.loads((tmp_path / "field.bin.json").read_text())
-        assert sidecar["n_x"] == 16
-        assert sidecar["n_q_intervals"] == 32
-        assert sidecar["byte_order"] == "little"
-
-    def test_payload_is_row_major_whatever_the_input_layout(self, tmp_path):
-        grid = strip_grid(16, 32, 3.0)
-        c_values = np.random.RandomState(2).randn(16, 33)
-        payloads = []
-        for values in (c_values, np.asfortranarray(c_values)):
-            path = tmp_path / f"field_{len(payloads)}.bin"
-            save_strip_field(StripField(grid, values), path)
-            payloads.append(path.read_bytes())
-        assert payloads[0] == payloads[1]
-        assert payloads[0][_HEADER.size:] == c_values.astype("<f8").tobytes()
-
-    def test_rank_one_field_is_saved_like_its_dense_copy(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", 7)  # 40 x-rows: six blocks
-        field = manufactured_case("exp", 1, strip_grid(40, 16))[0]
-        builds, values = [], RankOneStripField.values
-        monkeypatch.setattr(
-            RankOneStripField, "values", property(lambda self: builds.append(1) or values.fget(self))
-        )
-        save_strip_field(field, tmp_path / "rank_one.bin")
-        assert builds == [1]  # the strip is built once, not once per block of rows
-        save_strip_field(StripField(field.grid, field.values), tmp_path / "dense.bin")
-        assert (tmp_path / "rank_one.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
-        assert (tmp_path / "rank_one.bin.json").read_text() == (tmp_path / "dense.bin.json").read_text()
-
-    @pytest.mark.parametrize("block", [1, 7, 16, 64])
-    def test_payload_does_not_depend_on_the_block_of_rows(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
-        c_values = np.random.RandomState(3).randn(40, 17)  # 40 rows: a partial last block for 7, 16
-        for layout, values in (("c", c_values), ("f", np.asfortranarray(c_values))):
-            path = tmp_path / f"field_{layout}.bin"
-            save_strip_field(StripField(strip_grid(40, 16, 3.0), values), path)
-            assert path.read_bytes()[_HEADER.size:] == c_values.astype("<f8").tobytes()
-            assert_same_bits(load_strip_field(path).values, c_values)

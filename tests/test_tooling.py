@@ -135,6 +135,7 @@ OVERFLOW = {
 }
 HUGE_CKY_X = {"model": {"name": "CKY", "X": 1e308}, "grid": {"n": 64, "L": 2.0}}
 TINY_L = {"model": {"name": "Q0"}, "grid": {"n": 64, "L": 1e-320}}
+NUL_DIRECTORY = {"model": {"name": "Q0"}, "grid": {"n": 64}, "outputs": {"directory": "a\x00b"}}
 
 
 def huge_amplitude(amplitude: float) -> bytes:
@@ -149,6 +150,7 @@ FAILURE_CONTRACT = {
     "bad-field": (["run-model"], json.dumps({"model": {"name": "Q0", "a": -2.0}}).encode(), 1),
     "huge-cky-X": (["run-model"], json.dumps(HUGE_CKY_X).encode(), 1),
     "tiny-L": (["run-model"], json.dumps(TINY_L).encode(), 1),
+    "nul-in-output-directory": (["run-model"], json.dumps(NUL_DIRECTORY).encode(), 1),
     "record-past-the-float-range": (["run-model"], huge_amplitude(1e160), 0),
     "record-of-inf-and-nan": (["run-model"], huge_amplitude(1e308), 0),
     "jet-verify-input": (["jet-verify", "1", "0", "exp"], None, 1),
@@ -192,6 +194,13 @@ def python(argv, env) -> subprocess.CompletedProcess:
                             timeout=120)
     assert result.returncode == 0 and result.stderr == "", result.stderr
     return result
+
+
+def test_every_exported_name_resolves():
+    # in a fresh process every name goes through the lazy __getattr__, so a
+    # name dropped from its module but left in the export table fails here
+    code = "import jetlab\nprint([name for name in jetlab.__all__ if not hasattr(jetlab, name)])"
+    assert python(["-c", code], jetlab_env()).stdout == "[]\n"
 
 
 def test_import_jetlab_loads_no_numpy():
