@@ -33,10 +33,7 @@ from .identities import identity_case_names, operator_identity_check
 from .grid import PeriodicGrid
 from .runner import preflight_output_dir, run_experiment
 from .strip import (
-    MANUFACTURED_CASES,
-    StripGrid,
-    jet_relation_residual,
-    manufactured_case,
+    MANUFACTURED_CASES, StripGrid, jet_relation_residual, jet_verify_budget, manufactured_case,
     manufactured_pass,
 )
 
@@ -96,8 +93,16 @@ def _audit_exit(failed) -> int:
     return EXIT_AUDIT if failed else EXIT_OK
 
 
+def _read_bytes(path: str, name: str) -> bytes:
+    """The bytes of the document at ``path``; a NUL in the path is a ConfigError at ``name``."""
+    try:
+        return Path(path).read_bytes()
+    except ValueError as exc:  # an embedded NUL byte
+        raise ConfigError(name, f"{path!r} is not a valid path: {exc}") from None
+
+
 def _cmd_run_model(args) -> int:
-    summary = run_experiment(parse_config(Path(args.config).read_bytes()))
+    summary = run_experiment(parse_config(_read_bytes(args.config, "<document>")))
     result = summary["result"]
     print(f"termination: {result.termination} at t = {result.t_final:.6g}")
     for name, path in summary["paths"].items():
@@ -144,8 +149,8 @@ def _run_one_sweep(payload) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    template = read_document(Path(args.template).read_bytes(), "<template>")
-    grid_doc = read_document(Path(args.grid).read_bytes(), "<grid>")
+    template = read_document(_read_bytes(args.template, "<template>"), "<template>")
+    grid_doc = read_document(_read_bytes(args.grid, "<grid>"), "<grid>")
     axes = {p: _shaped(grid_doc, p, list, f"<grid> {p}") for p in sorted(grid_doc)}
     size = math.prod(map(len, axes.values()))
     if size > SWEEP_BUDGET:
@@ -175,17 +180,6 @@ def _cmd_sweep(args) -> int:
     summary_path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
     print(f"{len(rows)} runs -> {summary_path}")
     return next((r["exit_code"] for r in rows if r["exit_code"]), EXIT_OK)
-
-
-def jet_verify_budget(n: int, M: int) -> int:
-    """Bytes that ``jet-verify`` at n x-points and M q-intervals allocates at
-    its peak, at most (see README).  It holds no strip-sized array: the
-    solve's checkpoints, one real pivot row and one complex right-hand-side
-    row per 16 q-rows; 160 spectrum rows (complex, n/2+1 each) for the
-    per-block arrays of the solve and the checks; 80 bytes per q-node for
-    the band and the manufactured profiles; and 64 KiB for the command."""
-    K = n // 2 + 1
-    return 24 * K * (M // 16 + 1) + 16 * K * 160 + 80 * (M + 1) + 2**16
 
 
 def _cmd_jet_verify(args) -> int:

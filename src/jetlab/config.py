@@ -15,8 +15,7 @@ import numpy as np
 
 from . import evolve
 from .evolve import StepperConfig
-from .grid import PeriodicGrid, reflect_values
-from .initial_data import build_field
+from .grid import PeriodicField, PeriodicGrid, reflect_values
 from .models import (
     HALF_LINE, LOCAL, MODEL_TABLE, ClosureParams, EvolutionState, ModelSpec, closure_coefficient,
 )
@@ -93,6 +92,41 @@ def _shaped(section: dict, key: str, kind: type, path: str, default=None):
         expected = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise ConfigError(path, f"expected {expected}, got {value!r}")
     return value
+
+
+def _phase(grid: PeriodicGrid, k: int, lowest: int) -> np.ndarray:
+    """2 pi k x / L at the nodes, for a mode ``lowest <= k < n/2``."""
+    if not lowest <= k < grid.n_points // 2:
+        raise ValueError(f"mode k must satisfy {lowest} <= k < n/2")
+    return 2.0 * np.pi * k * grid.nodes / grid.period_L
+
+
+def _custom_fourier(grid: PeriodicGrid, spec: dict) -> np.ndarray:
+    """Sum of a_k sin(2 pi k x / L) + b_k cos(2 pi k x / L) over [k, a_k, b_k] rows."""
+    values = np.zeros(grid.n_points)
+    for k, a, b in spec["terms"]:
+        phase = _phase(grid, k, 0)
+        values += a * np.sin(phase) + b * np.cos(phase)
+    return values
+
+
+# The initial-data generators: a field's values from the grid and a spec whose numbers
+# _field has read.  sin_fundamental and sin_k with k = 1 round differently.
+GENERATORS = {
+    "sin_fundamental": lambda grid, spec: spec.get("amplitude", 1.0)
+    * np.sin(2.0 * np.pi / grid.period_L * grid.nodes),
+    "sin_k": lambda grid, spec: spec.get("amplitude", 1.0) * np.sin(_phase(grid, spec["k"], 1)),
+    "zero": lambda grid, spec: np.zeros(grid.n_points),
+    "custom_fourier": _custom_fourier,
+}
+
+
+def build_field(grid: PeriodicGrid, spec: dict) -> PeriodicField:
+    """Build a field from a generator description {"name": ..., params}."""
+    name = spec.get("name")
+    if not isinstance(name, str) or name not in GENERATORS:  # a list or object name is unknown
+        raise ValueError(f"unknown initial-data generator {name!r}")
+    return PeriodicField(grid, GENERATORS[name](grid, spec))
 
 
 def _field(grid: PeriodicGrid, spec, path: str):

@@ -66,7 +66,7 @@ class RunResult:
         """Pole-fit blow-up time of the sup history, fitted once (None below 8 records)."""
         if len(self.diagnostics) < 8:
             return None
-        return estimate_blowup_time(self.sup_series, FIT_FRACTION, FIT_RESIDUAL_THRESHOLD)
+        return estimate_blowup_time(self.sup_series)
 
 
 def _rk4(plan: KernelPlan, y: np.ndarray, dt: float, k: np.ndarray, out: np.ndarray) -> None:
@@ -112,8 +112,8 @@ def step_rk4(
     stacked rows (omega[, theta]) with one finiteness check per stage."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    plan = KernelPlan(model, s.grid, dealias)
     y = state_rows(model, s)
+    plan = KernelPlan(model, s.grid, dealias)
     k = np.empty((4,) + y.shape)
     plan.evaluate(y, k[0])
     out = np.empty_like(y)
@@ -143,11 +143,9 @@ def run(
     record them.  A theta that starts at +0.0 at every node stays exactly
     +0.0, so the run then steps omega's row alone and records theta as zeros.
     """
-    if model.has_theta != (init.theta is not None):
-        raise ValueError("initial state theta presence must match the model")
     grid = init.grid
-    plan = KernelPlan(model, grid, cfg.dealias)
     y = state_rows(model, init)
+    plan = KernelPlan(model, grid, cfg.dealias)
     if model.has_theta and is_plus_zero(y[1]):
         y = y[:1]  # theta = +0.0 everywhere, and it stays so
     y_next = np.empty_like(y)
@@ -212,16 +210,12 @@ def run(
     return RunResult(snapshots, records, termination, t, grid.period_L)
 
 
-def estimate_blowup_time(
-    sup_series: Sequence[Tuple[float, float]],
-    fit_fraction: float = 0.25,
-    residual_threshold: float = 0.1,
-) -> Optional[float]:
+def estimate_blowup_time(sup_series: Sequence[Tuple[float, float]]) -> Optional[float]:
     """Pole-ansatz blow-up time from a sup-norm history.
 
-    Fits 1/sup against t by least squares over the trailing ``fit_fraction``
+    Fits 1/sup against t by least squares over the trailing ``FIT_FRACTION``
     of the samples and returns the root of the fit when the slope is
-    negative and the relative RMS residual is below ``residual_threshold``;
+    negative and the relative RMS residual is below ``FIT_RESIDUAL_THRESHOLD``;
     otherwise returns None ("no blow-up detected").  The 1/(T - t) ansatz is
     a detection tool only; no growth rate is asserted.
     """
@@ -233,7 +227,7 @@ def estimate_blowup_time(
         raise ValueError("sample times must be strictly increasing")
     if np.any(sup <= 0):
         return None
-    m = max(int(np.ceil(fit_fraction * t.size)), 3)
+    m = max(int(np.ceil(FIT_FRACTION * t.size)), 3)
     tt, yy = t[-m:], 1.0 / sup[-m:]
     slope, intercept = np.polyfit(tt, yy, 1)
     if slope >= 0:
@@ -241,6 +235,6 @@ def estimate_blowup_time(
     fit = slope * tt + intercept
     rms = float(np.sqrt(np.mean((yy - fit) ** 2)))
     scale = max(float(np.max(np.abs(yy))), 1e-300)
-    if rms / scale > residual_threshold:
+    if rms / scale > FIT_RESIDUAL_THRESHOLD:
         return None
     return float(-intercept / slope)

@@ -30,7 +30,6 @@ MODEL_TABLE = {
     "cky": ModelRow(HALF_LINE, 1.0, False, True),
     "q0": ModelRow(LOCAL, 1.0, False, True),
 }
-KINDS = tuple(MODEL_TABLE)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,15 @@ def _blocks(count: int):
         yield lo, min(lo + _RESIDUAL_BLOCK, count)
 
 
+def jet_verify_budget(n: int, M: int) -> int:
+    """Bytes that ``jet-verify`` at n x-points and M q-intervals allocates at
+    its peak, at most (see README): 24 per mode for each block's checkpoint,
+    160 complex spectrum rows for the per-block arrays, 80 per q-node for the
+    band and the manufactured profiles, and 64 KiB for the command."""
+    K = n // 2 + 1
+    return 24 * K * (M // _RESIDUAL_BLOCK + 1) + 16 * K * 160 + 80 * (M + 1) + 2**16
+
+
 @dataclass(frozen=True)
 class StripGrid:
     """Periodic x-grid crossed with M+1 uniform q-nodes on [0, 1]."""
@@ -190,8 +199,7 @@ def solve_banded_segments(
     row just above it.  So the bits are those of a sweep that keeps every
     row; ``load`` is called twice for each segment but the top one and must
     return the same values each time.  Besides the segment in hand, the
-    solve holds 24 bytes per mode for each checkpoint and a segment of real
-    pivot rows.
+    solve holds its checkpoints (:func:`jet_verify_budget`) and a segment of pivot rows.
     """
     M, K, B = ab.shape[1] - 1, k2.size, _RESIDUAL_BLOCK
     f = ab[0, 2] / ab[1, 2]  # row 0 -= f * row 1

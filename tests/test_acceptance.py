@@ -123,9 +123,7 @@ def test_c03_manufactured_elliptic():
 
 def test_c04_blowup_bound(blowup_run):
     F0 = C_RUN * half_period_integrals(sin_state(2048).omega)[0]  # the run's initial data
-    t_star = estimate_blowup_time(
-        blowup_run.sup_series, fit_fraction=0.25, residual_threshold=0.5
-    )
+    t_star = estimate_blowup_time(blowup_run.sup_series)
     ok = (
         blowup_run.termination == SUP_CAP_HIT
         and abs(F0 - F0_SIN) <= 1e-12

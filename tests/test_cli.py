@@ -8,7 +8,8 @@ import pytest
 
 from jetlab import ConfigError, parse_config, rhs
 from jetlab.cli import _memory_available, _worker_count, main
-from jetlab.initial_data import build_field
+from jetlab.config import GENERATORS, build_field
+from jetlab.grid import PeriodicGrid
 from jetlab.models import ModelSpec
 from jetlab.runner import run_experiment
 from jetlab.spectral import half_period_integrals
@@ -130,8 +131,6 @@ class TestParseConfig:
 
 class TestGenerators:
     def test_named_generators(self):
-        from jetlab import PeriodicGrid
-
         grid = PeriodicGrid(64, 2.0)
         x = grid.nodes
         f = build_field(grid, {"name": "sin_fundamental"})
@@ -147,6 +146,31 @@ class TestGenerators:
         assert np.max(np.abs(f4.values - expected)) <= 1e-14
         with pytest.raises(ValueError):
             build_field(grid, {"name": "white_noise"})
+
+    # n = 66 puts an odd number of cells in the half period; at L = 3,
+    # sin_fundamental and sin_k with k = 1 round differently
+    @pytest.mark.parametrize("n", [64, 66])
+    def test_generators_keep_their_formulas(self, n):
+        grid = PeriodicGrid(n, 3.0)
+        x, L = grid.nodes, grid.period_L
+        terms = [[0, 0.5, 0.25], [1, 1.0, 0.0], [3, -0.7, 0.3]]
+        k1 = 2.0 * np.pi / L
+        fourier = np.zeros(n)
+        for k, a, b in terms:
+            phase = 2.0 * np.pi * k * x / L
+            fourier += a * np.sin(phase) + b * np.cos(phase)
+        cases = [
+            ({"name": "sin_fundamental"}, 1.0 * np.sin(k1 * x)),
+            ({"name": "sin_fundamental", "amplitude": 0.75}, 0.75 * np.sin(k1 * x)),
+            ({"name": "sin_k", "k": 1}, 1.0 * np.sin(2.0 * np.pi * 1 * x / L)),
+            ({"name": "sin_k", "k": 3, "amplitude": 0.5}, 0.5 * np.sin(2.0 * np.pi * 3 * x / L)),
+            ({"name": "zero"}, np.zeros(n)),
+            ({"name": "custom_fourier", "terms": terms}, fourier),
+        ]
+        assert {spec["name"] for spec, _ in cases} == set(GENERATORS)
+        for spec, expected in cases:
+            assert build_field(grid, spec).values.tobytes() == expected.tobytes(), spec
+        assert not np.array_equal(cases[0][1], cases[2][1])
 
 
 class TestRunModel:
@@ -351,6 +375,33 @@ class TestConfigFailures:
         code, err = self._run(tmp_path, capsys, doc)
         assert code == 1 and f"initial_data.{field}:" in err
 
+    @pytest.mark.parametrize(
+        "spec,line",
+        [
+            (
+                {"name": "white_noise"},
+                "initial_data.omega: cannot build {'name': 'white_noise'}:"
+                " ValueError(\"unknown initial-data generator 'white_noise'\")",
+            ),
+            ({"name": "sin_k"}, "initial_data.omega: cannot build {'name': 'sin_k'}: KeyError('k')"),
+            (
+                {"name": "sin_k", "k": 2, "amplitude": "2"},
+                "initial_data.omega.amplitude: expected a finite number, got '2'",
+            ),
+            (
+                {"name": "sin_k", "k": 32},
+                "initial_data.omega: cannot build {'name': 'sin_k', 'k': 32}:"
+                " ValueError('mode k must satisfy 1 <= k < n/2')",
+            ),
+        ],
+        ids=["unknown", "missing-k", "string-amplitude", "out-of-range-k"],
+    )
+    def test_generator_error_lines(self, tmp_path, capsys, spec, line):
+        doc = minimal_q0(tmp_path, grid={"n": 64, "L": 2.0})
+        doc["initial_data"]["omega"] = spec
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and err == f"config error: {line}\n"
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_dealias_must_be_boolean(self, tmp_path, capsys, value):
         doc = minimal_q0(tmp_path)
@@ -496,6 +547,23 @@ class TestConfigFailures:
             monkeypatch.setenv("JETLAB_WORKERS", env)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert _worker_count() == expected
+
+    @pytest.mark.parametrize("where", ["<document>", "<template>", "<grid>"])
+    def test_document_path_with_a_nul_byte(self, tmp_path, capsys, where):
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(minimal_q0(tmp_path)))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5]}))
+        argv = {
+            "<document>": ["run-model", "a\x00b"],
+            "<template>": ["sweep", "a\x00b", str(grid_path)],
+            "<grid>": ["sweep", str(template_path), "a\x00b"],
+        }[where]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {where}: 'a\\x00b' is not a valid path: embedded null byte\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["run-model", "template", "grid"])
     @pytest.mark.parametrize(

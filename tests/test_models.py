@@ -7,6 +7,7 @@ from jetlab import (
     ModelSpec,
     PeriodicField,
     PeriodicGrid,
+    StepperConfig,
     antiderivative_zero_mean,
     biot_savart,
     closure_coefficient,
@@ -14,7 +15,9 @@ from jetlab import (
     parse_config,
     reconstruct_rho,
     rhs,
+    run,
     spectral_derivative,
+    step_rk4,
 )
 from jetlab.grid import reflect_values
 from jetlab.spectral import composite_weights, dealias_filter
@@ -170,10 +173,16 @@ class TestRhs:
 
     def test_theta_presence_must_match(self):
         grid = PeriodicGrid(64, 2.0)
-        with pytest.raises(ValueError):
-            rhs(ModelSpec("clm"), make_state(grid, np.sin, lambda x: np.zeros_like(x)))
-        with pytest.raises(ValueError):
-            rhs(ModelSpec("q0", c=0.5), make_state(grid, np.sin))
+        steps = (
+            rhs,
+            lambda model, s: step_rk4(model, s, 1e-3),
+            lambda model, s: run(model, s, StepperConfig(t_end=1e-3)),
+        )
+        for step in steps:
+            with pytest.raises(ValueError, match="theta presence must match"):
+                step(ModelSpec("clm"), make_state(grid, np.sin, lambda x: np.zeros_like(x)))
+            with pytest.raises(ValueError, match="theta presence must match"):
+                step(ModelSpec("q0", c=0.5), make_state(grid, np.sin))
 
 
 def composed_velocity(model, omega):

@@ -10,11 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetlab.cli import jet_verify_budget, main
+from jetlab.cli import main
+from jetlab.config import GENERATORS
+from jetlab.diagnostics import CSV_COLUMNS
 from jetlab.grid import PeriodicGrid
-from jetlab.strip import StripGrid, elliptic_residuals, manufactured_case, solve_elliptic
+from jetlab.strip import (
+    StripGrid, elliptic_residuals, jet_verify_budget, manufactured_case, solve_elliptic,
+)
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def tracer_layers():
@@ -35,6 +41,17 @@ def test_every_traced_layer_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_readme_csv_header_is_the_record():
+    fence = README.read_text().split("has a fixed column order")[1].split("```\n")[1]
+    header = fence.split("\n")[0]
+    assert header == ",".join(CSV_COLUMNS)
+
+
+def test_readme_names_every_generator():
+    paragraph = next(p for p in README.read_text().split("\n\n") if "Initial-data" in p)
+    assert [name for name in GENERATORS if f"`{name}`" not in paragraph] == []
 
 
 def jetlab_env() -> dict:
