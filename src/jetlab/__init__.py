@@ -27,7 +27,7 @@ _EXPORTS = {  # submodule -> the names it exports
     "identities": ("identity_case_names", "operator_identity_check"),
     "models": (
         "ClosureParams", "EvolutionState", "ModelSpec", "StateRate", "biot_savart",
-        "closure_coefficient", "reconstruct_rho", "rhs",
+        "closure_coefficient", "rhs",
     ),
     "spectral": (
         "antiderivative_zero_mean", "hilbert_transform", "spectral_derivative",
@@ -35,7 +35,7 @@ _EXPORTS = {  # submodule -> the names it exports
     ),
     "strip": (
         "JetRecord", "MANUFACTURED_CASES", "ManufacturedChecks", "RankOneStripField",
-        "StripField", "StripGrid", "closure_residual", "compute_velocities",
+        "StripField", "StripGrid", "closure_residual",
         "elliptic_residual", "elliptic_residuals", "extract_jets", "jet_relation_residual",
         "manufactured_case", "manufactured_pass", "solve_elliptic",
     ),

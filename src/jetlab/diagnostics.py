@@ -26,6 +26,9 @@ _EPS = 1e-300
 #: Tail-energy fraction above which a record counts as under-resolved.
 TAIL_THRESHOLD = 1e-8
 
+#: Fewest records the Riccati audit reads: one interior record between the ends.
+RICCATI_MIN_SAMPLES = 3
+
 
 @dataclass
 class DiagnosticRecord:
@@ -204,8 +207,8 @@ def riccati_audit(run) -> List[RiccatiSample]:
     records hold the strong term at the run's own coupling c.
     """
     records = run.diagnostics
-    if len(records) < 3:
-        raise ValueError("riccati audit needs at least 3 diagnostic samples")
+    if len(records) < RICCATI_MIN_SAMPLES:
+        raise ValueError(f"riccati audit needs at least {RICCATI_MIN_SAMPLES} diagnostic samples")
     return [
         RiccatiSample(
             t=r.t,

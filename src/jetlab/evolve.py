@@ -24,6 +24,7 @@ STEP_BUDGET = 10**6
 
 # Fit settings of a run's blow-up estimate; the relaxed residual accepts the
 # steeper-than-pole growth a spectral run shows once it leaves resolution.
+FIT_MIN_SAMPLES = 8
 FIT_FRACTION = 0.25
 FIT_RESIDUAL_THRESHOLD = 0.5
 
@@ -63,8 +64,8 @@ class RunResult:
 
     @cached_property
     def estimated_blowup_time(self) -> Optional[float]:
-        """Pole-fit blow-up time of the sup history, fitted once (None below 8 records)."""
-        if len(self.diagnostics) < 8:
+        """Pole-fit blow-up time of the sup history, fitted once (None below FIT_MIN_SAMPLES)."""
+        if len(self.diagnostics) < FIT_MIN_SAMPLES:
             return None
         return estimate_blowup_time(self.sup_series)
 
@@ -215,26 +216,30 @@ def estimate_blowup_time(sup_series: Sequence[Tuple[float, float]]) -> Optional[
 
     Fits 1/sup against t by least squares over the trailing ``FIT_FRACTION``
     of the samples and returns the root of the fit when the slope is
-    negative and the relative RMS residual is below ``FIT_RESIDUAL_THRESHOLD``;
-    otherwise returns None ("no blow-up detected").  The 1/(T - t) ansatz is
-    a detection tool only; no growth rate is asserted.
+    negative, the relative RMS residual is below ``FIT_RESIDUAL_THRESHOLD``
+    and 1/sup and the root are finite, and None otherwise ("no blow-up
+    detected").  The 1/(T - t) ansatz detects; it asserts no growth rate.
     """
     arr = np.asarray(sup_series, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 8:
-        raise ValueError("need at least 8 (t, sup) samples")
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} (t, sup) samples")
     t, sup = arr[:, 0], arr[:, 1]
     if np.any(np.diff(t) <= 0):
         raise ValueError("sample times must be strictly increasing")
     if np.any(sup <= 0):
         return None
     m = max(int(np.ceil(FIT_FRACTION * t.size)), 3)
-    tt, yy = t[-m:], 1.0 / sup[-m:]
-    slope, intercept = np.polyfit(tt, yy, 1)
-    if slope >= 0:
-        return None
-    fit = slope * tt + intercept
-    rms = float(np.sqrt(np.mean((yy - fit) ** 2)))
+    # a sup near the float floor overflows 1/sup, the residual or the root
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tt, yy = t[-m:], 1.0 / sup[-m:]
+        if not np.isfinite(yy).all():
+            return None
+        slope, intercept = np.polyfit(tt, yy, 1)
+        fit = slope * tt + intercept
+        rms = float(np.sqrt(np.mean((yy - fit) ** 2)))
+        root = float(-intercept / slope)
     scale = max(float(np.max(np.abs(yy))), 1e-300)
-    if rms / scale > FIT_RESIDUAL_THRESHOLD:
-        return None
-    return float(-intercept / slope)
+    # each test states what passes, so a nan fails it
+    if slope < 0 and rms / scale <= FIT_RESIDUAL_THRESHOLD and math.isfinite(root):
+        return root
+    return None

@@ -147,8 +147,8 @@ class KernelPlan:
     which theta_t = -u*theta_x keeps exactly (each stage adds coef*(+-0.0) to
     +0.0).  Its rate is omega's row alone, with ``+ 0.0`` where theta_x was
     added, so omega's rate keeps the sign of zero the two-row rate gives.
-    ``evolve.run`` steps such rows; ``rhs``, ``step_rk4`` and ``biot_savart``
-    always pass the full rows.
+    ``evolve.run`` steps such rows and ``biot_savart`` passes omega's row
+    alone; ``rhs`` and ``step_rk4`` always pass the full rows.
     """
 
     def __init__(self, model: ModelSpec, grid: PeriodicGrid, dealias: bool = False):
@@ -199,13 +199,9 @@ class KernelPlan:
 
     _REAL_SPACE_LAWS = {LOCAL: _local_velocity, HALF_LINE: _half_line_velocity}
 
-    def evaluate(self, y: np.ndarray, rate: Optional[np.ndarray] = None) -> np.ndarray:
-        """u of the stacked rows ``y`` and, given ``rate``, their rate written there."""
+    def evaluate(self, y: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        """u of the stacked rows ``y``; their rate is written to ``rate``."""
         n = self.grid.n_points
-        if rate is None:
-            if self._multiplier is None:
-                return self._real_law(self, y[0])
-            return np.fft.irfft(np.fft.rfft(y[0]) * self._multiplier, n=n)
         y_hat = np.fft.rfft(y)
         spectra = np.empty((self._n_velocity + len(y), n // 2 + 1), complex)
         if self._multiplier is not None:
@@ -247,7 +243,9 @@ def biot_savart(model: ModelSpec, omega: PeriodicField) -> PeriodicField:
     zero-mean periodic velocity; CKY evaluates the weighted half-line
     integral on [0, X] and leaves u = 0 elsewhere.
     """
-    u = KernelPlan(model, omega.grid).evaluate(omega.values[None, :])
+    plan, y = KernelPlan(model, omega.grid), omega.values[None, :]  # u does not read theta
+    with np.errstate(over="ignore", invalid="ignore"):  # PeriodicField rejects a u that overflows
+        u = plan.evaluate(y, np.empty_like(y))  # the scratch rate may overflow where u does not
     return PeriodicField(omega.grid, u)
 
 
@@ -262,10 +260,3 @@ def rhs(model: ModelSpec, s: EvolutionState, dealias: bool = False) -> StateRate
     KernelPlan(model, s.grid, dealias).evaluate(y, rate)
     return StateRate(rate[0], rate[1] if s.theta is not None else None)
 
-
-def reconstruct_rho(theta: PeriodicField) -> PeriodicField:
-    """Square-root carrier sqrt(theta), clamped at 0 where theta dips below -1e-12."""
-    values = theta.values
-    if np.any(values < -1e-12 * max(theta.sup_norm, 1e-300)):
-        raise ValueError("theta is significantly negative; no real square root")
-    return PeriodicField(theta.grid, np.sqrt(np.maximum(values, 0.0)))

@@ -9,11 +9,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .diagnostics import (
-    CSV_COLUMNS,
-    resolved_until,
-    riccati_audit,
-)
+from .diagnostics import CSV_COLUMNS, RICCATI_MIN_SAMPLES, resolved_until, riccati_audit
 from .evolve import REACHED_T_END, RunResult, run
 from .models import biot_savart
 
@@ -46,12 +42,13 @@ def theorem_audit(result: RunResult, config: ExperimentConfig) -> Dict[str, obje
 
     F0 = records[0].F
     out["F0"] = F0
-    out["bound_L_over_F0"] = L / F0 if F0 > 0 else None
+    bound = L / F0 if F0 > 0 else np.inf  # inf also when L/F(0) overflows
+    out["bound_L_over_F0"] = bound if np.isfinite(bound) else None
 
     estimate = result.estimated_blowup_time
     out["estimated_blowup_time"] = estimate
     # the bound is only falsifiable once the horizon passes L/F(0)
-    if F0 > 0 and config.stepper.t_end > L / F0:
+    if config.stepper.t_end > bound:
         out["blowup_bound_holds"] = (
             estimate is not None
             and estimate <= 1.05 * L / F0
@@ -79,7 +76,7 @@ def theorem_audit(result: RunResult, config: ExperimentConfig) -> Dict[str, obje
         b.sup_theta <= a.sup_theta * (1.0 + 1e-9 * (b.t - a.t)) + 1e-300 for a, b in pairs
     )
 
-    if len(records) >= 3:
+    if len(records) >= RICCATI_MIN_SAMPLES:
         samples = [a for a in riccati_audit(result) if a.t < t_res]
         out["riccati_margin_ok"] = all(
             a.riccati_margin >= -1e-4 * max(a.F**2, 1.0) for a in samples

@@ -37,7 +37,6 @@ from typing import Callable, Dict, Iterator, NamedTuple, Tuple, Union
 import numpy as np
 
 from .grid import PeriodicField, PeriodicGrid
-from .spectral import multipliers
 
 _EPS = 1e-300
 
@@ -488,26 +487,6 @@ def closure_residual(jets: JetRecord, a_jet: float) -> float:
     return float(
         np.max(np.abs(defect)) / max(np.max(np.abs(jets.phi1.values)), _EPS)
     )
-
-
-def compute_velocities(phi: StripField, m: int) -> Tuple[StripField, StripField]:
-    """Velocity components v = phi_x (spectral) and g = m*phi + 2q*phi_q.
-
-    phi_q uses centered differences in the interior and 2nd-order one-sided
-    stencils at q = 0 and q = 1.
-    """
-    grid = phi.grid
-    values = phi.values
-    dq = grid.dq
-    phi_x_hat = np.fft.rfft(values, axis=0) * multipliers(grid.x_grid)["derivative"][:, None]
-    v = np.fft.irfft(phi_x_hat, n=grid.x_grid.n_points, axis=0)
-
-    phi_q = np.empty_like(values)
-    phi_q[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2 * dq)
-    phi_q[:, 0] = (-3 * values[:, 0] + 4 * values[:, 1] - values[:, 2]) / (2 * dq)
-    phi_q[:, -1] = (3 * values[:, -1] - 4 * values[:, -2] + values[:, -3]) / (2 * dq)
-    g = m * values + 2.0 * grid.q_nodes[None, :] * phi_q
-    return StripField(grid, v), StripField(grid, g)
 
 
 # -- manufactured solutions ---------------------------------------------------

@@ -6,12 +6,13 @@
   T_s = 1 / (c max omega0').
 * CLM has the Constantin-Lax-Majda formula (Comm. Pure Appl. Math. 38,
   1985), omega = 4 omega0 / ((2 - t H omega0)^2 + t^2 omega0^2) with
-  jetlab's H, which blows up at T = 2 / max{H omega0 : omega0 = 0}.
+  jetlab's H (multiplier -i sign k), which blows up at
+  T = 2 / max{H omega0 : omega0 = 0}.  The oracle computes its own H.
 """
 
 import numpy as np
 
-from jetlab import PeriodicField, hilbert_transform
+from jetlab import PeriodicField
 
 
 def burgers_q0(omega0, omega0_x, c: float, x: np.ndarray, t: float) -> np.ndarray:
@@ -31,5 +32,9 @@ def burgers_q0(omega0, omega0_x, c: float, x: np.ndarray, t: float) -> np.ndarra
 
 def clm(omega0: PeriodicField, t: float) -> np.ndarray:
     """omega(., t) of CLM on omega0's grid, for t before its blow-up time."""
-    w, h = omega0.values, hilbert_transform(omega0).values
+    w = omega0.values
+    # H: -i sign(k) on the rfft bins, with the mean and Nyquist bins zeroed
+    multiplier = np.full(w.size // 2 + 1, -1j)
+    multiplier[0] = multiplier[-1] = 0.0
+    h = np.fft.irfft(np.fft.rfft(w) * multiplier, n=w.size)
     return 4.0 * w / ((2.0 - t * h) ** 2 + (t * w) ** 2)

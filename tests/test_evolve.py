@@ -153,7 +153,7 @@ class TestRun:
         calls = []
         original = KernelPlan.evaluate
 
-        def counted(plan, y, rate=None):
+        def counted(plan, y, rate):
             calls.append(rate is not None)
             return original(plan, y, rate)
 
@@ -165,15 +165,15 @@ class TestRun:
         assert calls == [True] * 40
 
     def test_reference_run_counts(self, monkeypatch, tmp_path):
-        # the theorem run: 1033 steps of four rates each, and one velocity for
-        # its snapshot's u column; theta0 = +0.0, so every evaluation sees
-        # omega's row alone
+        # the theorem run: 1033 steps of four rates each, and one evaluation
+        # for its snapshot's u column, which writes a rate too; theta0 = +0.0,
+        # so every evaluation sees omega's row alone
         import jetlab.evolve
 
         calls, rows, steps = [], [], []
         evaluate, rk4 = KernelPlan.evaluate, jetlab.evolve._rk4
 
-        def counted_evaluate(plan, y, rate=None):
+        def counted_evaluate(plan, y, rate):
             calls.append(rate is not None)
             rows.append(len(y))
             return evaluate(plan, y, rate)
@@ -193,7 +193,7 @@ class TestRun:
         result = run_experiment(parse_config(json.dumps(doc)))["result"]
         assert result.termination == SUP_CAP_HIT and len(result.diagnostics) == 105
         assert len(steps) == 1033 and len(calls) == 4 * 1033 + 1 == 4133
-        assert calls.count(False) == 1
+        assert calls.count(False) == 0
         assert rows == [1] * 4133
 
     @pytest.mark.parametrize(
@@ -204,7 +204,7 @@ class TestRun:
         seen = []
         original = KernelPlan.evaluate
 
-        def counted(plan, y, rate=None):
+        def counted(plan, y, rate):
             seen.append(len(y))
             return original(plan, y, rate)
 

@@ -13,7 +13,6 @@ from jetlab import (
     closure_coefficient,
     hilbert_transform,
     parse_config,
-    reconstruct_rho,
     rhs,
     run,
     spectral_derivative,
@@ -387,17 +386,3 @@ class TestStructuralProperties:
         theta_x = np.abs(spectral_derivative(s.theta).values)
         flat = theta_x <= 1e-12 * np.max(theta_x)
         assert np.max(np.abs(rate.d_theta[flat])) <= 1e-11
-
-
-class TestRho:
-    def test_clamp_and_value(self):
-        grid = PeriodicGrid(64, 2.0)
-        theta = PeriodicField(grid, np.maximum(np.sin(np.pi * grid.nodes), 0.0))
-        rho = reconstruct_rho(theta)
-        assert np.max(np.abs(rho.values**2 - theta.values)) <= 1e-15
-
-    def test_negative_theta_rejected(self):
-        grid = PeriodicGrid(64, 2.0)
-        theta = PeriodicField(grid, np.sin(np.pi * grid.nodes))
-        with pytest.raises(ValueError, match="square root"):
-            reconstruct_rho(theta)

@@ -10,7 +10,6 @@ from jetlab import (
     StripField,
     StripGrid,
     closure_residual,
-    compute_velocities,
     elliptic_residual,
     elliptic_residuals,
     extract_jets,
@@ -668,32 +667,3 @@ class TestJets:
         for m in (1, 2):
             jets = extract_jets(solve_elliptic(m, omega), omega, m)
             assert jet_relation_residual(jets) <= 1e-12
-
-
-class TestVelocities:
-    def test_manufactured_velocities(self):
-        grid = strip_grid(64, 256)
-        phi_exact, _ = manufactured_case("linear", 1, grid)
-        v, g = compute_velocities(StripField(grid, phi_exact.columns(0, 257)), 1)
-        x = grid.x_grid.nodes
-        q = grid.q_nodes
-        v_exact = np.cos(x)[:, None] * (1 - q)[None, :]
-        g_exact = np.sin(x)[:, None] * (1 - 3 * q)[None, :]
-        assert np.max(np.abs(v.values - v_exact)) <= 1e-12
-        assert np.max(np.abs(g.values - g_exact)) <= 1e-12
-        # boundary axial flow is twice the first jet: g(x, 1) = -2 sin x
-        assert np.max(np.abs(g.values[:, -1] + 2 * np.sin(x))) <= 1e-12
-
-    def test_constant_phi(self):
-        grid = strip_grid(16, 32, 1.0)
-        phi = StripField(grid, np.full((16, 33), 4.0))
-        v, g = compute_velocities(phi, 2)
-        assert np.max(np.abs(v.values)) <= 1e-12
-        assert np.max(np.abs(g.values - 8.0)) <= 1e-11
-
-    def test_no_flow_on_boundary_for_solver_output(self):
-        grid = strip_grid(32, 64)
-        _, omega = manufactured_case("exp", 1, grid)
-        phi = solve_elliptic(1, omega)
-        v, _ = compute_velocities(phi, 1)
-        assert np.max(np.abs(v.values[:, -1])) <= 1e-11

@@ -145,6 +145,8 @@ def test_jet_verify_budget_is_not_loose():
 # case's X/dx overflows to inf; at L = 1e-320 the top wavenumber 2*pi*n/L is
 # inf; an --n past the float range cannot make a grid.  The two huge amplitudes are no failure: their first record passes the
 # float range (power spectrum, slopes, ratio), and the run ends at the sup cap.
+# A snapshot of them writes u when u is finite, though the rate that
+# biot_savart discards overflows; at 1e308 u is not finite, a numerical failure.
 OVERFLOW = {
     "model": {"name": "Q0", "c": 1e308},
     "grid": {"n": 64},
@@ -155,10 +157,20 @@ TINY_L = {"model": {"name": "Q0"}, "grid": {"n": 64, "L": 1e-320}}
 NUL_DIRECTORY = {"model": {"name": "Q0"}, "grid": {"n": 64}, "outputs": {"directory": "a\x00b"}}
 
 
-def huge_amplitude(amplitude: float) -> bytes:
+# F(0) of a 1e-310 amplitude is subnormal: 1/sup and L/F(0) pass the float range
+TINY_AMPLITUDE = {
+    "model": {"name": "Q0", "c": 1 / 3},
+    "grid": {"n": 64},
+    "initial_data": {"omega": {"name": "sin_fundamental", "amplitude": 1e-310}},
+    "stepper": {"t_end": 0.2, "dt_max": 0.01, "record_every": 1},
+    "tags": ["theorem-hypotheses"],
+}
+
+
+def huge_amplitude(amplitude: float, **outputs) -> bytes:
     omega = {"name": "sin_fundamental", "amplitude": amplitude}
     return json.dumps({"model": {"name": "DeGregorio"}, "grid": {"n": 64},
-                       "initial_data": {"omega": omega}}).encode()
+                       "initial_data": {"omega": omega}, "outputs": outputs}).encode()
 
 
 FAILURE_CONTRACT = {
@@ -170,6 +182,9 @@ FAILURE_CONTRACT = {
     "nul-in-output-directory": (["run-model"], json.dumps(NUL_DIRECTORY).encode(), 1),
     "record-past-the-float-range": (["run-model"], huge_amplitude(1e160), 0),
     "record-of-inf-and-nan": (["run-model"], huge_amplitude(1e308), 0),
+    "snapshot-past-the-float-range": (["run-model"], huge_amplitude(1e160, snapshot_times=[0]), 0),
+    "snapshot-of-inf-and-nan": (["run-model"], huge_amplitude(1e308, snapshot_times=[0]), 2),
+    "theorem-run-below-the-float-range": (["run-model"], json.dumps(TINY_AMPLITUDE).encode(), 0),
     "jet-verify-input": (["jet-verify", "1", "0", "exp"], None, 1),
     "jet-verify-huge-n": (["jet-verify", "1", "16", "exp", "--n", "1" + "0" * 400], None, 1),
     "numerical": (["run-model"], json.dumps(OVERFLOW).encode(), 2),
@@ -180,7 +195,8 @@ FAILURE_CONTRACT = {
 @pytest.mark.parametrize("case", sorted(FAILURE_CONTRACT))
 def test_failure_contract(tmp_path, case):
     """Each failure is its documented exit code and one stderr line, never a
-    traceback or a numpy warning; a run that exits 0 prints no stderr line."""
+    traceback or a numpy warning; a run that exits 0 prints no stderr line,
+    and its run.json is strict JSON, with no NaN or Infinity."""
     argv, document, code = FAILURE_CONTRACT[case]
     if document is not None:
         (tmp_path / "config.json").write_bytes(document)
@@ -191,6 +207,12 @@ def test_failure_contract(tmp_path, case):
     )
     assert result.returncode == code, result.stderr
     assert result.stderr.count("\n") == (code != 0) and "Traceback" not in result.stderr
+    if argv[0] == "run-model" and code == 0:
+        json.loads((tmp_path / "out" / "run.json").read_text(), parse_constant=reject_constant)
+
+
+def reject_constant(name: str):
+    raise ValueError(f"run.json holds {name}")
 
 
 # numpy reads these when it loads; the CLI sets each to "1" unless it is preset
