@@ -234,12 +234,16 @@ def estimate_blowup_time(sup_series: Sequence[Tuple[float, float]]) -> Optional[
         tt, yy = t[-m:], 1.0 / sup[-m:]
         if not np.isfinite(yy).all():
             return None
-        slope, intercept = np.polyfit(tt, yy, 1)
-        fit = slope * tt + intercept
-        rms = float(np.sqrt(np.mean((yy - fit) ** 2)))
-        root = float(-intercept / slope)
+        # least squares about the means, from numpy sums: a LAPACK fit would
+        # fault in about 1 MB of library pages to find these two numbers
+        t_mean, y_mean = tt.mean(), yy.mean()
+        dt, dy = tt - t_mean, yy - y_mean
+        slope = float(np.sum(dt * dy) / np.sum(dt * dt))
+        rms = float(np.sqrt(np.mean((dy - slope * dt) ** 2)))
+        # only a falling line has a root ahead; a flat one (slope 0) has none
+        root = float(t_mean - y_mean / slope) if slope < 0 else math.nan
     scale = max(float(np.max(np.abs(yy))), 1e-300)
     # each test states what passes, so a nan fails it
-    if slope < 0 and rms / scale <= FIT_RESIDUAL_THRESHOLD and math.isfinite(root):
+    if rms / scale <= FIT_RESIDUAL_THRESHOLD and math.isfinite(root):
         return root
     return None

@@ -763,6 +763,48 @@ class TestJetVerify:
         monkeypatch.setattr(resource, "getrlimit", lambda which: (12345, resource.RLIM_INFINITY))
         assert _memory_available() == 12345
 
+    @staticmethod
+    def fake_memory(monkeypatch, meminfo, limit=None):
+        """The memory readers, patched: ``meminfo`` is the kernel report's text
+        (an exception type is raised instead), MemFree is one 4 KiB page, and
+        the address-space limit is ``limit`` (None: unlimited)."""
+        import resource
+
+        def read_meminfo():
+            if isinstance(meminfo, str):
+                return meminfo
+            raise meminfo("no /proc/meminfo")
+
+        pages = {"SC_AVPHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr("jetlab.cli._read_meminfo", read_meminfo)
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        soft = resource.RLIM_INFINITY if limit is None else limit
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux limits")
+    def test_memory_available_counts_reclaimable_cache(self, monkeypatch):
+        report = "MemTotal:       16000000 kB\nMemFree:             4 kB\nMemAvailable:    7890000 kB\n"
+        self.fake_memory(monkeypatch, report)
+        assert _memory_available() == 7890000 * 1024
+        self.fake_memory(monkeypatch, report, limit=12345)
+        assert _memory_available() == 12345
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux limits")
+    @pytest.mark.parametrize("meminfo", ["MemTotal: 16000000 kB\nMemFree: 4 kB\n", OSError])
+    def test_memory_available_falls_back_to_free_pages(self, monkeypatch, meminfo):
+        self.fake_memory(monkeypatch, meminfo)
+        assert _memory_available() == 4096
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux limits")
+    @pytest.mark.parametrize("available_kb,code", [(93, 0), (92, 1)])
+    def test_memory_budget_against_mem_available(self, capsys, monkeypatch, available_kb, code):
+        # the budget is 94856 bytes; MemFree (4096 bytes) would refuse both
+        self.fake_memory(monkeypatch, f"MemFree: 4 kB\nMemAvailable: {available_kb} kB\n")
+        assert main(["jet-verify", "1", "64", "linear", "--n", "16"]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       "config error: out of memory: jet-verify needs 94856 bytes, over the 94208 available\n")
+
     def test_output_directory_under_file(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("not a directory")
         out = tmp_path / "blocker" / "jets"

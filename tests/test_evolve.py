@@ -1,5 +1,6 @@
 import json
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from jetlab import (
 from jetlab import biot_savart, rhs
 from jetlab.config import parse_config
 from jetlab.diagnostics import compute_record, fill_margin_fields
+from jetlab.evolve import FIT_FRACTION, FIT_RESIDUAL_THRESHOLD
 from jetlab.models import KernelPlan, state_rows
 from jetlab.runner import run_experiment
 from jetlab.spectral import dealias_filter, multipliers
@@ -276,27 +278,96 @@ class TestStepperConfig:
             StepperConfig(t_end=1.0, record_every=0)
 
 
+def sampled(t0: float, t1: float, count: int, sup) -> np.ndarray:
+    """(t, sup(t)) at ``count`` even times from t0 to t1."""
+    t = np.linspace(t0, t1, count)
+    return np.column_stack([t, sup(t)])
+
+
+def noisy_pole(seed: int):
+    """1/(5 - t) with 1% multiplicative noise."""
+    return lambda t: (1.0 / (5.0 - t)) * (1.0 + 0.01 * np.random.RandomState(seed).randn(t.size))
+
+
+# The series of TestBlowupEstimator, by name, for the polyfit oracle.
+ESTIMATOR_SERIES = {
+    "exact_reciprocal": sampled(2.0, 2.9, 32, lambda t: 1.0 / (3.0 - t)),
+    "constant": sampled(0.0, 1.0, 16, np.ones_like),
+    "positive_slope": sampled(0.0, 1.0, 16, lambda t: 1.0 / (1.0 + t)),
+    **{f"noise_seed{seed}": sampled(3.0, 4.8, 64, noisy_pole(seed)) for seed in range(20)},
+}
+
+
+def polyfit_root(series):
+    """The estimator's fit by ``np.polyfit``, the LAPACK route it replaced:
+    the root, or None where the estimator gives none."""
+    t, sup = np.asarray(series, dtype=float).T
+    m = max(int(np.ceil(FIT_FRACTION * t.size)), 3)
+    tt, yy = t[-m:], 1.0 / sup[-m:]
+    slope, intercept = np.polyfit(tt, yy, 1)
+    rms = np.sqrt(np.mean((yy - (slope * tt + intercept)) ** 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = -intercept / slope
+    if slope < 0 and rms / np.max(np.abs(yy)) <= FIT_RESIDUAL_THRESHOLD and np.isfinite(root):
+        return float(root)
+    return None
+
+
+def exact_root(series) -> float:
+    """The estimator's least-squares root in exact rational arithmetic, from
+    the float samples of 1/sup."""
+    t, sup = np.asarray(series, dtype=float).T
+    m = max(int(np.ceil(FIT_FRACTION * t.size)), 3)
+    tt, yy = [Fraction(v) for v in t[-m:]], [Fraction(v) for v in 1.0 / sup[-m:]]
+    t_mean, y_mean = sum(tt) / m, sum(yy) / m
+    slope = sum((a - t_mean) * (b - y_mean) for a, b in zip(tt, yy)) / sum((a - t_mean) ** 2 for a in tt)
+    return float(t_mean - y_mean / slope)
+
+
 class TestBlowupEstimator:
     def test_exact_reciprocal(self):
-        t = np.linspace(2.0, 2.9, 32)
-        series = np.column_stack([t, 1.0 / (3.0 - t)])
-        est = estimate_blowup_time(series)
+        est = estimate_blowup_time(ESTIMATOR_SERIES["exact_reciprocal"])
         assert est == pytest.approx(3.0, abs=1e-6)
 
     def test_constant_series(self):
-        t = np.linspace(0.0, 1.0, 16)
-        series = np.column_stack([t, np.ones_like(t)])
-        assert estimate_blowup_time(series) is None
+        # a slope of exactly 0 forms no root: no ZeroDivisionError, no warning
+        assert estimate_blowup_time(ESTIMATOR_SERIES["constant"]) is None
 
     def test_noise_robustness(self):
         # 1% multiplicative noise on 1/(5 - t); Monte Carlo over seeds
-        t = np.linspace(3.0, 4.8, 64)
         for seed in range(20):
-            rng = np.random.RandomState(seed)
-            sup = (1.0 / (5.0 - t)) * (1.0 + 0.01 * rng.randn(t.size))
-            est = estimate_blowup_time(np.column_stack([t, sup]))
+            est = estimate_blowup_time(ESTIMATOR_SERIES[f"noise_seed{seed}"])
             assert est is not None
             assert 4.9 <= est <= 5.1
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATOR_SERIES))
+    def test_matches_the_polyfit_oracle(self, name):
+        series = ESTIMATOR_SERIES[name]
+        expected, est = polyfit_root(series), estimate_blowup_time(series)
+        if expected is None:
+            assert est is None
+        else:
+            assert est == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_reference_run_matches_the_polyfit_oracle(self, blowup_run):
+        expected = polyfit_root(blowup_run.sup_series)
+        assert expected is not None
+        assert estimate_blowup_time(blowup_run.sup_series) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rate", [1e-4, 1e-5, 1e-6])
+    def test_nearly_flat_line_is_the_exact_root(self, rate):
+        # the root lies far past the window, so its digits rest on a tiny
+        # slope: np.polyfit's root is 1e-10 to 7e-9 off here
+        series = sampled(0.0, 0.5, 26, lambda t: 1.0 / (5.0 - rate * t + 1e-3 * rate * np.sin(7 * t)))
+        assert estimate_blowup_time(series) == pytest.approx(exact_root(series), rel=1e-15, abs=0.0)
+
+    def test_fit_calls_no_lapack(self, blowup_run, monkeypatch):
+        def lapack(*args, **kwargs):
+            raise AssertionError("the fit called a LAPACK routine")
+
+        monkeypatch.setattr(np, "polyfit", lapack)
+        monkeypatch.setattr(np.linalg, "lstsq", lapack)
+        assert estimate_blowup_time(blowup_run.sup_series) is not None
 
     def test_too_few_samples(self):
         t = np.linspace(0.0, 1.0, 5)
@@ -309,9 +380,8 @@ class TestBlowupEstimator:
             estimate_blowup_time(np.column_stack([t, np.exp(t)]))
 
     def test_positive_slope_is_no_blowup(self):
-        t = np.linspace(0.0, 1.0, 16)
-        sup = 1.0 / (1.0 + t)  # decaying sup -> 1/sup increasing
-        assert estimate_blowup_time(np.column_stack([t, sup])) is None
+        # decaying sup -> 1/sup increasing
+        assert estimate_blowup_time(ESTIMATOR_SERIES["positive_slope"]) is None
 
 
 # The stepper as it was before the run kept one workspace: a kernel that

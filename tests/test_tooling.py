@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import json
 import os
@@ -73,20 +74,80 @@ assert main(["run-model", sys.argv[1]]) == 0
 """
 
 
-def test_jetlab_needs_only_numpy(tmp_path):
+def small_run(tmp_path, **outputs) -> Path:
+    """A small CCF run-model document that writes to ``outputs["directory"]``."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "model": {"name": "CCF"},
         "grid": {"n": 64},
         "stepper": {"t_end": 0.01},
-        "outputs": {"directory": str(tmp_path / "out")},
+        "outputs": outputs,
     }))
+    return config
+
+
+def test_jetlab_needs_only_numpy(tmp_path):
+    config = small_run(tmp_path, directory=str(tmp_path / "out"))
     result = subprocess.run(
         [sys.executable, "-c", NUMPY_ONLY, str(config)],
         capture_output=True, text=True, env=jetlab_env(), timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def script_target() -> str:
+    """``pyproject.toml``'s ``jetlab`` console script, as ``module:function``."""
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["jetlab"]
+
+
+def main_block_entry() -> str:
+    """The function that ``jetlab/cli.py``'s ``__main__`` block passes to sys.exit."""
+    tree = ast.parse((ROOT / "src" / "jetlab" / "cli.py").read_text())
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    (statement,) = block.body
+    assert ast.unparse(statement.value.func) == "sys.exit"
+    return statement.value.args[0].func.id
+
+
+def test_console_script_is_the_main_block_entry():
+    assert script_target() == f"jetlab.cli:{main_block_entry()}"
+
+
+def test_main_in_process_does_not_freeze(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["run-model", str(small_run(tmp_path, directory=str(tmp_path / "out")))]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+# Runs the console script's target as its generated wrapper does, then checks
+# that the entry froze the heap before the interpreter tears it down.
+CONSOLE_SCRIPT = """
+import gc, sys
+from importlib import import_module
+
+module, name = sys.argv.pop(1).split(":")
+code = getattr(import_module(module), name)()
+assert gc.get_freeze_count() > 0, "the process entry did not freeze the heap"
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("route", ["module", "console_script"])
+def test_process_entry_exits_with_mains_code(tmp_path, monkeypatch, route):
+    prefix = ["-m", "jetlab.cli"] if route == "module" else ["-c", CONSOLE_SCRIPT, script_target()]
+    config = small_run(tmp_path, directory="out")
+    (tmp_path / "ref").mkdir()
+    monkeypatch.chdir(tmp_path / "ref")
+    assert main(["run-model", str(config)]) == 0  # the reference outputs, in process
+    for argv, code in ((["run-model", str(config)], 0), (["run-model", "missing.json"], 1)):
+        result = subprocess.run([sys.executable, *prefix, *argv], cwd=tmp_path, capture_output=True,
+                                text=True, env=jetlab_env(), timeout=120)
+        assert result.returncode == code, result.stderr
+    for name in ("diagnostics.csv", "run.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / "out" / name).read_bytes()
 
 
 def traced_peak(call) -> int:
