@@ -14,13 +14,15 @@ q = 0 row); each x-mode adds its -k^2 diagonal.  All modes are solved
 together by one elimination sweep over q, and the residual checks apply
 the same band.
 
-The sweep checkpoints every _RESIDUAL_BLOCK-th row and yields the solution
-a segment of q-rows at a time from the top down (single-level
+The sweep checkpoints every _RESIDUAL_BLOCK-th row and hands the solution
+over a segment of q-rows at a time from the top down (single-level
 checkpointing, as in Griewank & Walther's revolve, ACM TOMS 26, 2000), so
 the checks consume each segment as it comes: ``jet-verify``'s pass,
-:func:`manufactured_pass`, holds no strip-sized array, and the field
-routes (``solve_elliptic``, ``elliptic_residuals``, ``extract_jets``) feed
-the same checks a field's blocks, with the same bits.
+:func:`manufactured_pass`, holds its checkpoints and one block's arrays at
+a time, dropping each array once it is used and transforming in
+half-blocks, and the field routes (``solve_elliptic``,
+``elliptic_residuals``, ``extract_jets``) feed the same checks a field's
+blocks, with the same bits.
 
 Strip values are stored x-contiguous (Fortran order of the (n, M+1) array),
 so every transform over x reads and writes contiguous memory.  The solve,
@@ -52,13 +54,21 @@ def _blocks(count: int):
         yield lo, min(lo + _RESIDUAL_BLOCK, count)
 
 
+def _halves(count: int):
+    """(lo, hi) bounds of the halves of ``count`` lines, the larger first."""
+    mid = (count + 1) // 2
+    return [(0, mid), (mid, count)] if count > 1 else [(0, count)]
+
+
 def jet_verify_budget(n: int, M: int) -> int:
     """Bytes that ``jet-verify`` at n x-points and M q-intervals allocates at
     its peak, at most (see README): 24 per mode for each block's checkpoint,
-    160 complex spectrum rows for the per-block arrays, 80 per q-node for the
-    band and the manufactured profiles, and 64 KiB for the command."""
+    112 complex spectrum rows for one block's arrays of the solve and the
+    checks (the most measured is 101, at n = 512, M = 256; the other 11 are
+    margin), 80 per q-node for the band and the manufactured profiles, and
+    64 KiB for the command."""
     K = n // 2 + 1
-    return 24 * K * (M // _RESIDUAL_BLOCK + 1) + 16 * K * 160 + 80 * (M + 1) + 2**16
+    return 24 * K * (M // _RESIDUAL_BLOCK + 1) + 16 * K * 112 + 80 * (M + 1) + 2**16
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,9 @@ def solve_banded_segments(
     ``load(lo, hi)`` returns rows lo..hi-1 of the right-hand side as a new
     complex (hi-lo, K) array, which the solve then works in.  Yields
     (lo, hi, x) for the segments of :func:`_blocks` from the top one down,
-    x being the solution's rows lo..hi-1.
+    x being the solution's rows lo..hi-1.  Each x is handed over: the
+    suspended solve keeps no reference to it, so the consumer may work in
+    it, and it is freed as soon as the consumer drops it.
 
     Gaussian elimination without pivoting.  Row 0 first sheds its upper-2
     entry against row 1 (whose sub-diagonal is zero for m = 2), which makes
@@ -260,9 +272,10 @@ def solve_banded_segments(
                 np.multiply(upper[i - base], x[s + 1] if i + 1 < hi else above, out=t)
                 np.subtract(x[s], t, out=x[s])
             np.divide(x[s], pivots[s], out=x[s])
-        yield lo, hi, x
         above[:] = x[0]
-        del x  # the next segment loads in its place
+        handed = [x]
+        del x  # the consumer holds the segment alone, and the next one loads in its place
+        yield lo, hi, handed.pop()
 
 
 def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -290,6 +303,18 @@ def _stream_rhs(omega: AnyStripField, scratch: np.ndarray) -> Callable[[int, int
         return rhs
 
     return load
+
+
+def _irfft_in_place(spectra: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n) real inverse transforms of the C-contiguous complex
+    (rows, n/2+1) ``spectra``, written over the spectra's own bytes half a
+    block at a time: the first half's output ends before the second half's
+    spectra begin."""
+    rows = spectra.shape[0]
+    out = spectra.view(float).reshape(-1)[: rows * n].reshape(rows, n)
+    for a, b in _halves(rows):
+        out[a:b] = np.fft.irfft(spectra[a:b], n=n)
+    return out
 
 
 def solve_elliptic(m: int, omega: AnyStripField) -> StripField:
@@ -337,15 +362,18 @@ def _band_product(ab: np.ndarray, k2: np.ndarray, v: np.ndarray, out: np.ndarray
 class _ResidualPass:
     """The defect of A_k phi_hat_k = -omega_hat_k on q < 1 (see
     :func:`elliptic_residuals`), fed phi a block of q-columns at a time from
-    the top down, as ``check(lo, hi, phi[:, lo:hi])``; ``result()`` is the
-    (absolute, scaled) pair.
+    the top down, in two steps: ``take(lo, hi, phi[:, lo:hi])`` transforms
+    the block into the window, after which the caller may drop phi's block,
+    and ``finish(lo, hi)`` finishes the rows; ``result()`` is the (absolute,
+    scaled) pair.
 
-    Each block's columns are transformed once.  Their spectra, followed by
-    the halo (the lowest two spectra of the blocks before), make the window,
-    and the block finishes every row whose stencil the window holds:
-    [r-1, r+1], or [0, 2] for row 0, the one row with an upper-2 entry.
-    Only the window's band is cut, and the window's band product and moduli
-    live in one scratch.
+    Each block's columns are transformed once, half a block at a time.
+    Their spectra, followed by the halo (the lowest two spectra of the
+    blocks before), make the window, and the block finishes every row whose
+    stencil the window holds: [r-1, r+1], or [0, 2] for row 0, the one row
+    with an upper-2 entry.  Only the window's band is cut, and the window's
+    band product and moduli live in one scratch.  The defect is formed, and
+    transformed back, half a block of rows at a time.
     """
 
     def __init__(self, band: np.ndarray, omega: AnyStripField, scratch: np.ndarray):
@@ -357,27 +385,35 @@ class _ResidualPass:
         self.window, self.product = (np.empty(shape, complex, order="F") for _ in range(2))
         self.absolute = self.worst = self.scale = self.omega_max = 0.0
 
-    def __call__(self, lo: int, hi: int, phi: np.ndarray) -> None:
-        fresh, halo = hi - lo, min(2, self.M + 1 - hi)
-        window = self.window[:, : fresh + halo]  # q-columns lo..lo+width-1
-        window[:, fresh:] = window[:, :halo]  # the previous window's first columns
-        window[:, :fresh] = np.fft.rfft(phi, axis=0)
+    def _width(self, lo: int, hi: int) -> int:
+        """The window's q-columns lo..lo+width-1: the block and its halo."""
+        return hi - lo + min(2, self.M + 1 - hi)
+
+    def take(self, lo: int, hi: int, phi: np.ndarray) -> None:
+        fresh, window = hi - lo, self.window[:, : self._width(lo, hi)]
+        window[:, fresh:] = window[:, : window.shape[1] - fresh]  # the last window's first columns
+        for a, b in _halves(fresh):
+            window[:, a:b] = np.fft.rfft(phi[:, a:b], axis=0)
+
+    def finish(self, lo: int, hi: int) -> None:
         first, last = (lo + 1 if lo else 0), min(hi + 1, self.M)  # the rows finished here
         if first >= last:
             return
-        rows, width = slice(first - lo, last - lo), fresh + halo
-        ab = self.band[:, lo : lo + width]
+        rows, width = slice(first - lo, last - lo), self._width(lo, hi)
+        ab, window = self.band[:, lo : lo + width], self.window[:, :width]
         product = _band_product(ab, self.k2, window, self.product[:, :width])
-        defect = np.fft.rfft(self.omega.columns(first, last, self.scratch), axis=0)
-        self.omega_max = max(self.omega_max, np.max(np.abs(defect)))
-        defect += product[:, rows]
-        self.worst = max(self.worst, np.max(np.abs(defect)))
+        for a, b in _halves(last - first):
+            defect = np.fft.rfft(self.omega.columns(first + a, first + b, self.scratch), axis=0)
+            self.omega_max = max(self.omega_max, np.max(np.abs(defect)))
+            defect += product[:, rows][:, a:b]
+            self.worst = max(self.worst, np.max(np.abs(defect)))
+            physical = np.fft.irfft(defect, n=self.scratch.shape[1], axis=0)
+            del defect  # not alive beside the next half's spectra
+            self.absolute = max(self.absolute, np.max(np.abs(physical, out=physical)))
         # |A_k| |phi_hat_k|: the moduli in the product's imaginary plane, their product in the real
         moduli = np.abs(window, out=product.imag)
         scaled = _band_product(np.abs(ab), -self.k2, moduli, product.real)
         self.scale = max(self.scale, np.max(scaled[:, rows]))
-        physical = np.fft.irfft(defect, n=self.scratch.shape[1], axis=0)
-        self.absolute = max(self.absolute, np.max(np.abs(physical, out=physical)))
 
     def result(self) -> Tuple[float, float]:
         return float(self.absolute), float(self.worst / max(self.scale + self.omega_max, _EPS))
@@ -400,7 +436,8 @@ def elliptic_residuals(phi: AnyStripField, omega: AnyStripField, m: int) -> Tupl
     grid = phi.grid
     check = _ResidualPass(_band(m, grid.n_q_intervals, grid.dq), omega, _scratch(grid))
     for lo, hi in reversed(list(_blocks(grid.n_q_intervals + 1))):  # from the top down
-        check(lo, hi, phi.columns(lo, hi))
+        check.take(lo, hi, phi.columns(lo, hi))
+        check.finish(lo, hi)
     return check.result()
 
 
@@ -545,21 +582,27 @@ def manufactured_pass(
     """Solve for ``omega`` and check phi against ``phi_exact`` in one pass:
     the numbers, bit for bit, of solve_elliptic followed by the sup error,
     elliptic_residuals and extract_jets on both routes, with no strip-sized
-    array.  Each segment of the solve is transformed back and fed to the
-    checks as it comes, from the top down; the band and one scratch block
-    serve the solve and the checks, and phi's top five q-columns are kept
-    for the jets."""
+    array.  Each segment of the solve is transformed back over its own
+    bytes and fed to the checks as it comes, from the top down; the band
+    and one scratch block serve the solve and the checks, and phi's top five
+    q-columns are kept for the jets.  Each block's array is dropped as soon
+    as the next step no longer needs it, so the pass holds one block's
+    arrays at a time beside the solve's checkpoints."""
     grid = omega.grid
     band, scratch = _band(m, grid.n_q_intervals, grid.dq), _scratch(grid)
     residual, load = _ResidualPass(band, omega, scratch), _stream_rhs(omega, scratch)
-    error, top = 0.0, np.empty((grid.x_grid.n_points, 0))
+    n = grid.x_grid.n_points
+    error, top = 0.0, np.empty((n, 0))
     for lo, hi, phi_hat in solve_banded_segments(band, grid.x_grid.wavenumbers**2, load):
-        phi = np.fft.irfft(phi_hat, n=grid.x_grid.n_points).T
-        defect = phi - phi_exact.columns(lo, hi, scratch)
+        phi = _irfft_in_place(phi_hat, n).T
+        del phi_hat  # phi views its bytes, which go with phi
+        # in the scratch, where a rank-one phi_exact's columns are built
+        defect = np.subtract(phi, phi_exact.columns(lo, hi, scratch), out=scratch[: hi - lo].T)
         error = max(error, float(np.max(np.abs(defect, out=defect))))
-        del defect  # not alive beside the residual pass's block arrays
-        residual(lo, hi, phi)
         if top.shape[1] < 5:
             top = np.concatenate((phi[:, -5:], top), axis=1)[:, -5:]
+        residual.take(lo, hi, phi)
+        del phi  # not alive beside the residual pass's block arrays
+        residual.finish(lo, hi)
     jets = {route: _jets(top, omega, m, route) for route in _PHI2_ROUTES}
     return ManufacturedChecks(error, residual.result(), jets)

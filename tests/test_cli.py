@@ -741,17 +741,17 @@ class TestJetVerify:
         def no_strip(*args):
             raise AssertionError("manufactured_case called past the memory budget")
 
-        # 24 x 9 x 5 + 16 x 9 x 160 + 80 x 65 + 2^16 = 94856 bytes at n = 16, M = 64
+        # 24 x 9 x 5 + 16 x 9 x 112 + 80 x 65 + 2^16 = 87944 bytes at n = 16, M = 64
         monkeypatch.setattr("jetlab.cli.manufactured_case", no_strip)
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 94855)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 87943)
         assert main(["jet-verify", "1", "64", "exp", "--n", "16"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            "config error: out of memory: jet-verify needs 94856 bytes, over the 94855 available\n"
+            "config error: out of memory: jet-verify needs 87944 bytes, over the 87943 available\n"
         )
 
     def test_memory_budget_that_fits_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 94856)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 87944)
         assert main(["jet-verify", "1", "64", "linear", "--n", "16"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -798,12 +798,13 @@ class TestJetVerify:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux limits")
     @pytest.mark.parametrize("available_kb,code", [(93, 0), (92, 1)])
     def test_memory_budget_against_mem_available(self, capsys, monkeypatch, available_kb, code):
-        # the budget is 94856 bytes; MemFree (4096 bytes) would refuse both
+        # the budget is 94248 bytes at M = 132, between 92 and 93 KiB; MemFree
+        # (4096 bytes) would refuse both
         self.fake_memory(monkeypatch, f"MemFree: 4 kB\nMemAvailable: {available_kb} kB\n")
-        assert main(["jet-verify", "1", "64", "linear", "--n", "16"]) == code
+        assert main(["jet-verify", "1", "132", "linear", "--n", "16"]) == code
         err = capsys.readouterr().err
         assert err == ("" if code == 0 else
-                       "config error: out of memory: jet-verify needs 94856 bytes, over the 94208 available\n")
+                       "config error: out of memory: jet-verify needs 94248 bytes, over the 94208 available\n")
 
     def test_output_directory_under_file(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("not a directory")

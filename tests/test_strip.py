@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,9 @@ class TestManufactured:
         expected = float(np.max(np.abs(phi.values - phi_exact.columns(0, 49))))
         assert expected > 0.0
         assert strip.manufactured_pass(phi_exact, omega, 2).solve_max_error == expected
+        solved = phi.values.copy()
         assert strip.manufactured_pass(phi, omega, 2).solve_max_error == 0.0
+        assert_same_bits(phi.values, solved)  # the error is formed in the scratch, not in phi
 
 
 class TestSolveElliptic:
@@ -449,6 +453,21 @@ class TestCheckpointedSweep:
         # then every segment below the top one again
         shed = [(1, 2)] if block == 1 else []
         assert loads == blocks[:1] + shed + blocks[1:] + blocks[-2::-1]
+
+    @pytest.mark.parametrize("block", [1, 5, 16])
+    def test_each_segment_is_handed_over(self, monkeypatch, block):
+        # the suspended solve keeps no reference: a dropped segment is freed at once
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+        M = 33
+        ab, k2 = _band(1, M, 1.0 / M), strip_grid(16, M).x_grid.wavenumbers**2
+        rhs = np.random.default_rng(block).standard_normal((M + 1, k2.size)) + 0j
+        handed = 0
+        for lo, hi, x in strip.solve_banded_segments(ab, k2, lambda lo, hi: rhs[lo:hi].copy()):
+            segment = weakref.ref(x)
+            del x
+            assert segment() is None, (lo, hi)
+            handed += 1
+        assert handed == len(range(0, M + 1, block))
 
 
 class TestBlockedSolve:
