@@ -26,8 +26,8 @@ _EXPORTS = {  # submodule -> the names it exports
     "grid": ("PeriodicField", "PeriodicGrid"),
     "identities": ("identity_case_names", "operator_identity_check"),
     "models": (
-        "ClosureParams", "EvolutionState", "ModelSpec", "StateRate", "biot_savart",
-        "closure_coefficient", "rhs",
+        "EvolutionState", "ModelSpec", "biot_savart", "closure_coefficient", "rhs",
+        "stream_coefficient",
     ),
     "spectral": (
         "antiderivative_zero_mean", "hilbert_transform", "spectral_derivative",

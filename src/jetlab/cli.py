@@ -34,6 +34,7 @@ import numpy as np
 from .config import ConfigError, _shaped, parse_config, read_document
 from .identities import identity_case_names, operator_identity_check
 from .grid import PeriodicGrid
+from .models import M_VALUES
 from .runner import preflight_output_dir, run_experiment
 from .strip import (
     MANUFACTURED_CASES, StripGrid, jet_relation_residual, jet_verify_budget, manufactured_case,
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_jet = sub.add_parser("jet-verify", help="manufactured strip-solver check")
-    p_jet.add_argument("m", type=int, choices=(1, 2))
+    p_jet.add_argument("m", type=int, choices=M_VALUES)
     p_jet.add_argument("M", type=int, help="number of q intervals")
     p_jet.add_argument("case", help=f"one of: {', '.join(MANUFACTURED_CASES)}")
     p_jet.add_argument("--n", type=int, default=64, help="x resolution")
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jet.set_defaults(func=_cmd_jet_verify)
 
     p_id = sub.add_parser("identity-check", help="coordinate-change identity suite")
-    p_id.add_argument("m", type=int, choices=(1, 2))
+    p_id.add_argument("m", type=int, choices=M_VALUES)
     p_id.set_defaults(func=_cmd_identity_check)
     return parser
 

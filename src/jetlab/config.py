@@ -17,7 +17,8 @@ from . import evolve
 from .evolve import StepperConfig
 from .grid import PeriodicField, PeriodicGrid, reflect_values
 from .models import (
-    HALF_LINE, LOCAL, MODEL_TABLE, ClosureParams, EvolutionState, ModelSpec, closure_coefficient,
+    HALF_LINE, LOCAL, MODEL_TABLE, EvolutionState, ModelSpec, closure_coefficient,
+    stream_coefficient,
 )
 
 DEFAULTS = {"n": 1024, "L": 2.0, "t_end": 10.0}  # the other defaults are StepperConfig's
@@ -68,6 +69,15 @@ def _check_theorem_symmetries(omega0, theta0) -> None:
     even = np.max(np.abs(theta0.values - reflect_values(theta0.values)))
     if even > _SYMMETRY_TOL * max(theta0.sup_norm, 1.0):
         raise ConfigError("initial_data.theta", "theta0 must be even about 0 and L/2")
+
+
+def _checked(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError it raises turned into a
+    ConfigError at ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _number(section: dict, key: str, default, path: str, whole: bool = False):
@@ -171,18 +181,9 @@ def _parse_model(doc: dict) -> ModelSpec:
     elif row.law == LOCAL:
         m = _number(section, "m", 1, "model.m", whole=True)
         a_jet = _number(section, "a", 0.0, "model.a")
-        try:
-            closure = ClosureParams(m, a_jet)
-        except ValueError as exc:
-            raise ConfigError("model.m", str(exc)) from None
-        try:
-            params["c"] = closure_coefficient(closure)
-        except ValueError as exc:
-            raise ConfigError("model.a", str(exc)) from None
-    try:
-        return ModelSpec(kind, **params)
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from None
+        _checked("model.m", stream_coefficient, m)
+        params["c"] = _checked("model.a", closure_coefficient, m, a_jet)
+    return _checked("model", ModelSpec, kind, **params)
 
 
 def read_document(data: str | bytes, name: str) -> dict:
@@ -216,10 +217,7 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
     except ValueError as exc:
         path = "grid.L" if str(exc).startswith("period_L") else "grid.n"
         raise ConfigError(path, str(exc)) from None
-    try:
-        model.check_grid(grid)
-    except ValueError as exc:
-        raise ConfigError("model.X", str(exc)) from None
+    _checked("model.X", model.check_grid, grid)
 
     init_doc = _shaped(doc, "initial_data", dict, "initial_data")
     omega0 = _field(grid, init_doc.get("omega", {"name": "sin_fundamental"}), "initial_data.omega")
@@ -234,10 +232,7 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
     for key in ("t_end", "cfl", "dt_min", "dt_max", "omega_sup_cap", "record_every"):
         if key in step_doc:
             args[key] = _number(step_doc, key, None, f"stepper.{key}", whole=key == "record_every")
-    try:
-        stepper = StepperConfig(**args)
-    except ValueError as exc:
-        raise ConfigError("stepper", str(exc)) from None
+    stepper = _checked("stepper", StepperConfig, **args)
     # dt never exceeds dt_max, so t_end / dt_max is a lower bound on the step count
     if stepper.t_end / stepper.dt_max > evolve.STEP_BUDGET:
         raise ConfigError(

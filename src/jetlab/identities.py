@@ -5,7 +5,8 @@ with T in {1, cos(f z), sin(f z)}.  Both operator routes are evaluated from
 hand-coded power-rule derivatives (never finite differences) so that any
 discrepancy reflects the transformation itself, not truncation error:
 
-* (z, q) side:      -(d_zz + 4q d_qq + (4+2m) d_q) phi           at q = r^2
+* (z, q) side:      -(d_zz + 4q d_qq + b(m) d_q) phi  at q = r^2, with the
+                     solver's b(m) = 4+2m (models.stream_coefficient)
 * cylindrical side:  m = 1:  -(1/r)(d_zz + d_rr)(r phi)
                      m = 2:  -(1/r)(d_zz + d_rr + (1/r)d_r - 1/r^2)(r phi)
   computed from the explicit powers of psi(z, r) = r phi(z, r^2).
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
+
+from .models import stream_coefficient
 
 ONE, COS, SIN = "one", "cos", "sin"
 
@@ -58,7 +61,7 @@ CATALOG: Dict[str, Tuple[_Term, ...]] = {
 }
 
 
-def _zq_operator(terms, z, q, m):
+def _zq_operator(terms, z, q, b_coef):
     total = np.zeros(np.broadcast(z, q).shape)
     for t in terms:
         qp = q**t.power
@@ -68,7 +71,7 @@ def _zq_operator(terms, z, q, m):
         )
         total += -(t.coef * t.t_zz(z) * qp)
         total += -(4.0 * q * t.coef * d_qq * t.t(z))
-        total += -((4.0 + 2.0 * m) * t.coef * d_q * t.t(z))
+        total += -(b_coef * t.coef * d_q * t.t(z))
     return total
 
 
@@ -113,14 +116,13 @@ def identity_case_names() -> Tuple[str, ...]:
 
 def operator_sides(test_id: str, m: int, z: np.ndarray, r: np.ndarray):
     """(z,q)-side and cylindrical-side operator values for one catalog entry."""
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
+    b_coef = stream_coefficient(m)
     if test_id not in CATALOG:
         raise ValueError(f"unknown test id {test_id!r}")
     terms = CATALOG[test_id]
     z = np.asarray(z, dtype=float)
     r = np.asarray(r, dtype=float)
-    return _zq_operator(terms, z, r**2, m), _cylindrical_operator(terms, z, r, m)
+    return _zq_operator(terms, z, r**2, b_coef), _cylindrical_operator(terms, z, r, m)
 
 
 def operator_identity_check(m: int, test_id: str) -> float:

@@ -32,21 +32,20 @@ MODEL_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class ClosureParams:
-    """Normal-jet closure exponents: boundary weight m and jet slope a_jet."""
-
-    m: int
-    a_jet: float
-
-    def __post_init__(self) -> None:
-        if self.m not in (1, 2):
-            raise ValueError("m must be 1 or 2")
+M_VALUES = (1, 2)  # the boundary weight m of (Bm): 2D Boussinesq and 3D axisymmetric Euler
 
 
-def closure_coefficient(p: ClosureParams) -> float:
+def stream_coefficient(m: int) -> float:
+    """b(m) = 4 + 2m of the stream operator d_xx + 4q d_qq + b(m) d_q of (Bm)."""
+    if m not in M_VALUES:
+        raise ValueError("m must be 1 or 2")
+    return 4.0 + 2.0 * m
+
+
+def closure_coefficient(m: int, a_jet: float) -> float:
     """Local-law coefficient c = 1/(2*a_jet + m + 2) of the closed boundary system."""
-    denom = 2.0 * p.a_jet + p.m + 2.0
+    stream_coefficient(m)
+    denom = 2.0 * a_jet + m + 2.0
     if denom <= 0:
         raise ValueError(
             f"positivity condition violated: 2a + m + 2 = {denom:g} must be > 0"
@@ -104,14 +103,6 @@ class EvolutionState:
     @property
     def grid(self) -> PeriodicGrid:
         return self.omega.grid
-
-
-@dataclass(frozen=True)
-class StateRate:
-    """Time derivative of an EvolutionState, as raw node values."""
-
-    d_omega: np.ndarray
-    d_theta: Optional[np.ndarray]
 
 
 def _cky_cells(n: int, period_L: float, X: float) -> int:
@@ -249,8 +240,9 @@ def biot_savart(model: ModelSpec, omega: PeriodicField) -> PeriodicField:
     return PeriodicField(omega.grid, u)
 
 
-def rhs(model: ModelSpec, s: EvolutionState, dealias: bool = False) -> StateRate:
-    """Right-hand side of the model's dynamical equation at state ``s``.
+def rhs(model: ModelSpec, s: EvolutionState, dealias: bool = False) -> np.ndarray:
+    """Right-hand side of the model's dynamical equation at state ``s``: the
+    rows (omega_t[, theta_t]), in the layout of :func:`state_rows`.
 
     All x-derivatives are spectral; with ``dealias`` the 2/3-rule filter is
     applied to the nonlinear products.
@@ -258,5 +250,5 @@ def rhs(model: ModelSpec, s: EvolutionState, dealias: bool = False) -> StateRate
     y = state_rows(model, s)
     rate = np.empty_like(y)
     KernelPlan(model, s.grid, dealias).evaluate(y, rate)
-    return StateRate(rate[0], rate[1] if s.theta is not None else None)
+    return rate
 

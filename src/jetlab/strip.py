@@ -39,6 +39,7 @@ from typing import Callable, Dict, Iterator, NamedTuple, Tuple, Union
 import numpy as np
 
 from .grid import PeriodicField, PeriodicGrid
+from .models import stream_coefficient
 
 _EPS = 1e-300
 
@@ -169,10 +170,8 @@ def _band(m: int, M: int, dq: float) -> np.ndarray:
     1..M-1 are centred, row M is phi(1) = 0.  An x-mode's system adds -k^2
     to the diagonal of rows 0..M-1.
     """
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
+    b_coef = stream_coefficient(m)
     ab = np.zeros((4, M + 1))
-    b_coef = 4.0 + 2.0 * m
     ab[2, 0] = -3.0 * b_coef / (2 * dq)
     ab[1, 1] = 4.0 * b_coef / (2 * dq)
     ab[0, 2] = -b_coef / (2 * dq)
@@ -479,7 +478,7 @@ def _jets(top: np.ndarray, omega: AnyStripField, m: int, phi2_route: str) -> Jet
     phi1 = _boundary_first_derivative(top, grid.dq)
     omega_b = omega.columns(grid.n_q_intervals, grid.n_q_intervals + 1)[:, 0].copy()
     if phi2_route == "pde":
-        phi2 = (-omega_b - (4.0 + 2.0 * m) * phi1) / 4.0
+        phi2 = (-omega_b - stream_coefficient(m) * phi1) / 4.0
     else:
         phi2 = _boundary_second_derivative(top, grid.dq)
     return JetRecord(
@@ -508,13 +507,13 @@ def extract_jets(
 
 
 def jet_relation_residual(jets: JetRecord) -> float:
-    """Sup defect of  omega + 4*phi2 + 2(m+2)*phi1 = 0  relative to |omega|.
+    """Sup defect of  omega + 4*phi2 + (4+2m)*phi1 = 0  relative to |omega|.
 
     Zero by construction when phi2 came from the PDE route; with the
     difference route it measures the cross-check disagreement instead.
     """
     omega_b = jets.omega_boundary.values
-    defect = omega_b + 4.0 * jets.phi2.values + 2.0 * (jets.m + 2) * jets.phi1.values
+    defect = omega_b + 4.0 * jets.phi2.values + stream_coefficient(jets.m) * jets.phi1.values
     return float(np.max(np.abs(defect)) / max(np.max(np.abs(omega_b)), _EPS))
 
 
@@ -564,7 +563,7 @@ def manufactured_case(
     q = grid.q_nodes
     k1 = 2.0 * np.pi / grid.x_grid.period_L
     sin_x = np.sin(k1 * grid.x_grid.nodes)
-    profile_omega = k1**2 * h(q) - 4.0 * q * hpp(q) - (4.0 + 2.0 * m) * hp(q)
+    profile_omega = k1**2 * h(q) - 4.0 * q * hpp(q) - stream_coefficient(m) * hp(q)
     return RankOneStripField(grid, h(q), sin_x), RankOneStripField(grid, profile_omega, sin_x)
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from jetlab import (
-    ClosureParams,
     EvolutionState,
     ModelSpec,
     PeriodicField,
@@ -55,14 +54,14 @@ def report(num, name, ok, detail=""):
 
 def test_c01_closure_algebra():
     exact = (
-        closure_coefficient(ClosureParams(1, 0.0)) == 1.0 / 3.0
-        and closure_coefficient(ClosureParams(2, 0.0)) == 1.0 / 4.0
-        and closure_coefficient(ClosureParams(1, 1.0)) == 1.0 / 5.0
+        closure_coefficient(1, 0.0) == 1.0 / 3.0
+        and closure_coefficient(2, 0.0) == 1.0 / 4.0
+        and closure_coefficient(1, 1.0) == 1.0 / 5.0
     )
     raised = 0
     for m, a in [(1, -2.0), (1, -1.5), (2, -3.0)]:
         with pytest.raises(ValueError, match="positivity condition violated"):
-            closure_coefficient(ClosureParams(m, a))
+            closure_coefficient(m, a)
         raised += 1
     report(1, "closure algebra", exact and raised == 3, "1/3, 1/4, 1/5 exact")
 
@@ -283,7 +282,7 @@ def test_c08_model_family_sanity():
     assert np.max(np.abs(spectral_derivative(u).values - hilbert_transform(omega).values)) <= 1e-12
     state = EvolutionState(omega, None, 0.0)
     rate = rhs(ModelSpec("clm"), state)
-    assert np.max(np.abs(rate.d_omega - 0.5 * np.sin(2 * grid.nodes))) <= 1e-12
+    assert np.max(np.abs(rate[0] - 0.5 * np.sin(2 * grid.nodes))) <= 1e-12
     worst, sup = _self_convergence(ModelSpec("clm"), L, np.cos, None, 1024, 5e-4, 1.85)
     assert worst <= 1e-6
     details.append(f"CLM {worst:.1e}@sup{sup:.1f}")
@@ -293,14 +292,14 @@ def test_c08_model_family_sanity():
     u = biot_savart(ModelSpec("ccf"), omega_s)
     assert np.max(np.abs(u.values + np.cos(grid.nodes))) <= 1e-13
     rate = rhs(ModelSpec("ccf"), EvolutionState(omega_s, None, 0.0))
-    assert np.max(np.abs(rate.d_omega - np.cos(grid.nodes) ** 2)) <= 1e-12
+    assert np.max(np.abs(rate[0] - np.cos(grid.nodes) ** 2)) <= 1e-12
     worst, sup = _self_convergence(ModelSpec("ccf"), L, np.sin, None, 512, 1e-3, 1.0)
     assert worst <= 1e-6
     details.append(f"CCF {worst:.1e}")
 
     # De Gregorio: cos is a steady state; generic datum for convergence
     rate = rhs(ModelSpec("de_gregorio"), state)
-    assert np.max(np.abs(rate.d_omega)) <= 1e-13
+    assert np.max(np.abs(rate[0])) <= 1e-13
     u = biot_savart(ModelSpec("de_gregorio"), omega)
     assert np.max(np.abs(u.values + np.cos(grid.nodes))) <= 1e-13
     worst, sup = _self_convergence(
@@ -320,12 +319,12 @@ def test_c08_model_family_sanity():
         PeriodicField(grid, np.cos(grid.nodes) + 0.4 * np.sin(2 * grid.nodes)), None, 0.0
     )
     assert np.max(np.abs(
-        rhs(ModelSpec("okamoto", a_ok=0.0), generic).d_omega
-        - rhs(ModelSpec("clm"), generic).d_omega
+        rhs(ModelSpec("okamoto", a_ok=0.0), generic)[0]
+        - rhs(ModelSpec("clm"), generic)[0]
     )) == 0.0
     assert np.max(np.abs(
-        rhs(ModelSpec("okamoto", a_ok=1.0), generic).d_omega
-        - rhs(ModelSpec("de_gregorio"), generic).d_omega
+        rhs(ModelSpec("okamoto", a_ok=1.0), generic)[0]
+        - rhs(ModelSpec("de_gregorio"), generic)[0]
     )) == 0.0
     worst, sup = _self_convergence(ModelSpec("okamoto", a_ok=0.4), L, np.cos, None, 512, 1e-3, 1.7)
     assert worst <= 1e-6
@@ -346,7 +345,7 @@ def test_c08_model_family_sanity():
         -u_hl.values * spectral_derivative(hl_state.omega).values
         + spectral_derivative(hl_state.theta).values
     )
-    assert np.max(np.abs(hl_rate.d_omega - expected)) == 0.0
+    assert np.max(np.abs(hl_rate[0] - expected)) == 0.0
     worst, sup = _self_convergence(
         ModelSpec("hou_luo"), L, np.sin, lambda x: -np.cos(x), 1024, 5e-4, 0.8
     )

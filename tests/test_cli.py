@@ -70,7 +70,7 @@ class TestParseConfig:
         no_theta = EvolutionState(state.omega, None, 0.0)
         r_config = rhs(config.model, no_theta)
         r_clm = rhs(ModelSpec("clm"), no_theta)
-        assert np.max(np.abs(r_config.d_omega - r_clm.d_omega)) == 0.0
+        assert np.max(np.abs(r_config[0] - r_clm[0])) == 0.0
 
     def test_unknown_model(self):
         with pytest.raises(ConfigError) as err:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jetlab import identity_case_names, operator_identity_check
+from jetlab import identities, identity_case_names, models, operator_identity_check, strip
 from jetlab.identities import operator_sides
 
 
@@ -40,6 +40,13 @@ class TestOperatorIdentities:
         z, r = np.zeros((1, 1)), np.ones((1, 1))
         with pytest.raises(ValueError, match="m must be 1 or 2"):
             operator_sides("q", 3, z, r)
+
+    def test_checks_the_solvers_stream_coefficient(self, monkeypatch):
+        # one b(m) for the strip solver and the (z, q) side: a wrong b is seen
+        assert strip.stream_coefficient is identities.stream_coefficient is models.stream_coefficient
+        monkeypatch.setattr(identities, "stream_coefficient", lambda m: 4.0 + 2.0 * m + 1e-6)
+        for m in (1, 2):
+            assert operator_identity_check(m, "q") > 1e-12
 
     def test_runs_quickly(self):
         import time

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from jetlab import (
-    ClosureParams,
     EvolutionState,
     ModelSpec,
     PeriodicField,
@@ -17,6 +16,7 @@ from jetlab import (
     run,
     spectral_derivative,
     step_rk4,
+    stream_coefficient,
 )
 from jetlab.grid import reflect_values
 from jetlab.spectral import composite_weights, dealias_filter
@@ -34,16 +34,20 @@ class TestClosureAlgebra:
         [(1, 0.0, 1.0 / 3.0), (2, 0.0, 1.0 / 4.0), (1, 1.0, 1.0 / 5.0)],
     )
     def test_coefficients_exact(self, m, a, expected):
-        assert closure_coefficient(ClosureParams(m, a)) == expected
+        assert closure_coefficient(m, a) == expected
 
     @pytest.mark.parametrize("m,a", [(1, -2.0), (2, -2.0), (1, -1.5)])
     def test_positivity_violation(self, m, a):
         with pytest.raises(ValueError, match="positivity condition violated"):
-            closure_coefficient(ClosureParams(m, a))
+            closure_coefficient(m, a)
 
-    def test_m_restricted(self):
-        with pytest.raises(ValueError):
-            ClosureParams(3, 0.0)
+    @pytest.mark.parametrize("build,args", [
+        (stream_coefficient, (3,)),
+        (closure_coefficient, (3, 0.0)),
+    ], ids=["stream_coefficient", "closure_coefficient"])
+    def test_m_restricted(self, build, args):
+        with pytest.raises(ValueError, match="m must be 1 or 2"):
+            build(*args)
 
     def test_q0_from_closure(self):
         config = parse_config('{"model": {"name": "Q0", "m": 1, "a": 0.0}, "grid": {"n": 64}}')
@@ -121,7 +125,7 @@ class TestRhs:
         s = make_state(grid, lambda x: np.cos(2 * np.pi * x / L))
         rate = rhs(ModelSpec("clm"), s)
         exact = 0.5 * np.sin(4 * np.pi * grid.nodes / L)
-        assert np.max(np.abs(rate.d_omega - exact)) <= 1e-12
+        assert np.max(np.abs(rate[0] - exact)) <= 1e-12
 
     def test_q0_example(self):
         grid = PeriodicGrid(128, 2.0)
@@ -129,8 +133,8 @@ class TestRhs:
         rate = rhs(ModelSpec("q0", c=1.0 / 3.0), s)
         x = grid.nodes
         exact = np.sin(np.pi * x) * np.pi * np.cos(np.pi * x) / 3.0
-        assert np.max(np.abs(rate.d_omega - exact)) <= 1e-12
-        assert np.max(np.abs(rate.d_theta)) == 0.0
+        assert np.max(np.abs(rate[0] - exact)) <= 1e-12
+        assert np.max(np.abs(rate[1])) == 0.0
 
     def test_ccf_example(self):
         L = 2.0
@@ -138,13 +142,13 @@ class TestRhs:
         s = make_state(grid, lambda x: np.sin(2 * np.pi * x / L))
         rate = rhs(ModelSpec("ccf"), s)
         exact = (2 * np.pi / L) * np.cos(2 * np.pi * grid.nodes / L) ** 2
-        assert np.max(np.abs(rate.d_omega - exact)) <= 1e-12
+        assert np.max(np.abs(rate[0] - exact)) <= 1e-12
 
     def test_de_gregorio_cos_is_steady(self):
         grid = PeriodicGrid(128, 2 * np.pi)
         s = make_state(grid, np.cos)
         rate = rhs(ModelSpec("de_gregorio"), s)
-        assert np.max(np.abs(rate.d_omega)) <= 1e-13
+        assert np.max(np.abs(rate[0])) <= 1e-13
 
     def test_okamoto_interpolates_clm_and_de_gregorio(self):
         grid = PeriodicGrid(128, 2 * np.pi)
@@ -153,8 +157,8 @@ class TestRhs:
         r_dg = rhs(ModelSpec("de_gregorio"), s)
         r_a0 = rhs(ModelSpec("okamoto", a_ok=0.0), s)
         r_a1 = rhs(ModelSpec("okamoto", a_ok=1.0), s)
-        assert np.max(np.abs(r_a0.d_omega - r_clm.d_omega)) == 0.0
-        assert np.max(np.abs(r_a1.d_omega - r_dg.d_omega)) == 0.0
+        assert np.max(np.abs(r_a0[0] - r_clm[0])) == 0.0
+        assert np.max(np.abs(r_a1[0] - r_dg[0])) == 0.0
 
     def test_hou_luo_assembled(self):
         L = 2 * np.pi
@@ -166,9 +170,9 @@ class TestRhs:
             -u.values * spectral_derivative(s.omega).values
             + spectral_derivative(s.theta).values
         )
-        assert np.max(np.abs(rate.d_omega - expected)) == 0.0
+        assert np.max(np.abs(rate[0] - expected)) == 0.0
         expected_theta = -u.values * spectral_derivative(s.theta).values
-        assert np.max(np.abs(rate.d_theta - expected_theta)) == 0.0
+        assert np.max(np.abs(rate[1] - expected_theta)) == 0.0
 
     def test_theta_presence_must_match(self):
         grid = PeriodicGrid(64, 2.0)
@@ -259,11 +263,11 @@ class TestKernelAgainstComposedFormulas:
         close(biot_savart(model, s.omega).values, composed_velocity(model, s.omega))
         rate = rhs(model, s, dealias)
         d_omega, d_theta = composed_rate(model, s, dealias)
-        close(rate.d_omega, d_omega)
+        close(rate[0], d_omega)
         if model.has_theta:
-            close(rate.d_theta, d_theta)
+            close(rate[1], d_theta)
         else:
-            assert rate.d_theta is None
+            assert len(rate) == 1
 
 
 def _cky_cases():
@@ -320,11 +324,11 @@ class TestStructuralProperties:
     def test_parity_propagation(self, model):
         s = self._symmetric_state()
         rate = rhs(model, s)
-        odd = np.max(np.abs(rate.d_omega + reflect_values(rate.d_omega)))
-        even = np.max(np.abs(rate.d_theta - reflect_values(rate.d_theta)))
-        scale = max(np.max(np.abs(rate.d_omega)), 1e-300)
+        odd = np.max(np.abs(rate[0] + reflect_values(rate[0])))
+        even = np.max(np.abs(rate[1] - reflect_values(rate[1])))
+        scale = max(np.max(np.abs(rate[0])), 1e-300)
         assert odd <= 1e-11 * scale
-        assert even <= 1e-11 * max(np.max(np.abs(rate.d_theta)), 1e-300)
+        assert even <= 1e-11 * max(np.max(np.abs(rate[1])), 1e-300)
 
     @pytest.mark.parametrize("lam,mu", [(2, 1.7), (3, 0.6)])
     def test_q0_scaling_symmetry(self, lam, mu):
@@ -344,12 +348,12 @@ class TestStructuralProperties:
         )
         rate_s = rhs(model, scaled)
 
-        expect_omega = (mu**2 / lam) * rate.d_omega[scaled_idx]
-        expect_theta = (mu**3 / lam**2) * rate.d_theta[scaled_idx]
+        expect_omega = (mu**2 / lam) * rate[0][scaled_idx]
+        expect_theta = (mu**3 / lam**2) * rate[1][scaled_idx]
         scale = max(np.max(np.abs(expect_omega)), 1.0)
-        assert np.max(np.abs(rate_s.d_omega - expect_omega)) <= 1e-10 * scale
+        assert np.max(np.abs(rate_s[0] - expect_omega)) <= 1e-10 * scale
         scale_t = max(np.max(np.abs(expect_theta)), 1.0)
-        assert np.max(np.abs(rate_s.d_theta - expect_theta)) <= 1e-10 * scale_t
+        assert np.max(np.abs(rate_s[1] - expect_theta)) <= 1e-10 * scale_t
 
     def test_q0_velocity_equation_identity(self):
         # -c * omega_dot must equal -u u_x - c theta_x for u = -c omega
@@ -360,7 +364,7 @@ class TestStructuralProperties:
         u = -c * s.omega.values
         u_x = -c * spectral_derivative(s.omega).values
         theta_x = spectral_derivative(s.theta).values
-        lhs = -c * rate.d_omega
+        lhs = -c * rate[0]
         rhs_vals = -u * u_x - c * theta_x
         assert np.max(np.abs(lhs - rhs_vals)) <= 1e-10 * max(np.max(np.abs(lhs)), 1.0)
 
@@ -373,7 +377,7 @@ class TestStructuralProperties:
         u = biot_savart(model, s.omega)
         u_x = spectral_derivative(u).values
         L = s.grid.period_L
-        lhs = np.mean(rate.d_theta) * L
+        lhs = np.mean(rate[1]) * L
         rhs_int = np.mean(u_x * s.theta.values) * L
         assert abs(lhs - rhs_int) <= 1e-11 * max(abs(lhs), 1.0)
 
@@ -385,4 +389,4 @@ class TestStructuralProperties:
         rate = rhs(model, s)
         theta_x = np.abs(spectral_derivative(s.theta).values)
         flat = theta_x <= 1e-12 * np.max(theta_x)
-        assert np.max(np.abs(rate.d_theta[flat])) <= 1e-11
+        assert np.max(np.abs(rate[1][flat])) <= 1e-11

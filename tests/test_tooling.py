@@ -322,6 +322,23 @@ def test_import_jetlab_loads_no_numpy():
     assert python(["-c", code], unpinned_env()).stdout == "['jetlab']\n"
 
 
+def loaded_modules(module: str) -> set:
+    """The ``jetlab`` modules that a fresh ``import jetlab.<module>`` loads."""
+    code = (f"import sys, jetlab.{module}\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('jetlab')))")
+    return set(python(["-c", code], jetlab_env()).stdout.split())
+
+
+def test_module_graph():
+    # the CLI's start-up loads these 11 modules and no others, and the identity
+    # suite, which reads b(m) from models, loads none of the run machinery
+    assert loaded_modules("cli") == {"jetlab", *(f"jetlab.{name}" for name in (
+        "cli", "config", "diagnostics", "evolve", "grid", "identities", "models", "runner",
+        "spectral", "strip"))}
+    assert not loaded_modules("identities") & {f"jetlab.{name}" for name in (
+        "cli", "config", "runner", "evolve")}
+
+
 @pytest.mark.parametrize("preset,expected", [
     ({}, "1 1 1"),
     ({"OPENBLAS_NUM_THREADS": "3"}, "3 1 1"),
