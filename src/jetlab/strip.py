@@ -474,11 +474,12 @@ def _jets(top: np.ndarray, omega: AnyStripField, m: int, phi2_route: str) -> Jet
     (n, 5), the column q = 1 last."""
     if phi2_route not in _PHI2_ROUTES:
         raise ValueError(f"unknown phi2 route {phi2_route!r}")
+    b = stream_coefficient(m)  # checks m on either route
     grid = omega.grid
     phi1 = _boundary_first_derivative(top, grid.dq)
     omega_b = omega.columns(grid.n_q_intervals, grid.n_q_intervals + 1)[:, 0].copy()
     if phi2_route == "pde":
-        phi2 = (-omega_b - stream_coefficient(m) * phi1) / 4.0
+        phi2 = (-omega_b - b * phi1) / 4.0
     else:
         phi2 = _boundary_second_derivative(top, grid.dq)
     return JetRecord(

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import select
+import signal
 import sys
 
 import numpy as np
@@ -588,8 +590,8 @@ class TestConfigFailures:
         assert not (tmp_path / "out").exists()
 
     def test_deep_template_is_rejected_before_the_pool(self, tmp_path, capsys, monkeypatch):
-        # 500 levels parse, but pickling the members for the workers overflows
-        # the recursion limit
+        # 500 levels parse, but copying each member out of the template
+        # (json.dumps, json.loads) would overflow the recursion limit
         monkeypatch.setenv("JETLAB_WORKERS", "2")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         notes = "[" * 500 + "]" * 500
@@ -667,6 +669,84 @@ class TestSweep:
         for i in (0, 2):
             assert rows[i]["termination"] == "reached_t_end"
             assert (base / f"sweep_{i:04d}" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("how", [
+        f"killed by signal {signal.SIGKILL:d}", "exit status 7",
+    ])
+    def test_killed_member_keeps_the_others(self, tmp_path, monkeypatch, capsys, how):
+        monkeypatch.setenv("JETLAB_WORKERS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def member_one_killed(config):
+            if config.raw["model"]["a"] == 0.5:
+                if how.startswith("killed"):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(7)
+            return run_experiment(config)
+
+        monkeypatch.setattr("jetlab.cli.run_experiment", member_one_killed)
+        base = tmp_path / "sweepout"
+        template = minimal_q0(tmp_path)
+        template["outputs"]["directory"] = str(base)
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(template))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5, 1.0]}))
+        assert main(["sweep", str(template_path), str(grid_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: sweep member 1 ended without a result: {how}\n"
+        )
+        rows = json.loads((base / "sweep_summary.json").read_text())
+        assert [r["status"] for r in rows] == ["ok", "config_error", "ok"]
+        assert rows[1]["exit_code"] == 1 and rows[1]["termination"] is None
+        for i in (0, 2):
+            assert (base / f"sweep_{i:04d}" / "diagnostics.csv").exists()
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_parent_kills_and_reaps_its_children(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("JETLAB_WORKERS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def parent_fails(*args):
+            raise RuntimeError("the parent failed while two members ran")
+
+        monkeypatch.setattr(select, "select", parent_fails)
+        template = minimal_q0(tmp_path)
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(template))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5, 1.0]}))
+        with pytest.raises(RuntimeError, match="the parent failed"):
+            main(["sweep", str(template_path), str(grid_path)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        # one member fails, as in test_failed_member_keeps_the_others; each run
+        # writes below its own working directory, so the documents' paths agree
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        template = minimal_q0(tmp_path)
+        template["outputs"]["directory"] = "sweepout"
+        template_path = tmp_path / "template.json"
+        template_path.write_text(json.dumps(template))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"model.a": [0.0, 0.5, 1.0, 2.0]}))
+        runs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("JETLAB_WORKERS", workers)
+            (tmp_path / workers / "sweepout").mkdir(parents=True)
+            (tmp_path / workers / "sweepout" / "sweep_0001").write_text("a file where member 1 writes")
+            monkeypatch.chdir(tmp_path / workers)
+            code = main(["sweep", str(template_path), str(grid_path)])
+            files = {
+                str(path.relative_to(tmp_path / workers)): path.read_bytes()
+                for path in sorted((tmp_path / workers).rglob("*")) if path.is_file()
+            }
+            runs[workers] = code, files
+        assert runs["1"][0] == 1
+        assert len(runs["1"][1]) == 1 + 1 + 3 * 2  # summary, blocker, each member's csv and json
+        assert runs["2"] == runs["1"]
 
     def test_member_out_of_memory_is_a_config_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("JETLAB_WORKERS", "1")

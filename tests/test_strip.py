@@ -240,6 +240,13 @@ class TestSolveElliptic:
         with pytest.raises(ValueError, match="m must be 1 or 2"):
             elliptic_residual(zero, zero, 3)
 
+    @pytest.mark.parametrize("route", ["pde", "difference"])
+    def test_jets_validate_m(self, route):
+        zero = StripField(strip_grid(16, 32), np.zeros((16, 33)))
+        phi = solve_elliptic(1, zero)
+        with pytest.raises(ValueError, match="m must be 1 or 2"):
+            extract_jets(phi, zero, 3, route)
+
 
 def oracle_mode_matrices(m, grid):
     """Each x-mode's dense (M+1) x (M+1) matrix, unpacked from the shared band."""

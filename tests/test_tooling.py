@@ -309,6 +309,34 @@ def python(argv, env) -> subprocess.CompletedProcess:
     return result
 
 
+# A 2-worker sweep through main, then what it left in the process: no process
+# pool machinery loaded, and no child unreaped.
+FORKED_SWEEP = """
+import os, sys
+
+from jetlab.cli import main
+
+os.cpu_count = lambda: 2
+assert main(["sweep", *sys.argv[1:]]) == 0
+loaded = [m for m in ("concurrent.futures", "multiprocessing", "hashlib") if m in sys.modules]
+assert loaded == [], loaded
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    raise AssertionError("a sweep child is still unreaped")
+"""
+
+
+def test_sweep_loads_no_process_pool_and_reaps_its_children(tmp_path):
+    template = small_run(tmp_path, directory=str(tmp_path / "out"))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grid.n": [32, 64, 128]}))
+    python(["-c", FORKED_SWEEP, str(template), str(grid)], {**jetlab_env(), "JETLAB_WORKERS": "2"})
+    assert len(json.loads((tmp_path / "out" / "sweep_summary.json").read_text())) == 3
+
+
 def test_every_exported_name_resolves():
     # in a fresh process every name goes through the lazy __getattr__, so a
     # name dropped from its module but left in the export table fails here
