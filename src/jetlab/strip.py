@@ -14,12 +14,12 @@ q = 0 row); each x-mode adds its -k^2 diagonal.  All modes are solved
 together by one elimination sweep over q, and the residual checks apply
 the same band.
 
-The sweep checkpoints every _RESIDUAL_BLOCK-th row and hands the solution
-over a segment of q-rows at a time from the top down (single-level
-checkpointing, as in Griewank & Walther's revolve, ACM TOMS 26, 2000), so
-the checks consume each segment as it comes: ``jet-verify``'s pass,
-:func:`manufactured_pass`, holds its checkpoints and one block's arrays at
-a time, dropping each array once it is used and transforming in
+The sweep hands the solution over a segment of _RESIDUAL_BLOCK q-rows at a
+time from the top down, keeping about 2 sqrt(M/16) checkpoint rows
+(two-level checkpointing, as in Griewank & Walther's revolve, ACM TOMS 26,
+2000), so the checks consume each segment as it comes: ``jet-verify``'s
+pass, :func:`manufactured_pass`, holds its checkpoints and one block's
+arrays at a time, dropping each array once it is used and transforming in
 half-blocks, and the field routes (``solve_elliptic``,
 ``elliptic_residuals``, ``extract_jets``) feed the same checks a field's
 blocks, with the same bits.
@@ -33,6 +33,7 @@ built as a strip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, NamedTuple, Tuple, Union
 
@@ -45,7 +46,7 @@ _EPS = 1e-300
 
 
 # lines per block of the strip passes: q-columns in the transforms and the
-# finiteness check, pivot rows per checkpoint
+# finiteness check, q-rows per segment of the solve
 _RESIDUAL_BLOCK = 16
 
 
@@ -61,15 +62,24 @@ def _halves(count: int):
     return [(0, mid), (mid, count)] if count > 1 else [(0, count)]
 
 
+def _checkpoint_layout(M: int) -> Tuple[int, int]:
+    """(L, rows) of :func:`solve_banded_segments` at M q-intervals: L = isqrt(S)
+    segments per span, S being the segment count, and the checkpoint rows,
+    one for each span and L - 1 for the other segments of a span."""
+    S = M // _RESIDUAL_BLOCK + 1
+    L = math.isqrt(S)
+    return L, -(-S // L) + L - 1
+
+
 def jet_verify_budget(n: int, M: int) -> int:
     """Bytes that ``jet-verify`` at n x-points and M q-intervals allocates at
-    its peak, at most (see README): 24 per mode for each block's checkpoint,
+    its peak, at most (see README): 24 per mode for each checkpoint row,
     112 complex spectrum rows for one block's arrays of the solve and the
     checks (the most measured is 101, at n = 512, M = 256; the other 11 are
     margin), 80 per q-node for the band and the manufactured profiles, and
     64 KiB for the command."""
     K = n // 2 + 1
-    return 24 * K * (M // _RESIDUAL_BLOCK + 1) + 16 * K * 112 + 80 * (M + 1) + 2**16
+    return 24 * K * _checkpoint_layout(M)[1] + 16 * K * 112 + 80 * (M + 1) + 2**16
 
 
 @dataclass(frozen=True)
@@ -202,79 +212,111 @@ def solve_banded_segments(
     the system tridiagonal; a Thomas sweep then solves it.  Every row is
     weakly diagonally dominant for m = 1 and 2, so no pivoting is needed.
 
-    Neither the pivots nor the eliminated right-hand side are kept: the
-    forward sweep saves both at the first row of each segment, and the back
-    substitution reloads each segment below the top one, recomputes its rows
-    from those checkpoints with the same operations and substitutes from the
-    row just above it.  So the bits are those of a sweep that keeps every
-    row; ``load`` is called twice for each segment but the top one and must
-    return the same values each time.  Besides the segment in hand, the
-    solve holds its checkpoints (:func:`jet_verify_budget`) and a segment of pivot rows.
+    Neither the pivots nor the eliminated right-hand side are kept, but
+    checkpoints of both at the first row of a segment, on two levels (as in
+    Griewank & Walther's revolve, ACM TOMS 26, 2000): the segments are
+    grouped into spans of L = isqrt(S), S being the segment count, and the
+    forward sweep keeps the checkpoint of each span's first segment and
+    those of the top span's other segments.  The back substitution walks
+    the spans from the top down.  It sweeps each span below the top one
+    again from its checkpoint, keeping its segments' checkpoints in the rows
+    the span above used.  Each segment but the one that sweep leaves in hand
+    is then reloaded, its rows recomputed from its checkpoint with the same
+    operations, and substituted from the row just above it.  So the bits
+    are those of a sweep that keeps every row; ``load`` is called up to
+    three times for each segment (and for q-row 1 alone once, in the forward
+    sweep, when row 0's segment is one row) and must return the same values
+    each time.  Besides the segment in hand, the solve holds its checkpoints
+    (:func:`_checkpoint_layout`) and a segment of pivot rows.
     """
     M, K, B = ab.shape[1] - 1, k2.size, _RESIDUAL_BLOCK
+    segments = list(_blocks(M + 1))
+    S, (L, rows) = len(segments), _checkpoint_layout(M)
     f = ab[0, 2] / ab[1, 2]  # row 0 -= f * row 1
     upper0 = ab[1, 1] - f * (ab[2, 1] - k2)  # a[0, 1], now one entry per mode
     pivots = np.empty((B, K))  # of the segment's q-rows lo..hi-1
-    pivot_checkpoints = np.empty((M // B + 1, K))  # q-rows 0, B, 2B, ...
-    x_checkpoints = np.empty((M // B + 1, K), dtype=complex)
-    # q-row lo-1 in the forward sweep (pivot and eliminated right-hand side),
-    # q-row hi of the solution in the back substitution
+    checkpoints = np.empty((rows, K)), np.empty((rows, K), dtype=complex)  # see slot
+    # q-row lo-1 in the sweeps (pivot and eliminated right-hand side), q-row
+    # hi of the solution in the back substitution
     pivot_below, below, above = np.empty(K), np.empty(K, dtype=complex), np.empty(K, dtype=complex)
-    w, w_upper, t = np.empty(K), np.empty(K), np.empty(K, dtype=complex)
+    # w's values in a complex array of zero imaginary part, so that w x is a
+    # complex product without numpy's buffered cast of a real operand
+    w_complex, w_upper, t = np.zeros(K, dtype=complex), np.empty(K), np.empty(K, dtype=complex)
+    w = w_complex.real
+
+    def slot(j: int) -> int:
+        """The checkpoint row of segment j: L - 1 + k for the first segment
+        of span k, and 0..L-2 for the others of the span in hand."""
+        return L - 1 + j // L if j % L == 0 else j % L - 1
 
     def coefficients(lo: int, hi: int):
         """The band entries that q-rows lo..hi-1 read, as Python floats:
-        (base, diag, upper, lower), entry i - base of each list belonging to
-        q-row i: a[i, i], a[i, i+1] and a[i+1, i]."""
+        (base, upper, lower), entry i - base of each list belonging to
+        q-row i: a[i, i+1] and a[i+1, i]."""
         base = max(lo - 1, 0)
-        diag, upper = ab[2, base:hi].tolist(), ab[1, base + 1 : hi + 1].tolist()
+        upper = ab[1, base + 1 : hi + 1].tolist()
         if base == 0:
             upper[0] = upper0
-        return base, diag, upper, ab[3, base:hi].tolist()
+        return base, upper, ab[3, base:hi].tolist()
 
-    def eliminate(i: int, s: int, base: int, diag, upper, lower) -> None:
-        """Pivot q-row i, row s of the segment in hand, against the row below
-        it and eliminate its right-hand side."""
-        np.divide(lower[i - 1 - base], pivots[s - 1] if s else pivot_below, out=w)
-        np.multiply(w, upper[i - 1 - base], out=w_upper)
-        if i < M:
-            np.subtract(diag[i - base], k2, out=pivots[s])
-        else:
-            pivots[s].fill(diag[i - base])  # the row of phi(1) = 0 has no -k^2
-        np.subtract(pivots[s], w_upper, out=pivots[s])
-        np.subtract(x[s], np.multiply(w, x[s - 1] if s else below, out=t), out=x[s])
-
-    segments = list(_blocks(M + 1))
-    for lo, hi in segments:  # the forward sweep
-        band = _, diag, _, lower = coefficients(lo, hi)
+    def sweep(j: int, restore: bool = False) -> np.ndarray:
+        """Load segment j and eliminate its rows, carrying the last one on;
+        row lo is restored from its checkpoint if ``restore``, or else
+        eliminated against the row below and checkpointed.  The eliminated
+        right-hand side is returned."""
+        lo, hi = segments[j]
+        base, upper, lower = coefficients(lo, hi)
         x = load(lo, hi)
-        if lo == 0:  # row 1 is in the next segment only for segments of one row
+        np.subtract(ab[2, lo:hi, None], k2, out=pivots[: hi - lo])  # diag - k^2 of each row
+        if hi > M:
+            pivots[M - lo].fill(ab[2, M])  # the row of phi(1) = 0 has no -k^2
+        if restore:
+            pivots[0], x[0] = checkpoints[0][slot(j)], checkpoints[1][slot(j)]
+        elif lo == 0:  # row 1 is in the next segment only for segments of one row
             x[0] -= f * (x[1] if hi > 1 else load(1, 2)[0])
-            np.subtract(diag[0], k2, out=pivots[0])
             pivots[0] -= f * lower[0]
-        for i in range(max(lo, 1), hi):
-            eliminate(i, i - lo, *band)
-        pivot_checkpoints[lo // B], x_checkpoints[lo // B] = pivots[0], x[0]
-        pivot_below[:], below[:] = pivots[hi - lo - 1], x[hi - lo - 1]
-        if hi <= M:
-            del x  # carried in below; the top segment stays in hand
-    for lo, hi in reversed(segments):  # the back substitution
-        band = base, _, upper, _ = coefficients(lo, hi)
-        if hi <= M:  # below the top segment
-            x = load(lo, hi)
-            pivots[0], x[0] = pivot_checkpoints[lo // B], x_checkpoints[lo // B]
-            for i in range(lo + 1, hi):
-                eliminate(i, i - lo, *band)
-        for i in range(hi - 1, lo - 1, -1):
+        # the rows as views made once, q-row lo-1 (the carry) first
+        p_rows, x_rows = [pivot_below, *pivots[: hi - lo]], [below, *x]
+        for i in range(lo + 1 if restore or lo == 0 else lo, hi):
             s = i - lo
-            if i < M:  # x[s + 1] is not bound to a name: a view would keep x alive
-                np.multiply(upper[i - base], x[s + 1] if i + 1 < hi else above, out=t)
-                np.subtract(x[s], t, out=x[s])
-            np.divide(x[s], pivots[s], out=x[s])
-        above[:] = x[0]
-        handed = [x]
-        del x  # the consumer holds the segment alone, and the next one loads in its place
-        yield lo, hi, handed.pop()
+            p, xs = p_rows[s + 1], x_rows[s + 1]
+            np.divide(lower[i - 1 - base], p_rows[s], w)
+            np.multiply(w, upper[i - 1 - base], w_upper)
+            np.subtract(p, w_upper, p)
+            np.subtract(xs, np.multiply(w_complex, x_rows[s], t), xs)
+        if not restore:
+            checkpoints[0][slot(j)], checkpoints[1][slot(j)] = pivots[0], x[0]
+        pivot_below[:], below[:] = pivots[hi - lo - 1], x[hi - lo - 1]
+        return x
+
+    for j in range(S):  # the forward sweep
+        x = sweep(j)
+        if j < S - 1:
+            del x  # carried on; the top segment stays in hand
+    held = S - 1  # the segment in hand, whose pivot rows are the last swept
+    for first in reversed(range(0, S, L)):  # the back substitution, a span at a time
+        last = min(first + L, S)
+        if first + 1 < last < S:  # a span below the top one, of more than one segment
+            for j in range(first, last):
+                x = sweep(j, restore=j == first)
+                if j < last - 1:
+                    del x  # the span's top segment stays in hand
+            held = last - 1
+        for j in reversed(range(first, last)):
+            lo, hi = segments[j]
+            if j != held:
+                x = sweep(j, restore=True)
+            base, upper, _ = coefficients(lo, hi)
+            for i in range(hi - 1, lo - 1, -1):
+                s = i - lo
+                if i < M:  # x[s + 1] is not bound to a name: a view would keep x alive
+                    np.multiply(upper[i - base], x[s + 1] if i + 1 < hi else above, out=t)
+                    np.subtract(x[s], t, out=x[s])
+                np.divide(x[s], pivots[s], out=x[s])
+            above[:] = x[0]
+            handed = [x]
+            del x  # the consumer holds the segment alone, and the next one loads in its place
+            yield lo, hi, handed.pop()
 
 
 def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -296,7 +338,8 @@ def _stream_rhs(omega: AnyStripField, scratch: np.ndarray) -> Callable[[int, int
 
     def load(lo: int, hi: int) -> np.ndarray:
         rhs = np.fft.rfft(omega.columns(lo, hi, scratch).T)
-        np.negative(rhs, out=rhs)
+        planes = rhs.view(float)  # the same sign flips, without numpy's slow complex negative
+        np.negative(planes, out=planes)
         if hi > M:
             rhs[M - lo] = 0.0
         return rhs
@@ -371,8 +414,9 @@ class _ResidualPass:
     blocks before), make the window, and the block finishes every row whose
     stencil the window holds: [r-1, r+1], or [0, 2] for row 0, the one row
     with an upper-2 entry.  Only the window's band is cut, and the window's
-    band product and moduli live in one scratch.  The defect is formed, and
-    transformed back, half a block of rows at a time.
+    band product, and after it the moduli and their product, live in one
+    scratch.  The defect is formed, and transformed back, half a block of
+    rows at a time.
     """
 
     def __init__(self, band: np.ndarray, omega: AnyStripField, scratch: np.ndarray):
@@ -382,6 +426,7 @@ class _ResidualPass:
         # mode-contiguous, like the transforms over x, so that their blocks of columns are too
         shape = (self.k2.size, _RESIDUAL_BLOCK + 2)
         self.window, self.product = (np.empty(shape, complex, order="F") for _ in range(2))
+        self.planes = self.product.reshape(-1, order="F").view(float)  # its bytes, as reals
         self.absolute = self.worst = self.scale = self.omega_max = 0.0
 
     def _width(self, lo: int, hi: int) -> int:
@@ -409,9 +454,13 @@ class _ResidualPass:
             physical = np.fft.irfft(defect, n=self.scratch.shape[1], axis=0)
             del defect  # not alive beside the next half's spectra
             self.absolute = max(self.absolute, np.max(np.abs(physical, out=physical)))
-        # |A_k| |phi_hat_k|: the moduli in the product's imaginary plane, their product in the real
-        moduli = np.abs(window, out=product.imag)
-        scaled = _band_product(np.abs(ab), -self.k2, moduli, product.real)
+        # |A_k| |phi_hat_k|: the moduli and their product in the product's bytes, as two
+        # contiguous real blocks (its strided real and imaginary planes take twice the time)
+        size = window.size
+        moduli = self.planes[:size].reshape(window.shape, order="F")
+        scaled = self.planes[size : 2 * size].reshape(window.shape, order="F")
+        np.abs(window, out=moduli)
+        _band_product(np.abs(ab), -self.k2, moduli, scaled)
         self.scale = max(self.scale, np.max(scaled[:, rows]))
 
     def result(self) -> Tuple[float, float]:

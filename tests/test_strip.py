@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -140,9 +141,8 @@ class TestManufactured:
         def recorded(log, call):
             return lambda *args: log.append(args) or call(*args)
 
-        monkeypatch.setattr("jetlab.cli.manufactured_case", recorded(built, manufactured_case))
         monkeypatch.setattr(strip, "manufactured_case", recorded(built, manufactured_case))
-        monkeypatch.setattr("jetlab.cli.manufactured_pass", recorded(handed, strip.manufactured_pass))
+        monkeypatch.setattr(strip, "manufactured_pass", recorded(handed, strip.manufactured_pass))
         main(["jet-verify", str(m), "48", case, "--n", "32"])
         assert [args[:2] for args in built] == [(case, m)]
         (phi_exact, omega, m_handed), = handed
@@ -421,14 +421,16 @@ def one_pass_solve(m, omega):
 
 
 class TestCheckpointedSweep:
-    """solve_banded, which keeps one pivot row per block, against the sweep
-    that keeps them all."""
+    """solve_banded, which keeps two levels of checkpoints, against the sweep
+    that keeps every pivot row."""
 
     # M + 1 rows in blocks of 16: M = 31 fills two blocks, M = 16 and 32 leave
-    # a top segment of one row, M = 100 spans seven.  Other block sizes are
+    # a top segment of one row, M = 100 spans seven, and M = 1024 has eight
+    # spans of eight segments and a top span of one.  Other block sizes are
+    # test_matches_full_pivot_sweep_in_small_blocks and
     # TestResidualPass.test_block_size_does_not_change_the_bits.
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("M", [16, 17, 31, 32, 33, 100])
+    @pytest.mark.parametrize("M", [16, 17, 31, 32, 33, 100, 1024])
     @pytest.mark.parametrize("n", [8, 64])
     def test_matches_full_pivot_sweep(self, m, M, n):
         ab, k2 = _band(m, M, 1.0 / M), strip_grid(n, M).x_grid.wavenumbers**2
@@ -438,11 +440,26 @@ class TestCheckpointedSweep:
         solved = strip.solve_banded(ab, k2, rhs)
         assert solved is rhs and solved.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("block", [1, 2, 5, 16])
-    def test_segments_come_top_down_from_two_loads_each(self, monkeypatch, block):
+    # 34 rows in blocks of 1, 2 and 5: 34, 17 and 7 segments in spans of 5, 4
+    # and 2, the top span short (4, 1 and 1 segments)
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_full_pivot_sweep_in_small_blocks(self, monkeypatch, m, block):
         monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
         M = 33
-        ab, k2 = _band(2, M, 1.0 / M), strip_grid(16, M).x_grid.wavenumbers**2
+        ab, k2 = _band(m, M, 1.0 / M), strip_grid(16, M).x_grid.wavenumbers**2
+        rng = np.random.default_rng(10 * block + m)
+        rhs = rng.standard_normal((M + 1, k2.size)) + 1j * rng.standard_normal((M + 1, k2.size))
+        expected = full_pivot_sweep(ab, k2, rhs.copy())
+        assert strip.solve_banded(ab, k2, rhs).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def solve_in_segments(monkeypatch, block, M):
+        """Solve an m = 2 system of M + 1 rows in segments of block rows; check
+        that they come top down with the bits of full_pivot_sweep, and return
+        the segments' bounds bottom up and the loads the solve asked for."""
+        monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+        ab, k2 = _band(2, M, 1.0 / M), strip_grid(16, max(M, 16)).x_grid.wavenumbers**2
         rng = np.random.default_rng(block)
         rhs = rng.standard_normal((M + 1, k2.size)) + 1j * rng.standard_normal((M + 1, k2.size))
         loads = []
@@ -456,10 +473,34 @@ class TestCheckpointedSweep:
         assert [(lo, hi) for lo, hi, _ in segments] == blocks[::-1]
         solution = np.concatenate([x for _, _, x in segments[::-1]])
         assert solution.tobytes() == full_pivot_sweep(ab, k2, rhs.copy()).tobytes()
-        # the forward sweep, with row 1 read apart when it is not in row 0's segment,
-        # then every segment below the top one again
+        return blocks, loads
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 16])
+    def test_segments_come_top_down_from_two_loads_each(self, monkeypatch, block):
+        # three segments make spans of one: the forward sweep, with row 1 read
+        # apart when it is not in row 0's segment, then every segment below
+        # the top one again
+        blocks, loads = self.solve_in_segments(monkeypatch, block, 3 * block - 1)
         shed = [(1, 2)] if block == 1 else []
         assert loads == blocks[:1] + shed + blocks[1:] + blocks[-2::-1]
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 16])
+    def test_segments_come_top_down_after_each_span_is_swept_again(self, monkeypatch, block):
+        blocks, loads = self.solve_in_segments(monkeypatch, block, 33)
+        # the forward sweep, with row 1 read apart when it is not in row 0's
+        # segment; then, a span of isqrt(S) segments at a time from the top
+        # down, each span below the top one swept again (which, for a span
+        # of one segment, is its reload), and every segment below the span's
+        # top one once more
+        S = len(blocks)
+        L = math.isqrt(S)
+        expected = blocks[:1] + ([(1, 2)] if block == 1 else []) + blocks[1:]
+        for first in reversed(range(0, S, L)):
+            span = blocks[first : first + L]
+            expected += (span if first + L < S else []) + span[-2::-1]
+        assert loads == expected
+        # at most three loads a segment (at block 1, q-row 1 also comes with row 0)
+        assert max(loads.count(b) for b in blocks if b != (1, 2)) == (3 if L > 1 else 2)
 
     @pytest.mark.parametrize("block", [1, 5, 16])
     def test_each_segment_is_handed_over(self, monkeypatch, block):

@@ -16,8 +16,8 @@ from jetlab.config import GENERATORS
 from jetlab.diagnostics import CSV_COLUMNS
 from jetlab.grid import PeriodicGrid
 from jetlab.strip import (
-    StripGrid, elliptic_residuals, jet_verify_budget, manufactured_case, manufactured_pass,
-    solve_elliptic,
+    StripGrid, _checkpoint_layout, elliptic_residuals, jet_verify_budget, manufactured_case,
+    manufactured_pass, solve_elliptic,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,7 +199,7 @@ def test_jet_verify_stays_in_its_budget(n, M):
 
 def test_jet_verify_budget_is_not_loose():
     spectrum = (2048 // 2 + 1) * (1024 + 1) * np.dtype(complex).itemsize
-    assert jet_verify_budget(2048, 1024) <= 0.215 * spectrum
+    assert jet_verify_budget(2048, 1024) <= 0.145 * spectrum
 
 
 # where the per-block arrays are large against the q-nodes: the pass holds
@@ -208,10 +208,19 @@ def test_jet_verify_budget_is_not_loose():
 def test_manufactured_pass_holds_one_block(n, M):
     phi_exact, omega = manufactured_case("linear", 1, StripGrid(PeriodicGrid(n, 2 * np.pi), M))
     manufactured_pass(phi_exact, omega, 1)  # first-call caches are not the pass's cost
-    checkpoints = 24 * (n // 2 + 1) * (M // 16 + 1)
+    checkpoints = 24 * (n // 2 + 1) * _checkpoint_layout(M)[1]
     spectrum_row = 16 * (n // 2 + 1)
     per_block = traced_peak(lambda: manufactured_pass(phi_exact, omega, 1)) - checkpoints
     assert per_block <= 112 * spectrum_row
+
+
+def test_manufactured_pass_keeps_few_checkpoints():
+    # at M = 8192 the whole pass stays under what one checkpoint row per
+    # 16 q-rows (513 of them) would take alone
+    n, M = 512, 8192
+    phi_exact, omega = manufactured_case("linear", 1, StripGrid(PeriodicGrid(n, 2 * np.pi), M))
+    manufactured_pass(phi_exact, omega, 1)  # first-call caches are not the pass's cost
+    assert traced_peak(lambda: manufactured_pass(phi_exact, omega, 1)) < 24 * (n // 2 + 1) * 513
 
 
 # One failure of each class: (arguments, run-model document or None, exit code).
@@ -358,13 +367,22 @@ def loaded_modules(module: str) -> set:
 
 
 def test_module_graph():
-    # the CLI's start-up loads these 11 modules and no others, and the identity
-    # suite, which reads b(m) from models, loads none of the run machinery
+    # the CLI's start-up loads these 9 modules and no others (jet-verify and
+    # identity-check load their own), and the identity suite, which reads b(m)
+    # from models, loads none of the run machinery
     assert loaded_modules("cli") == {"jetlab", *(f"jetlab.{name}" for name in (
-        "cli", "config", "diagnostics", "evolve", "grid", "identities", "models", "runner",
-        "spectral", "strip"))}
+        "cli", "config", "diagnostics", "evolve", "grid", "models", "runner", "spectral"))}
     assert not loaded_modules("identities") & {f"jetlab.{name}" for name in (
         "cli", "config", "runner", "evolve")}
+
+
+def test_run_model_loads_no_strip_or_identities(tmp_path):
+    config = small_run(tmp_path, directory=str(tmp_path / "out"))
+    code = ("import sys\n"
+            "from jetlab.cli import main\n"
+            "assert main(['run-model', sys.argv[1]]) == 0\n"
+            "print('loaded:', *(m for m in ('jetlab.strip', 'jetlab.identities') if m in sys.modules))")
+    assert python(["-c", code, str(config)], jetlab_env()).stdout.splitlines()[-1] == "loaded:"
 
 
 @pytest.mark.parametrize("preset,expected", [
