@@ -17,7 +17,7 @@ from .spectral import (
     half_period_integrals,
     half_period_nodes,
     is_pinned_at_zero,
-    multipliers,
+    multiplier,
     tail_energy_fraction,
 )
 
@@ -133,7 +133,7 @@ def compute_record(
     # one transform of the stacked rows serves the tail fractions, and one
     # inverse transform gives omega'(0) for F and theta_x
     spectra = np.fft.rfft(np.array([f.values for f in fields]))
-    slopes = np.fft.irfft(spectra * multipliers(grid)["derivative"], n=grid.n_points)
+    slopes = np.fft.irfft(spectra * multiplier(grid, "derivative"), n=grid.n_points)
     theta_x = None
     if s.theta is not None:
         theta_x = s.theta if theta_zero else PeriodicField(grid, slopes[1])

@@ -9,9 +9,9 @@ from typing import Optional
 import numpy as np
 
 from .grid import PeriodicField, PeriodicGrid
-from .spectral import dealias_filter, multipliers
+from .spectral import dealias_filter, multiplier
 
-# Velocity laws: the spectral ones are keys of spectral.multipliers, whose
+# Velocity laws: the spectral ones are keys of spectral.MULTIPLIERS, whose
 # multiplier takes omega's spectrum to u's; these two act on the nodes.
 LOCAL = "local"  # u = -c*omega
 HALF_LINE = "half_line"  # CKY: u = -x * integral_x^X omega(y)/y dy on [0, X], 0 elsewhere
@@ -144,15 +144,14 @@ class KernelPlan:
 
     def __init__(self, model: ModelSpec, grid: PeriodicGrid, dealias: bool = False):
         row, n = model.row, grid.n_points
-        m = multipliers(grid)
         self.grid, self._dealias = grid, dealias
-        self._multiplier = m.get(row.law)  # u's spectrum from omega's; None for the real-space laws
-        self._derivative = m["derivative"]
+        self._real_law = self._REAL_SPACE_LAWS.get(row.law)  # unbound: no reference cycle
+        self._multiplier = None if self._real_law else multiplier(grid, row.law)  # u-hat/omega-hat
+        self._derivative = multiplier(grid, "derivative")
         self._stretching, self._theta = row.stretching, row.theta
         self._weight = -(model.a_ok if row.transport is None else row.transport)
         # the spectra of [u,] [u_x,] and the rows' derivatives, back in one batched irfft
         self._n_velocity = (self._multiplier is not None) + row.stretching
-        self._real_law = self._REAL_SPACE_LAWS.get(row.law)  # unbound: no reference cycle
         if row.law == LOCAL:
             self._minus_c = -model.c
         elif row.law == HALF_LINE:

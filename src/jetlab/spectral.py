@@ -7,7 +7,7 @@ functions; nothing here keeps mutable state, so concurrent use is safe.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -17,24 +17,30 @@ _MEAN_TOL = 1e-12
 _TINY = 1e-300
 
 
-@lru_cache(maxsize=32)
-def multipliers(grid: PeriodicGrid) -> Dict[str, np.ndarray]:
-    """rfft-ordered multipliers i*k, 1/(i*k), Hilbert -i*sign(k) and its antiderivative
-    -1/|k|; every Nyquist bin is zero, and every mean bin but the derivative's."""
-    k = grid.wavenumbers
-    m = {"derivative": 1j * k, "hilbert": np.full(k.size, -1j)}
-    m["antiderivative"], m["integrated_hilbert"] = np.zeros(k.size, complex), np.zeros(k.size)
-    m["derivative"][-1] = m["hilbert"][0] = m["hilbert"][-1] = 0.0
-    m["antiderivative"][1:-1] = -1j / k[1:-1]
-    m["integrated_hilbert"][1:-1] = -1.0 / k[1:-1]
-    for values in m.values():
-        values.setflags(write=False)
-    return m
+# rfft-ordered Fourier multipliers by name, each a formula on the bins 0 < k < n/2
+MULTIPLIERS = {
+    "derivative": lambda k: 1j * k,
+    "hilbert": lambda k: np.full(k.size, -1j),  # -i sign k
+    "antiderivative": lambda k: -1j / k,
+    "integrated_hilbert": lambda k: -1.0 / k,  # the antiderivative of the Hilbert transform
+}
 
 
-def apply_multiplier(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """Apply an rfft-ordered multiplier along the last axis of ``values``."""
-    return np.fft.irfft(np.fft.rfft(values) * multiplier, n=values.shape[-1])
+# Cached, like half_period_nodes: the arrays outlive the run's per-step temporaries, and without
+# both caches CKY at n = 8192 re-faults those (about 4,950 -> 16,400 minor faults a run).
+@lru_cache(maxsize=128)
+def multiplier(grid: PeriodicGrid, name: str) -> np.ndarray:
+    """Read-only ``MULTIPLIERS[name]`` on ``grid``'s rfft bins, zero at the mean and Nyquist."""
+    inner = MULTIPLIERS[name](grid.wavenumbers[1:-1])
+    values = np.zeros(inner.size + 2, inner.dtype)
+    values[1:-1] = inner
+    values.setflags(write=False)
+    return values
+
+
+def apply_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Apply the rfft-ordered multiplier ``symbol`` along the last axis of ``values``."""
+    return np.fft.irfft(np.fft.rfft(values) * symbol, n=values.shape[-1])
 
 
 def spectral_derivative(f: PeriodicField) -> PeriodicField:
@@ -42,7 +48,7 @@ def spectral_derivative(f: PeriodicField) -> PeriodicField:
 
     The Nyquist mode's derivative is set to zero.
     """
-    return PeriodicField(f.grid, apply_multiplier(f.values, multipliers(f.grid)["derivative"]))
+    return PeriodicField(f.grid, apply_multiplier(f.values, multiplier(f.grid, "derivative")))
 
 
 def hilbert_transform(f: PeriodicField) -> PeriodicField:
@@ -51,7 +57,7 @@ def hilbert_transform(f: PeriodicField) -> PeriodicField:
     Mode ``k = 0`` maps to zero, so H(cos k~x) = sin k~x and
     H(sin k~x) = -cos k~x for the scaled wavenumbers ~x = 2*pi*x/L.
     """
-    return PeriodicField(f.grid, apply_multiplier(f.values, multipliers(f.grid)["hilbert"]))
+    return PeriodicField(f.grid, apply_multiplier(f.values, multiplier(f.grid, "hilbert")))
 
 
 def antiderivative_zero_mean(f: PeriodicField) -> PeriodicField:
@@ -60,10 +66,9 @@ def antiderivative_zero_mean(f: PeriodicField) -> PeriodicField:
     mean = float(np.mean(values))
     if abs(mean) > _MEAN_TOL * max(float(np.max(np.abs(values))), _TINY):
         raise ValueError("no periodic antiderivative: input has nonzero mean")
-    return PeriodicField(f.grid, apply_multiplier(values, multipliers(f.grid)["antiderivative"]))
+    return PeriodicField(f.grid, apply_multiplier(values, multiplier(f.grid, "antiderivative")))
 
 
-@lru_cache(maxsize=64)
 def composite_weights(n_intervals: int) -> np.ndarray:
     """Unit-spacing Newton--Cotes weights of order >= 4 on ``n_intervals`` cells.
 
@@ -97,7 +102,7 @@ def is_pinned_at_zero(f: PeriodicField) -> bool:
     return abs(f.value_at_zero) <= 1e-10 * max(f.sup_norm, _TINY)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32)  # cached for the reason given at ``multiplier``
 def half_period_nodes(grid: PeriodicGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node indices and coordinates of x = 0 .. L/2 (the last index wraps to
     node 0), and the composite weights that integrate over them."""
@@ -126,7 +131,7 @@ def half_period_integrals(f: PeriodicField, slope_at_zero=None) -> Tuple[float, 
     ratio = np.empty(x.size)
     ratio[1:] = f.values[idx[1:]] / x[1:]
     if slope_at_zero is None:
-        slope_at_zero = apply_multiplier(f.values, multipliers(f.grid)["derivative"])[idx[0]]
+        slope_at_zero = apply_multiplier(f.values, multiplier(f.grid, "derivative"))[idx[0]]
     ratio[0] = slope_at_zero
     with np.errstate(over="ignore"):
         return float(weights @ ratio), float(weights @ ratio**2)

@@ -515,28 +515,20 @@ def _boundary_second_derivative(values: np.ndarray, dq: float) -> np.ndarray:
     ) / dq**2
 
 
-_PHI2_ROUTES = ("pde", "difference")
-
-
-def _jets(top: np.ndarray, omega: AnyStripField, m: int, phi2_route: str) -> JetRecord:
-    """The jets of :func:`extract_jets` from phi's top five q-columns ``top``
-    (n, 5), the column q = 1 last."""
-    if phi2_route not in _PHI2_ROUTES:
-        raise ValueError(f"unknown phi2 route {phi2_route!r}")
-    b = stream_coefficient(m)  # checks m on either route
-    grid = omega.grid
+def _jets(top: np.ndarray, omega: AnyStripField, m: int) -> Dict[str, JetRecord]:
+    """The jets of :func:`extract_jets` on both phi2 routes, by route, from
+    phi's top five q-columns ``top`` (n, 5), the column q = 1 last; the two
+    records share one phi1 and one omega(x, 1)."""
+    b = stream_coefficient(m)
+    grid, x_grid = omega.grid, omega.grid.x_grid
     phi1 = _boundary_first_derivative(top, grid.dq)
     omega_b = omega.columns(grid.n_q_intervals, grid.n_q_intervals + 1)[:, 0].copy()
-    if phi2_route == "pde":
-        phi2 = (-omega_b - b * phi1) / 4.0
-    else:
-        phi2 = _boundary_second_derivative(top, grid.dq)
-    return JetRecord(
-        phi1=PeriodicField(grid.x_grid, phi1),
-        phi2=PeriodicField(grid.x_grid, phi2),
-        omega_boundary=PeriodicField(grid.x_grid, omega_b),
-        m=m,
-    )
+    phi2 = {
+        "pde": (-omega_b - b * phi1) / 4.0,
+        "difference": _boundary_second_derivative(top, grid.dq),
+    }
+    phi1, omega_b = PeriodicField(x_grid, phi1), PeriodicField(x_grid, omega_b)
+    return {r: JetRecord(phi1, PeriodicField(x_grid, v), omega_b, m) for r, v in phi2.items()}
 
 
 def extract_jets(
@@ -550,10 +542,13 @@ def extract_jets(
     phi2 = (-omega(.,1) - (4+2m)*phi1) / 4, which is exact for the discrete
     solution; the "difference" route is the independent one-sided
     second-derivative cross-check, 2nd order in dq.  Both read phi's top
-    five q-columns only.
+    five q-columns only, and share one phi1 and one omega(x, 1).
     """
     M = phi.grid.n_q_intervals
-    return _jets(phi.columns(M - 4, M + 1), omega, m, phi2_route)
+    jets = _jets(phi.columns(M - 4, M + 1), omega, m)
+    if phi2_route not in jets:
+        raise ValueError(f"unknown phi2 route {phi2_route!r}")
+    return jets[phi2_route]
 
 
 def jet_relation_residual(jets: JetRecord) -> float:
@@ -631,12 +626,13 @@ def manufactured_pass(
     """Solve for ``omega`` and check phi against ``phi_exact`` in one pass:
     the numbers, bit for bit, of solve_elliptic followed by the sup error,
     elliptic_residuals and extract_jets on both routes, with no strip-sized
-    array.  Each segment of the solve is transformed back over its own
-    bytes and fed to the checks as it comes, from the top down; the band
-    and one scratch block serve the solve and the checks, and phi's top five
-    q-columns are kept for the jets.  Each block's array is dropped as soon
-    as the next step no longer needs it, so the pass holds one block's
-    arrays at a time beside the solve's checkpoints."""
+    array; the two routes' jets share one phi1 and one omega(x, 1).  Each
+    segment of the solve is transformed back over its own bytes and fed to
+    the checks as it comes, from the top down; the band and one scratch
+    block serve the solve and the checks, and phi's top five q-columns are
+    kept for the jets.  Each block's array is dropped as soon as the next
+    step no longer needs it, so the pass holds one block's arrays at a time
+    beside the solve's checkpoints."""
     grid = omega.grid
     band, scratch = _band(m, grid.n_q_intervals, grid.dq), _scratch(grid)
     residual, load = _ResidualPass(band, omega, scratch), _stream_rhs(omega, scratch)
@@ -653,5 +649,4 @@ def manufactured_pass(
         residual.take(lo, hi, phi)
         del phi  # not alive beside the residual pass's block arrays
         residual.finish(lo, hi)
-    jets = {route: _jets(top, omega, m, route) for route in _PHI2_ROUTES}
-    return ManufacturedChecks(error, residual.result(), jets)
+    return ManufacturedChecks(error, residual.result(), _jets(top, omega, m))

@@ -25,7 +25,7 @@ from jetlab.diagnostics import compute_record, fill_margin_fields
 from jetlab.evolve import FIT_FRACTION, FIT_RESIDUAL_THRESHOLD
 from jetlab.models import KernelPlan, state_rows
 from jetlab.runner import run_experiment
-from jetlab.spectral import dealias_filter, multipliers
+from jetlab.spectral import MULTIPLIERS, dealias_filter, multiplier
 
 from conftest import sin_state
 
@@ -413,7 +413,7 @@ REFERENCE_REAL_SPACE_LAWS = {
 
 
 def reference_evaluate(model, grid, y, dealias=False, with_rate=True):
-    row, m = model.row, multipliers(grid)
+    row, m = model.row, {name: multiplier(grid, name) for name in MULTIPLIERS}
     real_law = REFERENCE_REAL_SPACE_LAWS.get(row.law)
     y_hat = np.fft.rfft(y) if with_rate or real_law is None else None
     spectra = [] if real_law else [y_hat[0] * m[row.law]]

@@ -19,7 +19,8 @@ from jetlab import (
     stream_coefficient,
 )
 from jetlab.grid import reflect_values
-from jetlab.spectral import composite_weights, dealias_filter
+from jetlab.models import MODEL_TABLE, KernelPlan
+from jetlab.spectral import MULTIPLIERS, composite_weights, dealias_filter, multiplier
 
 
 def make_state(grid, omega_fn, theta_fn=None, t=0.0):
@@ -71,6 +72,11 @@ class TestModelSpec:
             ModelSpec("cky", truncation_X=0.0)
         with pytest.raises(ValueError):
             ModelSpec("not_a_model")
+
+    @pytest.mark.parametrize("kind", MODEL_TABLE)
+    def test_law_has_exactly_one_rule(self, kind):
+        law = MODEL_TABLE[kind].law
+        assert (law in MULTIPLIERS) + (law in KernelPlan._REAL_SPACE_LAWS) == 1
 
 
 class TestBiotSavart:
@@ -238,6 +244,40 @@ ALL_MODELS = [
     ModelSpec("cky", truncation_X=np.pi / 2),
     ModelSpec("q0", c=1 / 3),
 ]
+
+
+class TestMultipliersBuilt:
+    """A run builds only the multipliers its law and the derivative read."""
+
+    READ = {
+        "q0": ["derivative"],
+        "cky": ["derivative"],
+        "ccf": ["derivative", "hilbert"],
+        "clm": ["derivative", "integrated_hilbert"],
+        "de_gregorio": ["derivative", "integrated_hilbert"],
+        "okamoto": ["derivative", "integrated_hilbert"],
+        "hou_luo": ["derivative", "integrated_hilbert"],
+    }
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_run_builds_only_what_it_reads(self, monkeypatch, model):
+        built = []
+
+        def recorder(name, formula):
+            return lambda k: built.append(name) or formula(k)
+
+        for name, formula in MULTIPLIERS.items():
+            monkeypatch.setitem(MULTIPLIERS, name, recorder(name, formula))
+        multiplier.cache_clear()
+        try:
+            grid = PeriodicGrid(64, 2 * np.pi)
+            theta = (lambda x: 1.0 - np.cos(x)) if model.has_theta else None
+            cfg = StepperConfig(t_end=0.05, record_every=2)
+            result = run(model, make_state(grid, np.sin, theta), cfg)
+        finally:
+            multiplier.cache_clear()  # drop what the recorders built
+        assert result.diagnostics
+        assert sorted(built) == self.READ[model.kind]  # each built once
 
 
 class TestKernelAgainstComposedFormulas:

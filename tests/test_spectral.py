@@ -11,7 +11,9 @@ from jetlab import (
     spectral_derivative,
     tail_energy_fraction,
 )
-from jetlab.spectral import composite_weights, dealias_filter, half_period_integrals
+from jetlab.spectral import (
+    MULTIPLIERS, composite_weights, dealias_filter, half_period_integrals, multiplier,
+)
 
 from conftest import SI_PI, SI_2PI, INT_SIN2_OVER_X2
 
@@ -43,6 +45,31 @@ class TestGrid:
             PeriodicField(grid, np.zeros(7))
         with pytest.raises(ValueError):
             PeriodicField(grid, np.full(8, np.nan))
+
+
+def written_out_multipliers(grid):
+    """The four multipliers over all rfft bins, each bin fixed up by hand."""
+    k = grid.wavenumbers
+    m = {"derivative": 1j * k, "hilbert": np.full(k.size, -1j)}
+    m["antiderivative"], m["integrated_hilbert"] = np.zeros(k.size, complex), np.zeros(k.size)
+    m["derivative"][-1] = m["hilbert"][0] = m["hilbert"][-1] = 0.0
+    m["antiderivative"][1:-1] = -1j / k[1:-1]
+    m["integrated_hilbert"][1:-1] = -1.0 / k[1:-1]
+    return m
+
+
+class TestMultipliers:
+    @pytest.mark.parametrize("n", [8, 64, 2048])
+    def test_bits_of_the_written_out_construction(self, n):
+        grid = PeriodicGrid(n, 2.0)
+        expected = written_out_multipliers(grid)
+        assert set(MULTIPLIERS) == set(expected)
+        for name, values in expected.items():
+            built = multiplier(grid, name)
+            assert built.dtype == values.dtype
+            assert built.tobytes() == values.tobytes()  # the -0.0 real part of -1j too
+            assert not built.flags.writeable
+            assert multiplier(grid, name) is built
 
 
 class TestDerivative:

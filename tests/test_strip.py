@@ -247,6 +247,14 @@ class TestSolveElliptic:
         with pytest.raises(ValueError, match="m must be 1 or 2"):
             extract_jets(phi, zero, 3, route)
 
+    def test_jets_reject_an_unknown_route(self):
+        zero = StripField(strip_grid(16, 32), np.zeros((16, 33)))
+        phi = solve_elliptic(1, zero)
+        with pytest.raises(ValueError, match="unknown phi2 route 'spline'"):
+            extract_jets(phi, zero, 1, "spline")
+        with pytest.raises(ValueError, match="m must be 1 or 2"):  # m is checked first
+            extract_jets(phi, zero, 3, "spline")
+
 
 def oracle_mode_matrices(m, grid):
     """Each x-mode's dense (M+1) x (M+1) matrix, unpacked from the shared band."""
@@ -629,6 +637,13 @@ class TestStreamedPass:
             expected = extract_jets(phi, omega, m, route)
             for name in ("phi1", "phi2", "omega_boundary"):
                 assert_same_bits(getattr(jets, name).values, getattr(expected, name).values)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_routes_share_phi1_and_omega_boundary(self, m):
+        grid = strip_grid(16, 32)
+        jets = strip.manufactured_pass(*manufactured_case("exp", m, grid), m).jets
+        assert jets["pde"].phi1 is jets["difference"].phi1
+        assert jets["pde"].omega_boundary is jets["difference"].omega_boundary
 
     @pytest.mark.parametrize("n", [8, 64])
     @pytest.mark.parametrize("M", [16, 17, 31, 32, 33, 100])

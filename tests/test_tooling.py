@@ -15,6 +15,7 @@ from jetlab.cli import main
 from jetlab.config import GENERATORS
 from jetlab.diagnostics import CSV_COLUMNS
 from jetlab.grid import PeriodicGrid
+from jetlab.spectral import MULTIPLIERS
 from jetlab.strip import (
     StripGrid, _checkpoint_layout, elliptic_residuals, jet_verify_budget, manufactured_case,
     manufactured_pass, solve_elliptic,
@@ -54,6 +55,11 @@ def test_readme_csv_header_is_the_record():
 def test_readme_names_every_generator():
     paragraph = next(p for p in README.read_text().split("\n\n") if "Initial-data" in p)
     assert [name for name in GENERATORS if f"`{name}`" not in paragraph] == []
+
+
+def test_readme_names_every_multiplier():
+    bullet = next(b for b in README.read_text().split("\n- ") if b.startswith("`spectral`:"))
+    assert [name for name in MULTIPLIERS if f"`{name}`" not in bullet] == []
 
 
 def jetlab_env() -> dict:
