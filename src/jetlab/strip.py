@@ -15,7 +15,7 @@ together by one elimination sweep over q, and the residual checks apply
 the same band.
 
 The sweep hands the solution over a segment of _RESIDUAL_BLOCK q-rows at a
-time from the top down, keeping about 2 sqrt(M/16) checkpoint rows
+time from the top down, keeping about 2 sqrt(M/8) checkpoint rows
 (two-level checkpointing, as in Griewank & Walther's revolve, ACM TOMS 26,
 2000), so the checks consume each segment as it comes: ``jet-verify``'s
 pass, :func:`manufactured_pass`, holds its checkpoints and one block's
@@ -47,7 +47,7 @@ _EPS = 1e-300
 
 # lines per block of the strip passes: q-columns in the transforms and the
 # finiteness check, q-rows per segment of the solve
-_RESIDUAL_BLOCK = 16
+_RESIDUAL_BLOCK = 8
 
 
 def _blocks(count: int):
@@ -74,12 +74,13 @@ def _checkpoint_layout(M: int) -> Tuple[int, int]:
 def jet_verify_budget(n: int, M: int) -> int:
     """Bytes that ``jet-verify`` at n x-points and M q-intervals allocates at
     its peak, at most (see README): 24 per mode for each checkpoint row,
-    112 complex spectrum rows for one block's arrays of the solve and the
-    checks (the most measured is 101, at n = 512, M = 256; the other 11 are
-    margin), 80 per q-node for the band and the manufactured profiles, and
-    64 KiB for the command."""
+    68 complex spectrum rows for one block's arrays of the solve and the
+    checks (the most measured is 61.5 at the sizes the tests guard, at
+    n = 2048, M = 1024, and 64 at n = 1024, M = 64; the rest is margin), 80
+    per q-node for the band and the manufactured profiles, and 64 KiB for
+    the command."""
     K = n // 2 + 1
-    return 24 * K * _checkpoint_layout(M)[1] + 16 * K * 112 + 80 * (M + 1) + 2**16
+    return 24 * K * _checkpoint_layout(M)[1] + 16 * K * 68 + 80 * (M + 1) + 2**16
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,9 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             StripField(grid, np.full((16, 17), np.inf))
 
-    @pytest.mark.parametrize("column", [0, 15, 16, 32])  # blocks of 16 q-columns: 0..15, 16..31, 32
+    # blocks of 8 q-columns: 0..7, 8..15, 16..23, 24..31, 32 (15 and 16 are
+    # the edges of blocks of 16)
+    @pytest.mark.parametrize("column", [0, 7, 8, 15, 16, 32])
     def test_every_block_is_checked_for_finiteness(self, column):
         values = np.zeros((16, 33))
         values[5, column] = np.nan
@@ -111,7 +113,7 @@ class TestRankOneField:
         phi, omega = manufactured_case("exp", 1, strip_grid(16, 32))
         assert isinstance(phi, RankOneStripField) and isinstance(omega, RankOneStripField)
 
-    @pytest.mark.parametrize("block", [1, 5, 16, 64])
+    @pytest.mark.parametrize("block", [1, 5, 8, 16, 64])
     @pytest.mark.parametrize("case", MANUFACTURED_CASES)
     @pytest.mark.parametrize("m", [1, 2])
     def test_strip_passes_see_the_bits_of_the_dense_copy(self, monkeypatch, m, case, block):
@@ -432,9 +434,10 @@ class TestCheckpointedSweep:
     """solve_banded, which keeps two levels of checkpoints, against the sweep
     that keeps every pivot row."""
 
-    # M + 1 rows in blocks of 16: M = 31 fills two blocks, M = 16 and 32 leave
-    # a top segment of one row, M = 100 spans seven, and M = 1024 has eight
-    # spans of eight segments and a top span of one.  Other block sizes are
+    # M + 1 rows in blocks of 8: M = 31 fills four blocks, M = 16 and 32 leave
+    # a top segment of one row, M = 100 spans thirteen segments in spans of
+    # three and a top span of one, and M = 1024 has eleven spans of eleven
+    # segments and a top span of eight.  Other block sizes are
     # test_matches_full_pivot_sweep_in_small_blocks and
     # TestResidualPass.test_block_size_does_not_change_the_bits.
     @pytest.mark.parametrize("m", [1, 2])
@@ -483,7 +486,7 @@ class TestCheckpointedSweep:
         assert solution.tobytes() == full_pivot_sweep(ab, k2, rhs.copy()).tobytes()
         return blocks, loads
 
-    @pytest.mark.parametrize("block", [1, 2, 5, 16])
+    @pytest.mark.parametrize("block", [1, 2, 5, 8, 16])
     def test_segments_come_top_down_from_two_loads_each(self, monkeypatch, block):
         # three segments make spans of one: the forward sweep, with row 1 read
         # apart when it is not in row 0's segment, then every segment below
@@ -492,7 +495,7 @@ class TestCheckpointedSweep:
         shed = [(1, 2)] if block == 1 else []
         assert loads == blocks[:1] + shed + blocks[1:] + blocks[-2::-1]
 
-    @pytest.mark.parametrize("block", [1, 2, 5, 16])
+    @pytest.mark.parametrize("block", [1, 2, 5, 8, 16])
     def test_segments_come_top_down_after_each_span_is_swept_again(self, monkeypatch, block):
         blocks, loads = self.solve_in_segments(monkeypatch, block, 33)
         # the forward sweep, with row 1 read apart when it is not in row 0's
@@ -510,7 +513,7 @@ class TestCheckpointedSweep:
         # at most three loads a segment (at block 1, q-row 1 also comes with row 0)
         assert max(loads.count(b) for b in blocks if b != (1, 2)) == (3 if L > 1 else 2)
 
-    @pytest.mark.parametrize("block", [1, 5, 16])
+    @pytest.mark.parametrize("block", [1, 5, 8, 16])
     def test_each_segment_is_handed_over(self, monkeypatch, block):
         # the suspended solve keeps no reference: a dropped segment is freed at once
         monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
@@ -588,7 +591,7 @@ class TestResidualPass:
         _, omega = manufactured_case("linear", m, grid)
         self.assert_matches_oracle(solve_elliptic(m, omega), omega, m)
 
-    @pytest.mark.parametrize("block", [1, 5, 7, 16, 2, 3, 64])
+    @pytest.mark.parametrize("block", [1, 5, 7, 8, 16, 2, 3, 64])
     def test_block_size_does_not_change_the_bits(self, monkeypatch, block):
         monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
         grid = strip_grid(64, 48)  # 33 modes
@@ -650,11 +653,34 @@ class TestStreamedPass:
     @pytest.mark.parametrize("case", MANUFACTURED_CASES)
     @pytest.mark.parametrize("m", [1, 2])
     def test_matches_the_field_routes(self, monkeypatch, m, case, M, n):
-        # M + 1 columns in blocks: 17 columns fill one block of 16 with a top
-        # segment of one column, 32 fill two, 101 leave a partial top segment
-        for block in (1, 2, 3, 5, 16, 64):
+        # M + 1 columns in blocks: 17 columns fill two blocks of 8 or one of 16
+        # with a top segment of one column, 32 fill four of 8 or two of 16, 101
+        # leave a partial top segment
+        for block in (1, 2, 3, 5, 8, 16, 64):
             monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
             self.assert_matches_field_routes(case, m, strip_grid(n, M))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_blocks_of_8_and_16_give_the_same_bits_at_large_n(self, monkeypatch, m):
+        # the field-route checks above run at n <= 64; here each block's arrays
+        # hold 1025 modes
+        grid = strip_grid(2048, 40)
+        passes = {}
+        for block in (8, 16):
+            monkeypatch.setattr(strip, "_RESIDUAL_BLOCK", block)
+            passes[block] = [
+                strip.manufactured_pass(*manufactured_case(case, m, grid), m)
+                for case in MANUFACTURED_CASES
+            ]
+        for checks, expected in zip(passes[8], passes[16]):
+            assert checks.solve_max_error == expected.solve_max_error
+            assert checks.residuals == expected.residuals
+            assert set(checks.jets) == set(expected.jets)
+            for route, jets in checks.jets.items():
+                assert jets.m == expected.jets[route].m
+                for name in ("phi1", "phi2", "omega_boundary"):
+                    bits = getattr(jets, name).values.tobytes()
+                    assert bits == getattr(expected.jets[route], name).values.tobytes()
 
     def test_unknown_case_fails_before_the_solve(self, monkeypatch, capsys):
         def no_solve(*args):
