@@ -200,6 +200,10 @@ def _run_forked(jobs, workers: int) -> list:
     import select  # imported here: at the top they raised every command's peak by about 0.08 MB
     import signal
 
+    # this process's peak is the sweep's: free the parse's cyclic garbage (the
+    # argparse parser, about 26 KB) before the first fork, not whenever the
+    # collector's schedule, which every import shifts, next comes round
+    gc.collect()
     outcomes, running, pending = [None] * len(jobs), {}, iter(jobs)
     try:
         while True:

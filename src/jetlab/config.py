@@ -15,7 +15,7 @@ import numpy as np
 
 from . import evolve
 from .evolve import StepperConfig
-from .grid import PeriodicField, PeriodicGrid, reflect_values
+from .grid import PeriodicField, PeriodicGrid, reflection_defect
 from .models import (
     HALF_LINE, LOCAL, MODEL_TABLE, EvolutionState, ModelSpec, closure_coefficient,
     stream_coefficient,
@@ -61,12 +61,12 @@ class ExperimentConfig:
 
 
 def _check_theorem_symmetries(omega0, theta0) -> None:
-    odd = np.max(np.abs(omega0.values + reflect_values(omega0.values)))
+    odd = np.max(reflection_defect(omega0.values, np.add))
     if odd > _SYMMETRY_TOL * max(omega0.sup_norm, 1e-300):
         raise ConfigError("initial_data.omega", "omega0 must be odd about 0 and L/2")
     if theta0 is None:
         raise ConfigError("initial_data.theta", "theorem runs need a theta field")
-    even = np.max(np.abs(theta0.values - reflect_values(theta0.values)))
+    even = np.max(reflection_defect(theta0.values, np.subtract))
     if even > _SYMMETRY_TOL * max(theta0.sup_norm, 1.0):
         raise ConfigError("initial_data.theta", "theta0 must be even about 0 and L/2")
 

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .grid import PeriodicField, is_plus_zero, reflect_values
+from .grid import PeriodicField, is_plus_zero, reflection_defect
 from .models import LOCAL, EvolutionState, ModelSpec
 from .spectral import (
     half_period_integrals,
@@ -74,7 +74,9 @@ def energy(s: EvolutionState, c: float) -> float:
     if s.theta is None:
         raise ValueError("model has no theta")
     u = -c * s.omega.values
-    integrand = 0.5 * u * u - c * s.theta.values
+    integrand = 0.5 * u
+    integrand *= u
+    integrand -= np.multiply(c, s.theta.values, out=u)
     return float(np.mean(integrand) * s.grid.period_L)
 
 
@@ -88,8 +90,8 @@ def symmetry_and_sign_monitor(s: EvolutionState, theta_x: Optional[PeriodicField
     """
     grid = s.grid
     omega = s.omega.values
-    sup_omega = max(float(np.max(np.abs(omega))), _EPS)
-    odd_defect = float(np.max(np.abs(omega + reflect_values(omega)))) / sup_omega
+    sup_omega = max(s.omega.sup_norm, _EPS)
+    odd_defect = float(np.max(reflection_defect(omega, np.add))) / sup_omega
     endpoint = max(abs(omega[grid.index_of_zero]), abs(omega[0]))
 
     half_idx = half_period_nodes(grid)[0]  # x in [0, L/2]
@@ -100,7 +102,7 @@ def symmetry_and_sign_monitor(s: EvolutionState, theta_x: Optional[PeriodicField
         theta = s.theta.values
         sup_theta, sup_theta_x = s.theta.sup_norm, theta_x.sup_norm
         if sup_theta != 0.0:  # a theta of zeros is even: its defect is 0 / _EPS
-            even_defect = float(np.max(np.abs(theta - reflect_values(theta)))) / max(sup_theta, _EPS)
+            even_defect = float(np.max(reflection_defect(theta, np.subtract))) / max(sup_theta, _EPS)
         min_thetax_half = float(np.min(theta_x.values[half_idx]))
 
     return {
@@ -130,10 +132,14 @@ def compute_record(
     grid = s.grid
     theta_zero = s.theta is not None and is_plus_zero(s.theta.values)
     fields = [s.omega] if s.theta is None or theta_zero else [s.omega, s.theta]
-    # one transform of the stacked rows serves the tail fractions, and one
-    # inverse transform gives omega'(0) for F and theta_x
+    # one transform of the stacked rows serves the tail fractions, read before
+    # the spectra are differentiated in place; one inverse transform of them
+    # gives omega'(0) for F and theta_x
     spectra = np.fft.rfft(np.array([f.values for f in fields]))
-    slopes = np.fft.irfft(spectra * multiplier(grid, "derivative"), n=grid.n_points)
+    tail = max(tail_energy_fraction(f, fhat) for f, fhat in zip(fields, spectra))
+    spectra *= multiplier(grid, "derivative")
+    slopes = np.fft.irfft(spectra, n=grid.n_points)
+    del spectra
     theta_x = None
     if s.theta is not None:
         theta_x = s.theta if theta_zero else PeriodicField(grid, slopes[1])
@@ -148,8 +154,6 @@ def compute_record(
     G = 0.0
     if theta_x is not None and is_pinned_at_zero(theta_x):
         G = c * half_period_integrals(theta_x, 0.0 if theta_zero else None)[0]
-
-    tail = max(tail_energy_fraction(f, fhat) for f, fhat in zip(fields, spectra))
 
     return DiagnosticRecord(
         t=s.time,

@@ -71,10 +71,12 @@ class RunResult:
 
 
 def _rk4(plan: KernelPlan, y: np.ndarray, dt: float, k: np.ndarray, out: np.ndarray) -> None:
-    """One classical RK4 step of the stacked rows ``y`` into ``out``.  ``k[0]``
-    holds the rate at ``y``; ``k[1:]`` are stage buffers, and ``out`` carries
-    each stage's rows before the result.  Every stage's rows are checked
-    finite, so numpy's overflow warnings are not needed here."""
+    """One classical RK4 step of the stacked rows ``y`` into ``out``, in two
+    stage rows.  ``k[0]`` holds the rate at ``y`` and becomes the running sum
+    k1 + 2*k2 + 2*k3 + k4, added in that order; ``k[1]`` holds the current
+    stage's rate, doubled only once the next stage's rows are formed from
+    it.  ``out`` carries each stage's rows before the result.  Every stage's
+    rows are checked finite, so numpy's overflow warnings are not needed here."""
 
     def advanced(k_i: np.ndarray, coef: float, stage: int) -> np.ndarray:
         np.multiply(k_i, coef, out=out)
@@ -83,18 +85,17 @@ def _rk4(plan: KernelPlan, y: np.ndarray, dt: float, k: np.ndarray, out: np.ndar
             raise FloatingPointError(f"numerical overflow in stage {stage}")
         return out
 
+    acc, rate = k
     with np.errstate(over="ignore", invalid="ignore"):
-        plan.evaluate(advanced(k[0], dt / 2, 2), k[1])
-        plan.evaluate(advanced(k[1], dt / 2, 3), k[2])
-        plan.evaluate(advanced(k[2], dt, 4), k[3])
-        # (k1 + 2*k2 + 2*k3 + k4) / 6, in that order
-        k[1] *= 2
-        k[1] += k[0]
-        k[2] *= 2
-        k[1] += k[2]
-        k[1] += k[3]
-        k[1] /= 6.0
-        advanced(k[1], dt, 4)
+        plan.evaluate(advanced(acc, dt / 2, 2), rate)
+        for coef, stage in ((dt / 2, 3), (dt, 4)):
+            advanced(rate, coef, stage)
+            rate *= 2
+            acc += rate
+            plan.evaluate(out, rate)
+        acc += rate
+        acc /= 6.0
+        advanced(acc, dt, 4)
 
 
 def _state(model: ModelSpec, grid: PeriodicGrid, y: np.ndarray, time: float) -> EvolutionState:
@@ -115,7 +116,7 @@ def step_rk4(
         raise ValueError("dt must be positive")
     y = state_rows(model, s)
     plan = KernelPlan(model, s.grid, dealias)
-    k = np.empty((4,) + y.shape)
+    k = np.empty((2,) + y.shape)
     plan.evaluate(y, k[0])
     out = np.empty_like(y)
     _rk4(plan, y, dt, k, out)
@@ -140,17 +141,17 @@ def run(
     recorded state nearest to it (the earliest on a tie), and no other state.
 
     The run steps the stacked rows (omega[, theta]) in one workspace: one
-    :class:`KernelPlan` and fixed stage buffers.  It builds states only to
-    record them.  A theta that starts at +0.0 at every node stays exactly
+    :class:`KernelPlan`, the rows and their successor, and two stage rows
+    (see ``_rk4``).  It builds states only to record them.  A theta that starts at +0.0 at every node stays exactly
     +0.0, so the run then steps omega's row alone and records theta as zeros.
     """
     grid = init.grid
     y = state_rows(model, init)
     plan = KernelPlan(model, grid, cfg.dealias)
     if model.has_theta and is_plus_zero(y[1]):
-        y = y[:1]  # theta = +0.0 everywhere, and it stays so
+        y = y[:1].copy()  # theta = +0.0 everywhere, and it stays so; its row is freed
     y_next = np.empty_like(y)
-    k = np.empty((4,) + y.shape)
+    k = np.empty((2,) + y.shape)
 
     snapshots = [init] * len(snapshot_times)
     records: List[DiagnosticRecord] = []
@@ -205,6 +206,7 @@ def run(
         if step % cfg.record_every == 0:
             record(_state(model, grid, y, t), bkm)
 
+    del k, y_next  # the final record needs neither
     if not records or records[-1].t != t:
         record(init if step == 0 else _state(model, grid, y, t), bkm)
     fill_margin_fields(records, grid.period_L)

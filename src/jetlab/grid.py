@@ -80,7 +80,18 @@ class PeriodicField:
 
 def reflect_values(values: np.ndarray) -> np.ndarray:
     # node j maps to node (n - j) mod n under x -> -x
-    return np.roll(values[::-1], 1)
+    reflected = np.empty_like(values)
+    reflected[0] = values[0]
+    reflected[1:] = values[:0:-1]
+    return reflected
+
+
+def reflection_defect(values: np.ndarray, combine) -> np.ndarray:
+    """|combine(values, reflect_values(values))| in one new row: ``np.add``
+    measures how far ``values`` is from odd, ``np.subtract`` from even."""
+    reflected = reflect_values(values)
+    combine(values, reflected, out=reflected)
+    return np.abs(reflected, out=reflected)
 
 
 def is_plus_zero(values: np.ndarray) -> bool:

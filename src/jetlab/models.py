@@ -133,6 +133,10 @@ class KernelPlan:
     A rate costs one rfft of the stacked rows ``y = (omega[, theta])`` and
     one batched irfft of u, u_x, omega_x and theta_x; with ``dealias``,
     ``dealias_filter`` filters all nonlinear products in one more pair.
+    Each transform's input is dropped once its output exists, and the
+    products are written into ``rate`` and u_x's row, so an evaluation
+    holds no more than its spectra and their inverse transforms beside the
+    rows it reads and writes.
 
     A one-row ``y`` of a theta model stands for theta = +0.0 at every node,
     which theta_t = -u*theta_x keeps exactly (each stage adds coef*(+-0.0) to
@@ -172,19 +176,25 @@ class KernelPlan:
     def _half_line_velocity(self, omega: np.ndarray) -> np.ndarray:
         p = self._p
         g = np.zeros(p + 1)
-        g[:-1] = omega[self._from_X] / self._x_from_X
+        np.divide(omega[self._from_X], self._x_from_X, out=g[:-1])
         # tail[m]: unit-spacing integral of f over the last m cells by the rule of
         # spectral.composite_weights(m), as suffix sums of Simpson panels that end
         # at X (m even) or at the 3/8 block on the last three cells (m odd)
-        panel = (g[:-2] + 4.0 * g[1:-1] + g[2:]) / 3.0
+        panel = np.multiply(g[1:-1], 4.0)
+        panel += g[:-2]
+        panel += g[2:]
+        panel /= 3.0
         tail = np.zeros(p + 1)
         tail[1] = 0.5 * (g[0] + g[1])
-        tail[2::2] = np.cumsum(panel[0::2])
+        np.cumsum(panel[0::2], out=tail[2::2])
         if p >= 3:
             tail[3::2] = 0.375 * (g[0] + 3.0 * g[1] + 3.0 * g[2] + g[3])
-            tail[5::2] += np.cumsum(panel[3::2])
+            tail[5::2] += np.cumsum(panel[3::2], out=panel[3::2])
+        inner = tail[p - 1 : 0 : -1]
+        inner *= self.grid.dx
+        inner *= self._minus_x
         u = np.zeros(self.grid.n_points)
-        u[self._inner] = self._minus_x * (self.grid.dx * tail[p - 1 : 0 : -1])
+        u[self._inner] = inner
         return u
 
     _REAL_SPACE_LAWS = {LOCAL: _local_velocity, HALF_LINE: _half_line_velocity}
@@ -199,28 +209,33 @@ class KernelPlan:
         if self._stretching:
             np.multiply(spectra[0], self._derivative, out=spectra[1])
         np.multiply(y_hat, self._derivative, out=spectra[-len(y) :])
+        del y_hat
         back = np.fft.irfft(spectra, n=n)
+        del spectra
         u = back[0] if self._multiplier is not None else self._real_law(self, y[0])
         self._rate(y, u, back, rate)
         return u
 
     def _rate(self, y: np.ndarray, u: np.ndarray, back: np.ndarray, rate: np.ndarray) -> None:
-        # omega_t = -w*u*omega_x [+ u_x*omega] [+ theta_x], theta_t = -u*theta_x
+        # omega_t = -w*u*omega_x [+ u_x*omega] [+ theta_x], theta_t = -u*theta_x;
+        # the products u*omega_x, u_x*omega and u*theta_x go straight to the
+        # rows rate[0], back[1] (u_x's) and rate[1]
         theta = len(y) > 1  # a one-row y of a theta model has theta = +0.0
         derivatives = back[-len(y) :]  # omega_x[, theta_x]
-        products = [u * derivatives[0]]
+        products = [np.multiply(u, derivatives[0], out=rate[0])]
         if self._stretching:
-            products.append(back[1] * y[0])
+            products.append(np.multiply(back[1], y[0], out=back[1]))
         if theta:
-            products.append(u * derivatives[1])
+            products.append(np.multiply(u, derivatives[1], out=rate[1]))
         if self._dealias:
-            products = dealias_filter(np.array(products))
-        rate[0] = self._weight * products[0]
+            for row, filtered in zip(products, dealias_filter(np.array(products))):
+                row[...] = filtered
+        rate[0] *= self._weight
         if self._stretching:
-            rate[0] += products[1]
+            rate[0] += back[1]
         if theta:
             rate[0] += derivatives[1]
-            rate[1] = -products[-1]
+            np.negative(rate[1], out=rate[1])
         elif self._theta:
             rate[0] += 0.0  # theta_x = +0.0; the sum turns -0.0 into +0.0
 

@@ -198,6 +198,24 @@ class TestRun:
         assert calls.count(False) == 0
         assert rows == [1] * 4133
 
+    @pytest.mark.parametrize("theta_amplitude, rows", [(0.0, 1), (0.2, 2)], ids=["zero", "nonzero"])
+    def test_steps_in_two_stage_rows(self, monkeypatch, theta_amplitude, rows):
+        # k[0] holds k1 and then the running sum, k[1] the current stage's
+        # rate; step_rk4 always steps theta's row
+        import jetlab.evolve
+
+        shapes, rk4 = [], jetlab.evolve._rk4
+
+        def recorded(plan, y, dt, k, out):
+            shapes.append((k.shape, out.shape))
+            return rk4(plan, y, dt, k, out)
+
+        monkeypatch.setattr(jetlab.evolve, "_rk4", recorded)
+        model, init = ModelSpec("q0", c=1 / 3), sin_state(64, theta_amplitude)
+        run(model, init, StepperConfig(t_end=3 * 2.0**-7, dt_max=2.0**-7))
+        step_rk4(model, init, 2.0**-7)
+        assert shapes == [((2, rows, 64), (rows, 64))] * 3 + [((2, 2, 64), (2, 64))]
+
     @pytest.mark.parametrize(
         "entry, rows", [(0.0, 1), (5e-324, 2), (-0.0, 2)], ids=["zero", "nonzero", "minus-zero"]
     )

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from jetlab.cli import main
-from jetlab.config import GENERATORS
+from jetlab.config import GENERATORS, parse_config
 from jetlab.diagnostics import CSV_COLUMNS
 from jetlab.grid import PeriodicGrid
+from jetlab.runner import run_experiment
 from jetlab.spectral import MULTIPLIERS
 from jetlab.strip import (
     StripGrid, _checkpoint_layout, elliptic_residuals, jet_verify_budget, manufactured_case,
@@ -233,6 +234,51 @@ def test_manufactured_pass_keeps_few_checkpoints():
     phi_exact, omega = manufactured_case("linear", 1, StripGrid(PeriodicGrid(n, 2 * np.pi), M))
     manufactured_pass(phi_exact, omega, 1)  # first-call caches are not the pass's cost
     assert traced_peak(lambda: manufactured_pass(phi_exact, omega, 1)) < 24 * (n // 2 + 1) * 513
+
+
+# The traced peak of a three-step run at n = 16384 in rows of 8n bytes, per
+# model and theta.  A run steps r rows (omega, and theta unless it is +0.0 at
+# every node) in 4r: y, y_next and two RK4 stage rows.  An evaluation holds
+# its s spectra (u's and u_x's where the law has them, and the r rows'
+# derivatives) and their s inverse transforms at once.  The bound is 4r + 2s
+# and one row for the rest (a record's transforms), one more for a velocity
+# computed on the nodes (Q0, CKY) and two more for CKY's four half-line
+# arrays of X/dx = n/2 entries.
+RUN_ROW_BOUNDS = [
+    ("CLM", None, 11),  # r = 1, s = 3
+    ("DeGregorio", None, 11),
+    ("CCF", None, 9),  # r = 1, s = 2
+    ("Okamoto", None, 11),
+    ("HouLuo", "zero", 9),  # r = 1, s = 2
+    ("HouLuo", "nonzero", 15),  # r = 2, s = 3
+    ("CKY", "zero", 10),  # r = 1, s = 1
+    ("CKY", "nonzero", 16),  # r = 2, s = 2
+    ("Q0", "zero", 8),  # r = 1, s = 1
+    ("Q0", "nonzero", 14),  # r = 2, s = 2
+]
+THETA0 = {
+    "zero": {"name": "zero"},
+    "nonzero": {"name": "custom_fourier", "terms": [[0, 0.0, 0.3], [1, 0.0, 0.1]]},
+}
+
+
+@pytest.mark.parametrize(
+    "name,theta,rows", RUN_ROW_BOUNDS, ids=[f"{m}-{t}" if t else m for m, t, _ in RUN_ROW_BOUNDS]
+)
+def test_run_stays_in_its_row_budget(tmp_path, name, theta, rows):
+    n = 16384
+    doc = {
+        "model": {"name": name, "a_ok": 0.5, "X": 1.0},
+        "grid": {"n": n, "L": 2.0},
+        "initial_data": {"omega": {"name": "sin_fundamental"}},
+        "stepper": {"t_end": 3e-5, "dt_max": 1e-5, "record_every": 1000},
+        "outputs": {"directory": str(tmp_path)},
+    }
+    if theta:
+        doc["initial_data"]["theta"] = THETA0[theta]
+    config = parse_config(json.dumps(doc))
+    assert len(run_experiment(config)["result"].diagnostics) == 2  # first-call caches are not the run's cost
+    assert traced_peak(lambda: run_experiment(config)) <= rows * 8 * n
 
 
 # One failure of each class: (arguments, run-model document or None, exit code).
