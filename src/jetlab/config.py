@@ -25,7 +25,8 @@ DEFAULTS = {"n": 1024, "L": 2.0, "t_end": 10.0}  # the other defaults are Steppe
 
 THEOREM_TAG = "theorem-hypotheses"
 
-# Far deeper than any experiment; shallow enough to copy, pickle and dump safely.
+# Far deeper than any experiment; shallow enough for the JSON round trips of a sweep
+# member's copy (cli._expand_grid) and of run.json.
 _MAX_DEPTH = 100
 
 _SYMMETRY_TOL = 1e-12
@@ -92,6 +93,19 @@ def _number(section: dict, key: str, default, path: str, whole: bool = False):
         kind = "whole number" if whole else "finite number"
         raise ConfigError(path, f"expected a {kind}, got {raw!r}")
     return int(value) if whole else value
+
+
+def _reject_non_finite(node, path: str = "") -> None:
+    """A ConfigError at the first NaN or infinity left in ``node``: a key that no
+    parser reads still reaches run.json, which must stay strict JSON."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(path, f"expected a finite number, got {node!r}")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _reject_non_finite(value, f"{path}[{i}]")
 
 
 def _shaped(section: dict, key: str, kind: type, path: str, default=None):
@@ -252,6 +266,7 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
             # the 2/3 filter zeroes the modes resolved_until measures
             raise ConfigError("stepper.dealias", "theorem runs must not dealias")
         _check_theorem_symmetries(omega0, theta0)
+    _reject_non_finite(doc)  # after the parsers, whose messages name the keys they read
 
     return ExperimentConfig(
         model=model,

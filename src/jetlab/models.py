@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import PeriodicField, PeriodicGrid
-from .spectral import dealias_filter, multiplier
+from .spectral import dealias_filter, half_period_nodes, multiplier
 
 # Velocity laws: the spectral ones are keys of spectral.MULTIPLIERS, whose
 # multiplier takes omega's spectrum to u's; these two act on the nodes.
@@ -165,13 +165,11 @@ class KernelPlan:
         return self._minus_c * omega
 
     def _plan_half_line(self, p: int) -> None:
-        # the nodes x = 0, dx, .., X = p*dx, taken from X down to 0 for the suffix
-        # sums, where f = omega/x is 0 at x = 0
-        grid = self.grid
-        idx = (grid.index_of_zero + np.arange(p + 1)) % grid.n_points
-        x = grid.dx * np.arange(p + 1)
-        self._p, self._from_X, self._x_from_X = p, idx[:0:-1], x[:0:-1]
-        self._inner, self._minus_x = idx[1:-1], -x[1:-1]
+        # the nodes x = 0, dx, .., X = p*dx of half_period_nodes, taken from X down
+        # to 0 for the suffix sums, where f = omega/x is 0 at x = 0
+        idx, x, _ = half_period_nodes(self.grid)
+        self._p, self._from_X, self._x_from_X = p, idx[p:0:-1], x[p:0:-1]
+        self._inner, self._minus_x = idx[1:p], -x[1:p]
 
     def _half_line_velocity(self, omega: np.ndarray) -> np.ndarray:
         p = self._p

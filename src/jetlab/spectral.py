@@ -26,8 +26,8 @@ MULTIPLIERS = {
 }
 
 
-# Cached, like half_period_nodes: the arrays outlive the run's per-step temporaries, and without
-# both caches CKY at n = 8192 re-faults those (about 4,950 -> 16,400 minor faults a run).
+# Cached, like half_period_nodes, so that each grid builds each multiplier once, however many
+# plans and records read it (test_run_builds_only_what_it_reads).
 @lru_cache(maxsize=128)
 def multiplier(grid: PeriodicGrid, name: str) -> np.ndarray:
     """Read-only ``MULTIPLIERS[name]`` on ``grid``'s rfft bins, zero at the mean and Nyquist."""
@@ -105,7 +105,8 @@ def is_pinned_at_zero(f: PeriodicField) -> bool:
 @lru_cache(maxsize=32)  # cached for the reason given at ``multiplier``
 def half_period_nodes(grid: PeriodicGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node indices and coordinates of x = 0 .. L/2 (the last index wraps to
-    node 0), and the composite weights that integrate over them."""
+    node 0), and the composite weights that integrate over them.  The one
+    layout of the half period: the CKY plan slices its [0, X] from it."""
     n, half = grid.n_points, grid.n_points // 2
     idx = (grid.index_of_zero + np.arange(half + 1)) % n
     x = grid.dx * np.arange(half + 1)

@@ -464,6 +464,47 @@ class TestConfigFailures:
         code, err = self._run(tmp_path, capsys, doc)
         assert code == 1 and "outputs.snapshot_times:" in err
 
+    @pytest.mark.parametrize(
+        "path,value,line",
+        [
+            (("model", "note"), math.nan, "model.note: expected a finite number, got nan"),
+            (("model", "a_ok"), math.inf, "model.a_ok: expected a finite number, got inf"),
+            (("initial_data", "omega", "phase"), math.nan,
+             "initial_data.omega.phase: expected a finite number, got nan"),
+            (("outputs", "notes"), [[0.0, -math.inf]],
+             "outputs.notes[0][1]: expected a finite number, got -inf"),
+            (("tags",), ["x", math.nan], "tags[1]: expected a finite number, got nan"),
+            # a key a parser reads keeps that parser's message: no index here
+            (("outputs", "snapshot_times"), [0.1, math.nan],
+             "outputs.snapshot_times: expected a finite number, got nan"),
+        ],
+        ids=["unread-key", "a_ok-of-q0", "generator-key", "nested-list", "tag", "read-key"],
+    )
+    def test_non_finite_number_anywhere(self, tmp_path, capsys, path, value, line):
+        doc = minimal_q0(tmp_path)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code, err = self._run(tmp_path, capsys, doc)
+        assert code == 1 and err == f"config error: {line}\n"
+
+    @pytest.mark.parametrize("where", ["template", "grid"])
+    def test_sweep_stops_at_a_non_finite_number(self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.setenv("JETLAB_WORKERS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        template, axes = minimal_q0(tmp_path), {"model.a": [0.0, 0.5]}
+        if where == "template":
+            template["model"]["note"] = math.nan
+        else:
+            axes["model.note"] = [0.0, math.nan]
+        (tmp_path / "template.json").write_text(json.dumps(template))
+        (tmp_path / "grid.json").write_text(json.dumps(axes))
+        assert main(["sweep", str(tmp_path / "template.json"), str(tmp_path / "grid.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: model.note: expected a finite number, got nan\n"
+        assert not (tmp_path / "out").exists()  # no member ran
+
     @pytest.mark.parametrize("key", ["grid", "initial_data", "stepper", "outputs", "tags"])
     def test_section_of_the_wrong_shape(self, tmp_path, capsys, key):
         doc = minimal_q0(tmp_path)

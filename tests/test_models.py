@@ -20,7 +20,9 @@ from jetlab import (
 )
 from jetlab.grid import reflect_values
 from jetlab.models import MODEL_TABLE, KernelPlan
-from jetlab.spectral import MULTIPLIERS, composite_weights, dealias_filter, multiplier
+from jetlab.spectral import (
+    MULTIPLIERS, composite_weights, dealias_filter, half_period_nodes, multiplier,
+)
 
 
 def make_state(grid, omega_fn, theta_fn=None, t=0.0):
@@ -334,6 +336,27 @@ class TestHalfLineLaw:
             outside = np.ones(n, bool)
             outside[(grid.index_of_zero + np.arange(1, p)) % n] = False
             assert np.all(u[outside] == 0.0)
+
+    def test_plan_slices_the_half_period_nodes(self):
+        grid = PeriodicGrid(64, 2.0)
+        plan = KernelPlan(ModelSpec("cky", truncation_X=0.5), grid)
+        idx, x, _ = half_period_nodes(grid)
+        for view, nodes in ((plan._from_X, idx), (plan._inner, idx), (plan._x_from_X, x)):
+            assert np.shares_memory(view, nodes)
+
+    def test_odd_half_period_is_bitwise_its_own_layout(self):
+        # n = 66, X = L/2: p = 33 cells, an odd count, and the node X wraps to index 0
+        grid, p = PeriodicGrid(66, 2.0), 33
+        model = ModelSpec("cky", truncation_X=1.0)
+        omega = np.random.default_rng(66).standard_normal(66)
+        reference = KernelPlan(model, grid)  # the nodes built from their own formula
+        idx = (grid.index_of_zero + np.arange(p + 1)) % grid.n_points
+        x = grid.dx * np.arange(p + 1)
+        reference._from_X, reference._x_from_X = idx[:0:-1], x[:0:-1]
+        reference._inner, reference._minus_x = idx[1:-1], -x[1:-1]
+        u = biot_savart(model, PeriodicField(grid, omega)).values
+        assert np.count_nonzero(u) == p - 1
+        assert u.tobytes() == reference._half_line_velocity(omega).tobytes()
 
     def test_memory_is_linear(self):
         # a dense (p+1)^2 weight matrix at n = 16384, X = L/2 would be 537 MB

@@ -47,6 +47,114 @@ def test_every_traced_layer_resolves():
     assert missing == []
 
 
+# The functions in src/jetlab that no CLI command enters, beside the routes that
+# perfbench/tracer.py's LAYERS pins.  ROADMAP item 6 cuts those routes and
+# re-points the tracer in one change; this list shrinks with that cut.  An entry
+# names a function or a class (then all its methods).
+UNENTERED = (
+    "strip.StripField",  # the dense field: only the pinned solve_elliptic route builds one
+    "strip.elliptic_residuals",  # called only by the pinned elliptic_residual
+    "strip.closure_residual",  # kept for jet_report.json's closure keys (ROADMAP item 7)
+    "cli.cli",  # the process entry around main; the guard calls main in process
+    "cli._run_forked",  # the fork loop: the guard's sweep runs in process, with one worker
+    "cli._member_child",  # runs only in a forked child
+    "__init__.__getattr__",  # the package's lazy exports; the CLI imports each module by name
+    "__init__.__dir__",  # the same lazy exports, as dir(jetlab) lists them
+)
+
+
+def defined_functions(package: Path) -> set:
+    """``module.qualname`` of each function defined in ``package``'s modules,
+    as ``co_qualname`` spells it."""
+    names = set()
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(f"{module}.{prefix}{child.name}")
+                visit(child, module, f"{prefix}{child.name}.<locals>.")
+            else:
+                inner = f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix
+                visit(child, module, inner)
+
+    for path in package.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return names
+
+
+def cli_traffic(tmp_path) -> list:
+    """Small versions of every command: a tagged Q0 run with a snapshot, a
+    seven-model sweep, a dealiased run, jet-verify and identity-check for
+    both m, and a usage error, each as (argv, exit code)."""
+    def document(name, doc):
+        (tmp_path / name).write_text(json.dumps({**doc, "outputs": {
+            "directory": str(tmp_path / name[:-5]), **doc.get("outputs", {})}}))
+        return str(tmp_path / name)
+
+    cos = {"name": "custom_fourier", "terms": [[0, 0.0, 0.05], [1, 0.0, 0.02]]}  # theta_x(0) = 0
+    theorem = document("theorem.json", {
+        "model": {"name": "Q0", "c": 1 / 3}, "grid": {"n": 256},
+        "stepper": {"t_end": 1.2, "dt_max": 0.01, "omega_sup_cap": 50.0, "record_every": 5},
+        "outputs": {"snapshot_times": [0.5]}, "tags": ["theorem-hypotheses"],
+    })
+    template = document("template.json", {
+        "model": {"name": "CLM", "a_ok": 0.5, "X": 0.5}, "grid": {"n": 64},
+        "initial_data": {"omega": {"name": "sin_k", "k": 1, "amplitude": 0.2}, "theta": cos},
+        "stepper": {"t_end": 0.05, "record_every": 2},
+    })
+    (tmp_path / "grid.json").write_text(json.dumps({"model.name": [
+        "CLM", "DeGregorio", "CCF", "Okamoto", "HouLuo", "CKY", "Q0"]}))
+    dealiased = document("dealias.json", {
+        "model": {"name": "HouLuo"}, "grid": {"n": 64}, "initial_data": {"theta": cos},
+        "stepper": {"t_end": 0.05, "dealias": True},
+    })
+    return [
+        (["run-model", theorem], 0),
+        (["sweep", template, str(tmp_path / "grid.json")], 0),
+        (["run-model", dealiased], 0),
+        (["jet-verify", "1", "16", "linear", "--n", "16"], 0),
+        (["jet-verify", "2", "16", "quadratic", "--n", "16"], 0),
+        (["identity-check", "1"], 0),
+        (["identity-check", "2"], 0),
+        (["simulate"], 1),
+    ]
+
+
+def test_cli_enters_every_function_but_the_named_ones(tmp_path, monkeypatch):
+    """A function that only tests call fails here until it is cut or named."""
+    import jetlab
+
+    package = Path(jetlab.__file__).parent
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jetlab."):  # a cache an earlier test filled is not entered again
+            for value in list(vars(module).values()):
+                getattr(value, "cache_clear", lambda: None)()
+    commands = cli_traffic(tmp_path)
+    monkeypatch.setenv("JETLAB_WORKERS", "1")
+    entered, prefix = set(), str(package) + os.sep
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(prefix):
+            entered.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv, _ in commands]
+    finally:
+        sys.setprofile(None)
+    assert codes == [code for _, code in commands]
+    assert len((tmp_path / "theorem" / "diagnostics.csv").read_text().splitlines()) > 8
+
+    def named(name, entries):
+        return any(name == entry or name.startswith(entry + ".") for entry in entries)
+
+    unentered = defined_functions(package) - entered
+    pinned = {f"{module.removeprefix('jetlab.')}.{attr}" for _, module, attr in tracer_layers()}
+    assert sorted(name for name in unentered - pinned if not named(name, UNENTERED)) == []
+    assert [entry for entry in UNENTERED if not any(named(n, [entry]) for n in unentered)] == []
+
+
 def test_readme_csv_header_is_the_record():
     fence = README.read_text().split("has a fixed column order")[1].split("```\n")[1]
     header = fence.split("\n")[0]
@@ -296,6 +404,9 @@ OVERFLOW = {
 HUGE_CKY_X = {"model": {"name": "CKY", "X": 1e308}, "grid": {"n": 64, "L": 2.0}}
 TINY_L = {"model": {"name": "Q0"}, "grid": {"n": 64, "L": 1e-320}}
 NUL_DIRECTORY = {"model": {"name": "Q0"}, "grid": {"n": 64}, "outputs": {"directory": "a\x00b"}}
+# NaN and Infinity under keys that no parser reads, which run.json would echo
+UNREAD_NON_FINITE = {"model": {"name": "CCF", "note": float("nan")}, "grid": {"n": 64},
+                     "stepper": {"t_end": 0.01}, "tags": [float("inf")]}
 
 
 # F(0) of a 1e-310 amplitude is subnormal: 1/sup and L/F(0) pass the float range
@@ -321,6 +432,7 @@ FAILURE_CONTRACT = {
     "huge-cky-X": (["run-model"], json.dumps(HUGE_CKY_X).encode(), 1),
     "tiny-L": (["run-model"], json.dumps(TINY_L).encode(), 1),
     "nul-in-output-directory": (["run-model"], json.dumps(NUL_DIRECTORY).encode(), 1),
+    "non-finite-unread-keys": (["run-model"], json.dumps(UNREAD_NON_FINITE).encode(), 1),
     "record-past-the-float-range": (["run-model"], huge_amplitude(1e160), 0),
     "record-of-inf-and-nan": (["run-model"], huge_amplitude(1e308), 0),
     "snapshot-past-the-float-range": (["run-model"], huge_amplitude(1e160, snapshot_times=[0]), 0),
