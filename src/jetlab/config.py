@@ -258,7 +258,7 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
     out_doc = _shaped(doc, "outputs", dict, "outputs")
     output_dir = _shaped(out_doc, "directory", str, "outputs.directory", "out")
     entries = dict(enumerate(_shaped(out_doc, "snapshot_times", list, "outputs.snapshot_times")))
-    snapshot_times = tuple(_number(entries, i, None, "outputs.snapshot_times") for i in entries)
+    snapshot_times = tuple(_number(entries, i, None, f"outputs.snapshot_times[{i}]") for i in entries)
 
     tags = tuple(str(t) for t in _shaped(doc, "tags", list, "tags"))
     if THEOREM_TAG in tags:

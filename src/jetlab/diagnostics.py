@@ -6,8 +6,8 @@ many runs concurrently is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +30,7 @@ TAIL_THRESHOLD = 1e-8
 RICCATI_MIN_SAMPLES = 3
 
 
-@dataclass
-class DiagnosticRecord:
+class DiagnosticRecord(NamedTuple):
     t: float
     E: float
     F: float
@@ -53,12 +52,13 @@ class DiagnosticRecord:
     sup_theta: float
     sup_theta_x: float
 
-    def to_csv_row(self) -> str:
-        return ",".join(repr(getattr(self, name)) for name in CSV_COLUMNS)
-
 
 #: The diagnostics.csv column order: the record's fields before its three audit inputs.
-CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticRecord))[:-3]
+CSV_COLUMNS = DiagnosticRecord._fields[:-3]
+
+#: A record as one row of a run's table (``RunResult.diagnostics``): a float64
+#: per field, in field order, 144 bytes.
+RECORD_DTYPE = np.dtype([(name, np.float64) for name in DiagnosticRecord._fields])
 
 
 def diagnostic_coupling(model: ModelSpec) -> float:
@@ -156,18 +156,9 @@ def compute_record(
         G = c * half_period_integrals(theta_x, 0.0 if theta_zero else None)[0]
 
     return DiagnosticRecord(
-        t=s.time,
-        E=E,
-        F=F,
-        G=G,
-        F_dot_measured=0.0,
-        riccati_margin=0.0,
-        strong_margin=0.0,
-        sup_omega=s.omega.sup_norm,
-        bkm_integral=bkm_integral,
-        tail_energy_fraction=tail,
-        strong_term=strong,
-        **monitor,
+        t=s.time, E=E, F=F, G=G, F_dot_measured=0.0, riccati_margin=0.0, strong_margin=0.0,
+        sup_omega=s.omega.sup_norm, bkm_integral=bkm_integral, tail_energy_fraction=tail,
+        strong_term=strong, **monitor,
     )
 
 
@@ -177,14 +168,18 @@ def _three_point_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     Interior points use the 3-point formula exact for quadratics; the ends
     fall back to one-sided slopes so every sample gets a finite value.
     """
-    m = t.size
-    dy = np.empty(m)
-    dy[0] = (y[1] - y[0]) / (t[1] - t[0])
-    dy[-1] = (y[-1] - y[-2]) / (t[-1] - t[-2])
-    for i in range(1, m - 1):
-        hl = t[i] - t[i - 1]
-        hr = t[i + 1] - t[i]
-        dy[i] = (hl / hr * (y[i + 1] - y[i]) + hr / hl * (y[i] - y[i - 1])) / (hl + hr)
+    h, d = np.diff(t), np.diff(y)
+    hl, hr = h[:-1], h[1:]
+    dy = np.empty(t.size)
+    dy[0], dy[-1] = d[0] / h[0], d[-1] / h[-1]
+    # the interior (hl/hr * d[1:] + hr/hl * d[:-1]) / (hl + hr), in that order
+    # and in place: a run's memory peaks here, over its record table, so one
+    # temporary series is made beside h, d and dy
+    mid = np.divide(hl, hr, out=dy[1:-1])
+    mid *= d[1:]
+    d[:-1] *= hr / hl
+    mid += d[:-1]
+    mid /= np.add(hl, hr, out=d[:-1])
     return dy
 
 
@@ -204,47 +199,42 @@ class RiccatiSample:
 def riccati_audit(run) -> List[RiccatiSample]:
     """Margins of the blow-up inequality chain at the interior records of a run.
 
-    A view over the records: dF/dt and both margins are the ones
+    A view over the record table: dF/dt and both margins are the columns
     fill_margin_fields derived from the recorded F series, and the strong
     term was recorded with the same quadrature as F itself, which makes the
     Cauchy--Schwarz comparison an exact weighted-sum inequality.  The
     records hold the strong term at the run's own coupling c.
     """
-    records = run.diagnostics
-    if len(records) < RICCATI_MIN_SAMPLES:
+    table = run.diagnostics
+    if len(table) < RICCATI_MIN_SAMPLES:
         raise ValueError(f"riccati audit needs at least {RICCATI_MIN_SAMPLES} diagnostic samples")
+    names = ["t", "F", "F_dot_measured", "riccati_margin", "strong_margin", "strong_term"]
     return [
         RiccatiSample(
-            t=r.t,
-            F=r.F,
-            F_dot=r.F_dot_measured,
-            riccati_margin=r.riccati_margin,
-            strong_margin=r.strong_margin,
-            cauchy_lhs=r.F**2,
-            cauchy_rhs=run.period_L * r.strong_term,  # c^2 (L/2) int = L * strong term
+            t, F, F_dot, riccati, strong,
+            cauchy_lhs=F**2,
+            cauchy_rhs=run.period_L * strong_term,  # c^2 (L/2) int = L * strong term
         )
-        for r in records[1:-1]
+        for t, F, F_dot, riccati, strong, strong_term in table[1:-1][names].tolist()
     ]
 
 
-def fill_margin_fields(records: Sequence[DiagnosticRecord], L: float) -> None:
-    """Populate F_dot_measured and both margins in-place on the rows of a run
-    of period ``L``, by centered differences of the recorded F series."""
-    if len(records) < 2:
+def fill_margin_fields(table: np.recarray, L: float) -> None:
+    """Fill the F_dot_measured and both margin columns in place on the record
+    table of a run of period ``L``, by centered differences of its F column."""
+    if len(table) < 2:
         return
-    t = np.array([r.t for r in records])
-    F = np.array([r.F for r in records])
-    F_dot = _three_point_slopes(t, F)
-    for i, r in enumerate(records):
-        r.F_dot_measured = float(F_dot[i])
-        r.riccati_margin = float(F_dot[i] - F[i] ** 2 / L)
-        r.strong_margin = float(F_dot[i] - r.strong_term)
+    F_dot = _three_point_slopes(table.t, table.F)
+    table.F_dot_measured = F_dot
+    # float_power squares with libm's pow, as a float's ** does for the audit's
+    # cauchy_lhs; F * F, which an array's ** 2 computes, rounds differently in
+    # about 0.1% of values
+    table.riccati_margin = F_dot - np.float_power(table.F, 2.0) / L
+    table.strong_margin = F_dot - table.strong_term
 
 
-def resolved_until(records: Sequence[DiagnosticRecord]) -> float:
+def resolved_until(table: np.recarray) -> float:
     """Time of the first record whose tail fraction exceeds TAIL_THRESHOLD;
-    +inf if the run stays resolved."""
-    for r in records:
-        if r.tail_energy_fraction > TAIL_THRESHOLD:
-            return r.t
-    return float("inf")
+    +inf if the run stays resolved.  A nan fraction exceeds nothing."""
+    over = np.flatnonzero(table.tail_energy_fraction > TAIL_THRESHOLD)
+    return float(table.t[over[0]]) if over.size else float("inf")

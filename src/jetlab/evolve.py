@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import DiagnosticRecord, compute_record, fill_margin_fields
+from .diagnostics import RECORD_DTYPE, compute_record, fill_margin_fields
 from .grid import PeriodicField, PeriodicGrid, is_plus_zero
 from .models import EvolutionState, KernelPlan, ModelSpec, state_rows
 
@@ -53,14 +53,14 @@ class StepperConfig:
 @dataclass
 class RunResult:
     states: List[EvolutionState]  # one snapshot state per requested time
-    diagnostics: List[DiagnosticRecord]
+    diagnostics: np.recarray  # one RECORD_DTYPE row per record, in one float buffer
     termination: str
     t_final: float
     period_L: float
 
     @property
     def sup_series(self) -> np.ndarray:
-        return np.array([(r.t, r.sup_omega) for r in self.diagnostics])
+        return np.column_stack((self.diagnostics.t, self.diagnostics.sup_omega))
 
     @cached_property
     def estimated_blowup_time(self) -> Optional[float]:
@@ -154,11 +154,11 @@ def run(
     k = np.empty((2,) + y.shape)
 
     snapshots = [init] * len(snapshot_times)
-    records: List[DiagnosticRecord] = []
+    rows = bytearray()  # a float64 row of each record's fields, record after record
 
     def record(s: EvolutionState, bkm: float) -> None:
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan stays visible in the CSV
-            records.append(compute_record(model, s, bkm))
+            rows.extend(np.array(compute_record(model, s, bkm), dtype=np.float64))
         for i, t_want in enumerate(snapshot_times):
             if abs(s.time - t_want) < abs(snapshots[i].time - t_want):
                 snapshots[i] = s
@@ -207,10 +207,11 @@ def run(
             record(_state(model, grid, y, t), bkm)
 
     del k, y_next  # the final record needs neither
-    if not records or records[-1].t != t:
+    if not rows or np.frombuffer(rows)[-len(RECORD_DTYPE)] != t:  # the last record's t
         record(init if step == 0 else _state(model, grid, y, t), bkm)
-    fill_margin_fields(records, grid.period_L)
-    return RunResult(snapshots, records, termination, t, grid.period_L)
+    table = np.frombuffer(rows, RECORD_DTYPE).view(np.recarray)
+    fill_margin_fields(table, grid.period_L)
+    return RunResult(snapshots, table, termination, t, grid.period_L)
 
 
 def estimate_blowup_time(sup_series: Sequence[Tuple[float, float]]) -> Optional[float]:

@@ -462,7 +462,12 @@ class TestConfigFailures:
         doc = minimal_q0(tmp_path)
         doc["outputs"]["snapshot_times"] = times
         code, err = self._run(tmp_path, capsys, doc)
-        assert code == 1 and "outputs.snapshot_times:" in err
+        if isinstance(times, list):  # the entry is named by its index: here the last
+            i = len(times) - 1
+            line = f"outputs.snapshot_times[{i}]: expected a finite number, got {times[i]!r}"
+            assert code == 1 and err == f"config error: {line}\n"
+        else:
+            assert code == 1 and "outputs.snapshot_times:" in err
 
     @pytest.mark.parametrize(
         "path,value,line",
@@ -474,9 +479,9 @@ class TestConfigFailures:
             (("outputs", "notes"), [[0.0, -math.inf]],
              "outputs.notes[0][1]: expected a finite number, got -inf"),
             (("tags",), ["x", math.nan], "tags[1]: expected a finite number, got nan"),
-            # a key a parser reads keeps that parser's message: no index here
+            # a key a parser reads keeps that parser's message, which names the entry
             (("outputs", "snapshot_times"), [0.1, math.nan],
-             "outputs.snapshot_times: expected a finite number, got nan"),
+             "outputs.snapshot_times[1]: expected a finite number, got nan"),
         ],
         ids=["unread-key", "a_ok-of-q0", "generator-key", "nested-list", "tag", "read-key"],
     )

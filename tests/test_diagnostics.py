@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,21 @@ from jetlab import (
     step_rk4,
     symmetry_and_sign_monitor,
 )
-from jetlab.diagnostics import _three_point_slopes, compute_record, diagnostic_coupling
+from jetlab.config import parse_config
+from jetlab.diagnostics import (
+    RECORD_DTYPE,
+    DiagnosticRecord,
+    _three_point_slopes,
+    compute_record,
+    diagnostic_coupling,
+    fill_margin_fields,
+)
+from jetlab.evolve import REACHED_T_END, RunResult
+from jetlab.runner import emit_outputs
 from jetlab.spectral import half_period_integrals, tail_energy_fraction
 
 from conftest import F0_SIN, INT_PI_SIN_OVER_X, INT_SIN2_OVER_X2, sin_state
+from oracles import three_point_slopes, with_margins
 
 
 class TestEnergy:
@@ -227,7 +240,7 @@ class TestStreamedRecords:
 
         t = np.array([r.t for r in res.diagnostics])
         F = np.array([r.F for r in res.diagnostics])
-        F_dot = _three_point_slopes(t, F)
+        F_dot = three_point_slopes(t, F)
         expected = [
             RiccatiSample(
                 t=float(t[i]),
@@ -246,24 +259,60 @@ class TestStreamedRecords:
             assert r.strong_margin == float(F_dot[i] - strong[i])
 
 
+def table_of(rows: int, **columns) -> np.recarray:
+    """A record table of ``rows`` zero rows with the given columns set."""
+    table = np.zeros(rows, RECORD_DTYPE).view(np.recarray)
+    for name, values in columns.items():
+        table[name] = values
+    return table
+
+
+def random_series(size: int, seed: int):
+    """Strictly increasing, nonuniform times and F values of magnitudes 1e-100 to 1e100."""
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(1e-3, 1.0, size))
+    return t, rng.standard_normal(size) * 10.0 ** rng.integers(-100, 100, size)
+
+
 class TestRecords:
-    def test_csv_row_parses_back(self):
+    def test_csv_row_parses_back(self, tmp_path):
         rec = compute_record(ModelSpec("q0", c=1 / 3), sin_state(256), 0.125)
-        row = rec.to_csv_row()
+        config = parse_config(json.dumps({"model": {"name": "Q0"}, "outputs": {"directory": str(tmp_path)}}))
+        table = np.array([rec], RECORD_DTYPE).view(np.recarray)
+        emit_outputs(RunResult([], table, REACHED_T_END, 0.0, 2.0), config)
+        row = (tmp_path / "diagnostics.csv").read_text().splitlines()[1]
         parts = row.split(",")
         assert len(parts) == len(CSV_COLUMNS)
         assert float(parts[0]) == 0.0
         assert float(parts[CSV_COLUMNS.index("bkm_integral")]) == 0.125
 
     def test_resolved_until(self):
-        class R:
-            def __init__(self, t, tail):
-                self.t = t
-                self.tail_energy_fraction = tail
+        table = table_of(4, t=[0.0, 1.0, 2.0, 3.0], tail_energy_fraction=[0.0, 1e-9, 1e-7, 1.0])
+        assert resolved_until(table) == 2.0
+        assert resolved_until(table[:2]) == float("inf")
 
-        records = [R(0.0, 0.0), R(1.0, 1e-9), R(2.0, 1e-7), R(3.0, 1.0)]
-        assert resolved_until(records) == 2.0
-        assert resolved_until(records[:2]) == float("inf")
+    def test_a_nan_tail_does_not_end_resolution(self):
+        # a record past the float range has a nan tail fraction (Q0 with
+        # amplitude 1e200): it exceeds no threshold, so the run stays resolved
+        table = table_of(3, t=[0.0, 1.0, 2.0], tail_energy_fraction=[np.nan, np.nan, 1e-7])
+        assert resolved_until(table[:2]) == float("inf")
+        assert resolved_until(table) == 2.0
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 1000])
+    def test_slopes_are_bitwise_the_loop(self, size):
+        t, F = random_series(size, size)
+        assert _three_point_slopes(t, F).tobytes() == three_point_slopes(t, F).tobytes()
+
+    def test_margins_are_bitwise_the_loop(self):
+        # 5000 F values of every magnitude, so a square rounded as F * F
+        # rather than by libm's pow shows in some riccati margin
+        rng = np.random.default_rng(7)
+        t, F = random_series(5000, 7)
+        table = table_of(5000, t=t, F=F, strong_term=rng.uniform(0.0, 1e3, 5000))
+        records = [DiagnosticRecord(*row) for row in table.tolist()]
+        fill_margin_fields(table, 2.0)
+        expected = np.array(with_margins(records, 2.0), RECORD_DTYPE)
+        assert table.tobytes() == expected.tobytes()
 
 
 def per_row_record(model, s, bkm_integral):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -21,13 +20,14 @@ from jetlab import (
 
 from jetlab import biot_savart, rhs
 from jetlab.config import parse_config
-from jetlab.diagnostics import compute_record, fill_margin_fields
+from jetlab.diagnostics import RECORD_DTYPE, compute_record
 from jetlab.evolve import FIT_FRACTION, FIT_RESIDUAL_THRESHOLD
 from jetlab.models import KernelPlan, state_rows
 from jetlab.runner import run_experiment
 from jetlab.spectral import MULTIPLIERS, dealias_filter, multiplier
 
 from conftest import sin_state
+from oracles import with_margins
 
 
 def fixed_dt_run(model, init, dt, t_end):
@@ -516,8 +516,7 @@ def reference_run(model, init, cfg, snapshot_times=()):
             record(state, bkm)
     if records[-1].t != state.time:
         record(state, bkm)
-    fill_margin_fields(records, init.grid.period_L)
-    return snapshots, records, termination, state.time
+    return snapshots, with_margins(records, init.grid.period_L), termination, state.time
 
 
 ALL_MODELS = [
@@ -553,7 +552,7 @@ def assert_same_run(model, init, cfg, snapshot_times=()):
     snapshots, records, termination, t_final = reference_run(model, init, cfg, snapshot_times)
     res = run(model, init, cfg, snapshot_times)
     assert res.termination == termination and same_bits(res.t_final, t_final)
-    assert [repr(astuple(r)) for r in res.diagnostics] == [repr(astuple(r)) for r in records]
+    assert same_bits(res.diagnostics, np.array(records, RECORD_DTYPE).view(np.recarray))
     for got, want in zip(res.states, snapshots, strict=True):
         assert same_bits(got.time, want.time) and same_bits(got.omega.values, want.omega.values)
         if model.has_theta:

@@ -389,6 +389,28 @@ def test_run_stays_in_its_row_budget(tmp_path, name, theta, rows):
     assert traced_peak(lambda: run_experiment(config)) <= rows * 8 * n
 
 
+# A run holds its records as rows of 18 float64s, 144 bytes, in one growing
+# buffer (at most 162 bytes a record with its spare capacity, 149 here).  At
+# the peak, the margin fill or the blow-up fit holds a few float64 series
+# beside it, 8 bytes a record each.  Records kept as objects of 18 boxed
+# floats held about 480 bytes each, and such a run peaked at 537 a record.
+RECORD_BYTES = 200
+
+
+def test_records_stay_in_their_byte_budget(tmp_path):
+    doc = {
+        "model": {"name": "CCF"},
+        "grid": {"n": 64, "L": 2.0},
+        "initial_data": {"omega": {"name": "sin_fundamental"}},
+        "stepper": {"t_end": 0.1, "dt_max": 1e-4, "record_every": 1},
+        "outputs": {"directory": str(tmp_path)},
+    }
+    config = parse_config(json.dumps(doc))
+    records = len(run_experiment(config)["result"].diagnostics)  # first-call caches are not the run's cost
+    assert records == 1001
+    assert traced_peak(lambda: run_experiment(config)) <= RECORD_BYTES * records
+
+
 # One failure of each class: (arguments, run-model document or None, exit code).
 # The overflow case's Q0 velocity -c*omega overflows at c = 1e308; the CKY
 # case's X/dx overflows to inf; at L = 1e-320 the top wavenumber 2*pi*n/L is
