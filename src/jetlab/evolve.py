@@ -132,7 +132,8 @@ def run(
     land exactly on t_end; the quotient is inf at u = 0 and past the float
     range.  Diagnostics are recorded at t = 0, every ``record_every`` steps
     and at termination.  A CFL time step below
-    dt_min is the recorded termination ``dt_underflow``, not a failure; an
+    dt_min, or a step too small to advance t, is the recorded termination
+    ``dt_underflow``, not a failure; an
     overflow inside a stage is treated as a sup-cap event at the last finite
     state; a non-finite velocity, and a run that has taken ``STEP_BUDGET``
     steps without ending, raise FloatingPointError.  The rate evaluated for
@@ -188,10 +189,10 @@ def run(
             record(init, 0.0)  # t = 0, once its velocity is known to be finite
         # no speed floor: a quotient past the float range is inf, which dt_max clamps
         dt_cfl = cfg.cfl * grid.dx / speed if speed > 0.0 else math.inf
-        if dt_cfl < cfg.dt_min:
+        dt = min(min(dt_cfl, cfg.dt_max), cfg.t_end - t)
+        if dt_cfl < cfg.dt_min or t + dt == t:  # below dt_min, or below half an ulp of t
             termination = DT_UNDERFLOW
             break
-        dt = min(min(dt_cfl, cfg.dt_max), cfg.t_end - t)
         try:
             _rk4(plan, y, dt, k, y_next)
         except FloatingPointError:

@@ -15,9 +15,10 @@ together by one elimination sweep over q, and the residual checks apply
 the same band.
 
 The sweep hands the solution over a segment of _RESIDUAL_BLOCK q-rows at a
-time from the top down, keeping about 2 sqrt(M/8) checkpoint rows
-(two-level checkpointing, as in Griewank & Walther's revolve, ACM TOMS 26,
-2000), so the checks consume each segment as it comes: ``jet-verify``'s
+time from the top down, keeping the checkpoint rows of Griewank's binomial
+schedule with _REPEATS repeat sweeps (8 rows at M = 1024; revolve, Griewank
+& Walther, ACM TOMS 26, 2000), so the checks consume each segment as it
+comes: ``jet-verify``'s
 pass, :func:`manufactured_pass`, holds its checkpoints and one block's
 arrays at a time, dropping each array once it is used and transforming in
 half-blocks, and the field routes (``solve_elliptic``,
@@ -48,6 +49,9 @@ _EPS = 1e-300
 # lines per block of the strip passes: q-columns in the transforms and the
 # finiteness check, q-rows per segment of the solve
 _RESIDUAL_BLOCK = 8
+# forward sweeps of a segment before the one that keeps its rows, in the
+# solve's binomial checkpoint schedule
+_REPEATS = 3
 
 
 def _blocks(count: int):
@@ -62,25 +66,27 @@ def _halves(count: int):
     return [(0, mid), (mid, count)] if count > 1 else [(0, count)]
 
 
-def _checkpoint_layout(M: int) -> Tuple[int, int]:
-    """(L, rows) of :func:`solve_banded_segments` at M q-intervals: L = isqrt(S)
-    segments per span, S being the segment count, and the checkpoint rows,
-    one for each span and L - 1 for the other segments of a span."""
-    S = M // _RESIDUAL_BLOCK + 1
-    L = math.isqrt(S)
-    return L, -(-S // L) + L - 1
+def _checkpoint_layout(M: int) -> int:
+    """The checkpoint rows of :func:`solve_banded_segments` at M q-intervals:
+    the fewest s for which C(s + _REPEATS, _REPEATS) reaches the segment
+    count S, the most segments that s rows and _REPEATS repeat sweeps hand
+    over."""
+    S, rows = M // _RESIDUAL_BLOCK + 1, 0
+    while math.comb(rows + _REPEATS, _REPEATS) < S:
+        rows += 1
+    return rows
 
 
 def jet_verify_budget(n: int, M: int) -> int:
     """Bytes that ``jet-verify`` at n x-points and M q-intervals allocates at
     its peak, at most (see README): 24 per mode for each checkpoint row,
     68 complex spectrum rows for one block's arrays of the solve and the
-    checks (the most measured is 61.5 at the sizes the tests guard, at
+    checks (the most measured is 61.8 at the sizes the tests guard, at
     n = 2048, M = 1024, and 64 at n = 1024, M = 64; the rest is margin), 80
     per q-node for the band and the manufactured profiles, and 64 KiB for
     the command."""
     K = n // 2 + 1
-    return 24 * K * _checkpoint_layout(M)[1] + 16 * K * 68 + 80 * (M + 1) + 2**16
+    return 24 * K * _checkpoint_layout(M) + 16 * K * 68 + 80 * (M + 1) + 2**16
 
 
 @dataclass(frozen=True)
@@ -214,41 +220,36 @@ def solve_banded_segments(
     weakly diagonally dominant for m = 1 and 2, so no pivoting is needed.
 
     Neither the pivots nor the eliminated right-hand side are kept, but
-    checkpoints of both at the first row of a segment, on two levels (as in
-    Griewank & Walther's revolve, ACM TOMS 26, 2000): the segments are
-    grouped into spans of L = isqrt(S), S being the segment count, and the
-    forward sweep keeps the checkpoint of each span's first segment and
-    those of the top span's other segments.  The back substitution walks
-    the spans from the top down.  It sweeps each span below the top one
-    again from its checkpoint, keeping its segments' checkpoints in the rows
-    the span above used.  Each segment but the one that sweep leaves in hand
-    is then reloaded, its rows recomputed from its checkpoint with the same
-    operations, and substituted from the row just above it.  So the bits
-    are those of a sweep that keeps every row; ``load`` is called up to
-    three times for each segment (and for q-row 1 alone once, in the forward
-    sweep, when row 0's segment is one row) and must return the same values
-    each time.  Besides the segment in hand, the solve holds its checkpoints
-    (:func:`_checkpoint_layout`) and a segment of pivot rows.
+    checkpoints of the carry, the pivot and eliminated right-hand side of
+    the row below a segment, on Griewank's binomial schedule (revolve,
+    Griewank & Walther, ACM TOMS 26, 2000).  To hand over segments [a, b)
+    with ``free`` checkpoint rows and r repeat sweeps left, the solve sweeps
+    from a's carry up to segment m and checkpoints m's, hands over the
+    min(b - a - 1, C(free - 1 + r, r)) segments [m, b) with one row fewer,
+    then [a, m) with one repeat fewer; a single segment is swept from its
+    carry, keeping its rows, and substituted from the row just above it.
+    Starting from no carry at segment 0 with _REPEATS repeats, that takes
+    :func:`_checkpoint_layout` rows, and each segment is swept with the
+    same operations each time, so the bits are those of a sweep that keeps
+    every row.  ``load`` is called up to _REPEATS + 1 times for each
+    segment (and, when row 0's segment is one row, for q-row 1 alone in
+    each of the forward sweeps of segment 0) and must return the same
+    values each time.  Besides the segment in hand, the solve holds its
+    checkpoints and a segment of pivot rows.
     """
-    M, K, B = ab.shape[1] - 1, k2.size, _RESIDUAL_BLOCK
-    segments = list(_blocks(M + 1))
-    S, (L, rows) = len(segments), _checkpoint_layout(M)
+    M, K = ab.shape[1] - 1, k2.size
+    segments, rows = list(_blocks(M + 1)), _checkpoint_layout(M)
     f = ab[0, 2] / ab[1, 2]  # row 0 -= f * row 1
     upper0 = ab[1, 1] - f * (ab[2, 1] - k2)  # a[0, 1], now one entry per mode
-    pivots = np.empty((B, K))  # of the segment's q-rows lo..hi-1
-    checkpoints = np.empty((rows, K)), np.empty((rows, K), dtype=complex)  # see slot
-    # q-row lo-1 in the sweeps (pivot and eliminated right-hand side), q-row
-    # hi of the solution in the back substitution
+    pivots = np.empty((_RESIDUAL_BLOCK, K))  # of the segment's q-rows lo..hi-1
+    checkpoints = np.empty((rows, K)), np.empty((rows, K), dtype=complex)  # carries, by depth
+    # the carry, q-row lo-1 in the sweeps (pivot and eliminated right-hand
+    # side), and q-row hi of the solution in the back substitution
     pivot_below, below, above = np.empty(K), np.empty(K, dtype=complex), np.empty(K, dtype=complex)
     # w's values in a complex array of zero imaginary part, so that w x is a
     # complex product without numpy's buffered cast of a real operand
     w_complex, w_upper, t = np.zeros(K, dtype=complex), np.empty(K), np.empty(K, dtype=complex)
     w = w_complex.real
-
-    def slot(j: int) -> int:
-        """The checkpoint row of segment j: L - 1 + k for the first segment
-        of span k, and 0..L-2 for the others of the span in hand."""
-        return L - 1 + j // L if j % L == 0 else j % L - 1
 
     def coefficients(lo: int, hi: int):
         """The band entries that q-rows lo..hi-1 read, as Python floats:
@@ -261,10 +262,10 @@ def solve_banded_segments(
         return base, upper, ab[3, base:hi].tolist()
 
     def sweep(j: int, restore: bool = False) -> np.ndarray:
-        """Load segment j and eliminate its rows, carrying the last one on;
-        row lo is restored from its checkpoint if ``restore``, or else
-        eliminated against the row below and checkpointed.  The eliminated
-        right-hand side is returned."""
+        """Load segment j and eliminate its rows against the carry, carrying
+        the last one on; segment 0 sheds row 0 first, or restores it from
+        checkpoint 0 if ``restore``.  The eliminated right-hand side is
+        returned."""
         lo, hi = segments[j]
         base, upper, lower = coefficients(lo, hi)
         x = load(lo, hi)
@@ -272,52 +273,54 @@ def solve_banded_segments(
         if hi > M:
             pivots[M - lo].fill(ab[2, M])  # the row of phi(1) = 0 has no -k^2
         if restore:
-            pivots[0], x[0] = checkpoints[0][slot(j)], checkpoints[1][slot(j)]
+            pivots[0], x[0] = checkpoints[0][0], checkpoints[1][0]
         elif lo == 0:  # row 1 is in the next segment only for segments of one row
             x[0] -= f * (x[1] if hi > 1 else load(1, 2)[0])
             pivots[0] -= f * lower[0]
         # the rows as views made once, q-row lo-1 (the carry) first
         p_rows, x_rows = [pivot_below, *pivots[: hi - lo]], [below, *x]
-        for i in range(lo + 1 if restore or lo == 0 else lo, hi):
+        for i in range(max(lo, 1), hi):
             s = i - lo
             p, xs = p_rows[s + 1], x_rows[s + 1]
             np.divide(lower[i - 1 - base], p_rows[s], w)
             np.multiply(w, upper[i - 1 - base], w_upper)
             np.subtract(p, w_upper, p)
             np.subtract(xs, np.multiply(w_complex, x_rows[s], t), xs)
-        if not restore:
-            checkpoints[0][slot(j)], checkpoints[1][slot(j)] = pivots[0], x[0]
         pivot_below[:], below[:] = pivots[hi - lo - 1], x[hi - lo - 1]
         return x
 
-    for j in range(S):  # the forward sweep
-        x = sweep(j)
-        if j < S - 1:
-            del x  # carried on; the top segment stays in hand
-    held = S - 1  # the segment in hand, whose pivot rows are the last swept
-    for first in reversed(range(0, S, L)):  # the back substitution, a span at a time
-        last = min(first + L, S)
-        if first + 1 < last < S:  # a span below the top one, of more than one segment
-            for j in range(first, last):
-                x = sweep(j, restore=j == first)
-                if j < last - 1:
-                    del x  # the span's top segment stays in hand
-            held = last - 1
-        for j in reversed(range(first, last)):
-            lo, hi = segments[j]
-            if j != held:
-                x = sweep(j, restore=True)
-            base, upper, _ = coefficients(lo, hi)
-            for i in range(hi - 1, lo - 1, -1):
-                s = i - lo
-                if i < M:  # x[s + 1] is not bound to a name: a view would keep x alive
-                    np.multiply(upper[i - base], x[s + 1] if i + 1 < hi else above, out=t)
-                    np.subtract(x[s], t, out=x[s])
-                np.divide(x[s], pivots[s], out=x[s])
-            above[:] = x[0]
-            handed = [x]
-            del x  # the consumer holds the segment alone, and the next one loads in its place
-            yield lo, hi, handed.pop()
+    def hand_over(a: int, b: int, free: int, repeats: int):
+        """Yield segments b-1 down to a, from segment a's carry, which
+        checkpoint row rows - free - 1 holds (segment 0 has none)."""
+        depth = rows - free  # the row of this level's checkpoint
+        while True:
+            if a:
+                pivot_below[:], below[:] = checkpoints[0][depth - 1], checkpoints[1][depth - 1]
+            if b - a == 1:
+                break
+            m = b - min(b - a - 1, math.comb(free - 1 + repeats, repeats))
+            for j in range(a, m):
+                sweep(j)
+            checkpoints[0][depth], checkpoints[1][depth] = pivot_below, below
+            yield from hand_over(m, b, free - 1, repeats)
+            b, repeats = m, repeats - 1
+        # q-row 1 is solved by now, but a one-row segment 0 is the carry of
+        # row 0 that the split at segment 1 kept in checkpoint row 0
+        x = sweep(a, restore=segments[a][1] == 1)
+        lo, hi = segments[a]
+        base, upper, _ = coefficients(lo, hi)
+        for i in range(hi - 1, lo - 1, -1):
+            s = i - lo
+            if i < M:  # x[s + 1] is not bound to a name: a view would keep x alive
+                np.multiply(upper[i - base], x[s + 1] if i + 1 < hi else above, out=t)
+                np.subtract(x[s], t, out=x[s])
+            np.divide(x[s], pivots[s], out=x[s])
+        above[:] = x[0]
+        handed = [x]
+        del x  # the consumer holds the segment alone, and the next one loads in its place
+        yield lo, hi, handed.pop()
+
+    yield from hand_over(0, len(segments), rows, _REPEATS)
 
 
 def solve_banded(ab: np.ndarray, k2: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -867,17 +867,17 @@ class TestJetVerify:
         def no_strip(*args):
             raise AssertionError("manufactured_case called past the memory budget")
 
-        # 24 x 9 x 5 + 16 x 9 x 68 + 80 x 65 + 2^16 = 81608 bytes at n = 16, M = 64
+        # 24 x 9 x 2 + 16 x 9 x 68 + 80 x 65 + 2^16 = 80960 bytes at n = 16, M = 64
         monkeypatch.setattr("jetlab.strip.manufactured_case", no_strip)
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 81607)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 80959)
         assert main(["jet-verify", "1", "64", "exp", "--n", "16"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            "config error: out of memory: jet-verify needs 81608 bytes, over the 81607 available\n"
+            "config error: out of memory: jet-verify needs 80960 bytes, over the 80959 available\n"
         )
 
     def test_memory_budget_that_fits_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 81608)
+        monkeypatch.setattr("jetlab.cli._memory_available", lambda: 80960)
         assert main(["jet-verify", "1", "64", "linear", "--n", "16"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -924,13 +924,13 @@ class TestJetVerify:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux limits")
     @pytest.mark.parametrize("available_kb,code", [(93, 0), (92, 1)])
     def test_memory_budget_against_mem_available(self, capsys, monkeypatch, available_kb, code):
-        # the budget is 94768 bytes at M = 215, between 92 and 93 KiB; MemFree
+        # the budget is 94672 bytes at M = 230, between 92 and 93 KiB; MemFree
         # (4096 bytes) would refuse both
         self.fake_memory(monkeypatch, f"MemFree: 4 kB\nMemAvailable: {available_kb} kB\n")
-        assert main(["jet-verify", "1", "215", "linear", "--n", "16"]) == code
+        assert main(["jet-verify", "1", "230", "linear", "--n", "16"]) == code
         err = capsys.readouterr().err
         assert err == ("" if code == 0 else
-                       "config error: out of memory: jet-verify needs 94768 bytes, over the 94208 available\n")
+                       "config error: out of memory: jet-verify needs 94672 bytes, over the 94208 available\n")
 
     def test_output_directory_under_file(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("not a directory")

@@ -143,6 +143,15 @@ class TestRun:
         res = run(ModelSpec("q0", c=1 / 3), init, cfg)
         assert res.termination == DT_UNDERFLOW
 
+    def test_dt_underflow_when_t_stops_advancing(self):
+        # at t = 1 the CFL step, about 1e-17, is over dt_min but under half an ulp of t
+        s = sin_state(64)
+        init = EvolutionState(PeriodicField(s.grid, 1e16 * s.omega.values), s.theta, 1.0)
+        cfg = StepperConfig(t_end=2.0, dt_min=1e-300, omega_sup_cap=1e17, record_every=1)
+        res = run(ModelSpec("q0", c=1 / 3), init, cfg)
+        assert res.termination == DT_UNDERFLOW and res.t_final == 1.0
+        assert res.diagnostics.t.tolist() == [1.0]
+
     def test_bkm_integral_nondecreasing(self):
         init = sin_state(128, theta_amplitude=0.5)
         res = run(ModelSpec("q0", c=1 / 3), init, StepperConfig(t_end=0.5))
@@ -500,10 +509,10 @@ def reference_run(model, init, cfg, snapshot_times=()):
         u, k1 = reference_evaluate(model, state.grid, state_rows(model, state), cfg.dealias)
         speed = float(np.max(np.abs(u)))
         dt_cfl = cfg.cfl * init.grid.dx / max(speed, 1e-300)
-        if dt_cfl < cfg.dt_min:
+        dt = min(min(dt_cfl, cfg.dt_max), cfg.t_end - state.time)
+        if dt_cfl < cfg.dt_min or state.time + dt == state.time:
             termination = DT_UNDERFLOW
             break
-        dt = min(min(dt_cfl, cfg.dt_max), cfg.t_end - state.time)
         try:
             new_state = reference_step(model, state, dt, cfg.dealias, k1)
         except FloatingPointError:

@@ -431,13 +431,12 @@ def one_pass_solve(m, omega):
 
 
 class TestCheckpointedSweep:
-    """solve_banded, which keeps two levels of checkpoints, against the sweep
-    that keeps every pivot row."""
+    """solve_banded, which keeps binomial checkpoints, against the sweep that
+    keeps every pivot row."""
 
     # M + 1 rows in blocks of 8: M = 31 fills four blocks, M = 16 and 32 leave
-    # a top segment of one row, M = 100 spans thirteen segments in spans of
-    # three and a top span of one, and M = 1024 has eleven spans of eleven
-    # segments and a top span of eight.  Other block sizes are
+    # a top segment of one row, M = 100 has thirteen segments on three
+    # checkpoint rows, and M = 1024 has 129 on eight.  Other block sizes are
     # test_matches_full_pivot_sweep_in_small_blocks and
     # TestResidualPass.test_block_size_does_not_change_the_bits.
     @pytest.mark.parametrize("m", [1, 2])
@@ -451,8 +450,9 @@ class TestCheckpointedSweep:
         solved = strip.solve_banded(ab, k2, rhs)
         assert solved is rhs and solved.tobytes() == expected.tobytes()
 
-    # 34 rows in blocks of 1, 2 and 5: 34, 17 and 7 segments in spans of 5, 4
-    # and 2, the top span short (4, 1 and 1 segments)
+    # 34 rows in blocks of 1, 2 and 5: 34, 17 and 7 segments on 4, 3 and 2
+    # checkpoint rows; at block 1, segment 0 is substituted after solve_banded
+    # has written q-row 1's solution over its right-hand side
     @pytest.mark.parametrize("block", [1, 2, 5])
     @pytest.mark.parametrize("m", [1, 2])
     def test_matches_full_pivot_sweep_in_small_blocks(self, monkeypatch, m, block):
@@ -486,32 +486,56 @@ class TestCheckpointedSweep:
         assert solution.tobytes() == full_pivot_sweep(ab, k2, rhs.copy()).tobytes()
         return blocks, loads
 
+    @staticmethod
+    def binomial_loads(blocks, repeats=3):
+        """The checkpoint rows and the loads of the binomial schedule over
+        ``blocks``, from the rule alone: with ``free`` rows and r repeats
+        left, the segments [a, b) are handed over by sweeping a..m-1, where
+        b - m = min(b - a - 1, C(free - 1 + r, r)), then handing over [m, b)
+        with one row fewer and [a, m) with one repeat fewer; a single
+        segment is swept once more and substituted.  A one-row segment 0
+        also reads q-row 1 in each sweep but the one that substitutes it."""
+        S = len(blocks)
+        rows = next(s for s in range(S + 1) if math.comb(s + repeats, repeats) >= S)
+        loads, pending = [], [(0, S, rows, repeats)]
+        while pending:  # the right part is popped first
+            a, b, free, r = pending.pop()
+            if b - a == 1:
+                loads.append(blocks[a])
+                continue
+            m = b - min(b - a - 1, math.comb(free - 1 + r, r))
+            for j in range(a, m):
+                loads += [blocks[j]] + ([(1, 2)] if blocks[j] == (0, 1) else [])
+            pending += [(a, m, free, r - 1), (m, b, free - 1, r)]
+        return rows, loads
+
     @pytest.mark.parametrize("block", [1, 2, 5, 8, 16])
     def test_segments_come_top_down_from_two_loads_each(self, monkeypatch, block):
-        # three segments make spans of one: the forward sweep, with row 1 read
-        # apart when it is not in row 0's segment, then every segment below
-        # the top one again
+        # three segments, one checkpoint row: sweep segments 0 and 1, keep 2's
+        # carry and substitute 2; sweep 0 again, keep 1's carry, substitute 1,
+        # then 0.  Row 1 is read apart when it is not in row 0's segment, but
+        # not once it is solved
         blocks, loads = self.solve_in_segments(monkeypatch, block, 3 * block - 1)
-        shed = [(1, 2)] if block == 1 else []
-        assert loads == blocks[:1] + shed + blocks[1:] + blocks[-2::-1]
+        zero = blocks[:1] + ([(1, 2)] if block == 1 else [])
+        assert loads == zero + blocks[1:] + zero + blocks[1:2] + blocks[:1]
+        assert (strip._checkpoint_layout(3 * block - 1), loads) == self.binomial_loads(blocks)
 
     @pytest.mark.parametrize("block", [1, 2, 5, 8, 16])
     def test_segments_come_top_down_after_each_span_is_swept_again(self, monkeypatch, block):
+        # 34, 17, 7, 5 and 3 segments on 4, 3, 2, 2 and 1 checkpoint rows
         blocks, loads = self.solve_in_segments(monkeypatch, block, 33)
-        # the forward sweep, with row 1 read apart when it is not in row 0's
-        # segment; then, a span of isqrt(S) segments at a time from the top
-        # down, each span below the top one swept again (which, for a span
-        # of one segment, is its reload), and every segment below the span's
-        # top one once more
-        S = len(blocks)
-        L = math.isqrt(S)
-        expected = blocks[:1] + ([(1, 2)] if block == 1 else []) + blocks[1:]
-        for first in reversed(range(0, S, L)):
-            span = blocks[first : first + L]
-            expected += (span if first + L < S else []) + span[-2::-1]
-        assert loads == expected
-        # at most three loads a segment (at block 1, q-row 1 also comes with row 0)
-        assert max(loads.count(b) for b in blocks if b != (1, 2)) == (3 if L > 1 else 2)
+        assert (strip._checkpoint_layout(33), loads) == self.binomial_loads(blocks)
+        # at most four loads a segment (at block 1, q-row 1 also comes with row 0)
+        shed = loads.count((0, 1)) - 1 if block == 1 else 0
+        counts = [loads.count(b) - (shed if b == (1, 2) else 0) for b in blocks]
+        assert max(counts) <= 4
+
+    @pytest.mark.parametrize("M,rows", [(1024, 8), (8192, 17), (65536, 35)])
+    def test_checkpoint_rows_are_the_binomial_bound(self, M, rows):
+        # the fewest rows s with C(s + 3, 3) >= S for S segments of 8 q-rows
+        S = M // 8 + 1
+        assert strip._checkpoint_layout(M) == rows
+        assert math.comb(rows + 3, 3) >= S > math.comb(rows + 2, 3)
 
     @pytest.mark.parametrize("block", [1, 5, 8, 16])
     def test_each_segment_is_handed_over(self, monkeypatch, block):
