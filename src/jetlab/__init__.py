@@ -14,7 +14,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {  # submodule -> the names it exports
-    "config": ("ConfigError", "ExperimentConfig", "parse_config"),
+    "coefficients": ("closure_coefficient", "stream_coefficient"),
+    "config": ("ExperimentConfig", "parse_config"),
     "diagnostics": (
         "CSV_COLUMNS", "DiagnosticRecord", "RiccatiSample", "energy", "resolved_until",
         "riccati_audit", "symmetry_and_sign_monitor",
@@ -25,10 +26,8 @@ _EXPORTS = {  # submodule -> the names it exports
     ),
     "grid": ("PeriodicField", "PeriodicGrid"),
     "identities": ("identity_case_names", "operator_identity_check"),
-    "models": (
-        "EvolutionState", "ModelSpec", "biot_savart", "closure_coefficient", "rhs",
-        "stream_coefficient",
-    ),
+    "models": ("EvolutionState", "ModelSpec", "biot_savart", "rhs"),
+    "preflight": ("ConfigError",),
     "spectral": (
         "antiderivative_zero_mean", "hilbert_transform", "spectral_derivative",
         "tail_energy_fraction",

@@ -11,8 +11,13 @@ upper limit: the logical core count), and reaps each child itself; with one
 worker, or where there is no ``os.fork``, the members run in this process.  A
 sweep grid may have at most ``SWEEP_BUDGET`` members.  numpy's BLAS thread count
 defaults to 1 (see README), and jet-verify checks its memory budget first.
-jet-verify and identity-check import their own modules (strip, identities)
-when they run, so run-model and sweep do not load them.
+Each command imports only the modules it runs.  The start-up loads the two
+leaf modules that ``main`` needs before it knows the command (``preflight``
+for ConfigError and the output-directory check, ``coefficients`` for the
+parser's m choices) and ``grid``.  run-model and sweep then load ``config``
+and ``runner`` (so models, spectral, evolve and diagnostics), a sweep before
+its first fork; jet-verify loads ``strip`` and identity-check ``identities``,
+and neither loads the run-model stack.
 The process entry is ``cli``: it runs ``main`` and then freezes the heap, so
 that the exiting interpreter does not collect what the OS is about to reclaim.
 """
@@ -35,10 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, _shaped, parse_config, read_document
+from .coefficients import M_VALUES
 from .grid import PeriodicGrid
-from .models import M_VALUES
-from .runner import preflight_output_dir, run_experiment
+from .preflight import ConfigError, preflight_output_dir
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -122,7 +126,17 @@ def _read_bytes(path: str, name: str) -> bytes:
         raise ConfigError(name, f"{path!r} is not a valid path: {exc}") from None
 
 
+def run_experiment(config):
+    """``runner.run_experiment``, its module loaded on the first call: only
+    run-model and sweep load the run stack.  Both commands call through here."""
+    from .runner import run_experiment
+
+    return run_experiment(config)
+
+
 def _cmd_run_model(args) -> int:
+    from .config import parse_config
+
     summary = run_experiment(parse_config(_read_bytes(args.config, "<document>")))
     result = summary["result"]
     print(f"termination: {result.termination} at t = {result.t_final:.6g}")
@@ -168,6 +182,8 @@ def _outcome(code: int, summary=None) -> dict:
 def _run_one_sweep(doc) -> dict:
     """Run one member, isolating its failure: it prints its line and sets the
     member's outcome, and the other members still run."""
+    from .config import parse_config
+
     try:
         summary = run_experiment(parse_config(json.dumps(doc)))
         return _outcome(EXIT_AUDIT if summary["failed_audits"] else EXIT_OK, summary)
@@ -237,6 +253,10 @@ def _run_forked(jobs, workers: int) -> list:
 
 
 def _cmd_sweep(args) -> int:
+    # loaded before the first fork, so that the members inherit the run stack
+    from . import runner  # noqa: F401
+    from .config import _shaped, parse_config, read_document
+
     template = read_document(_read_bytes(args.template, "<template>"), "<template>")
     grid_doc = read_document(_read_bytes(args.grid, "<grid>"), "<grid>")
     axes = {p: _shaped(grid_doc, p, list, f"<grid> {p}") for p in sorted(grid_doc)}

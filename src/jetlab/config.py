@@ -1,8 +1,8 @@
 """JSON experiment configuration: schema, defaults, validation.
 
 The configuration document is plain JSON (see README for the schema).
-Validation failures raise :class:`ConfigError` carrying the dotted path of
-the offending field.
+Validation failures raise :class:`preflight.ConfigError` carrying the dotted
+path of the offending field.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evolve
+from .coefficients import closure_coefficient, stream_coefficient
 from .evolve import StepperConfig
 from .grid import PeriodicField, PeriodicGrid, reflection_defect
-from .models import (
-    HALF_LINE, LOCAL, MODEL_TABLE, EvolutionState, ModelSpec, closure_coefficient,
-    stream_coefficient,
-)
+from .models import HALF_LINE, LOCAL, MODEL_TABLE, EvolutionState, ModelSpec
+from .preflight import ConfigError
 
 DEFAULTS = {"n": 1024, "L": 2.0, "t_end": 10.0}  # the other defaults are StepperConfig's
 
@@ -32,14 +31,6 @@ _MAX_DEPTH = 100
 _SYMMETRY_TOL = 1e-12
 
 _KIND_BY_NAME = {kind.replace("_", ""): kind for kind in MODEL_TABLE}
-
-
-class ConfigError(ValueError):
-    """Configuration problem located at a dotted field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True)

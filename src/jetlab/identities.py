@@ -6,7 +6,7 @@ hand-coded power-rule derivatives (never finite differences) so that any
 discrepancy reflects the transformation itself, not truncation error:
 
 * (z, q) side:      -(d_zz + 4q d_qq + b(m) d_q) phi  at q = r^2, with the
-                     solver's b(m) = 4+2m (models.stream_coefficient)
+                     solver's b(m) = 4+2m (coefficients.stream_coefficient)
 * cylindrical side:  m = 1:  -(1/r)(d_zz + d_rr)(r phi)
                      m = 2:  -(1/r)(d_zz + d_rr + (1/r)d_r - 1/r^2)(r phi)
   computed from the explicit powers of psi(z, r) = r phi(z, r^2).
@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .models import stream_coefficient
+from .coefficients import stream_coefficient
 
 ONE, COS, SIN = "one", "cos", "sin"
 

@@ -12,22 +12,7 @@ from .config import ExperimentConfig
 from .diagnostics import CSV_COLUMNS, RICCATI_MIN_SAMPLES, resolved_until, riccati_audit
 from .evolve import REACHED_T_END, RunResult, run
 from .models import biot_savart
-
-
-def preflight_output_dir(path: str) -> Path:
-    """Create the output directory and prove writability before any stepping."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except ValueError as exc:  # an embedded NUL byte
-        raise OSError(f"output directory {path!r} is not a valid path: {exc}") from None
-    probe = out / ".write_probe"
-    try:
-        probe.write_text("ok")
-        probe.unlink()
-    except OSError as exc:
-        raise OSError(f"output directory {out} is not writable: {exc}") from exc
-    return out
+from .preflight import preflight_output_dir
 
 
 def theorem_audit(result: RunResult, config: ExperimentConfig) -> Dict[str, object]:

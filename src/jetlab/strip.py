@@ -40,8 +40,8 @@ from typing import Callable, Dict, Iterator, NamedTuple, Tuple, Union
 
 import numpy as np
 
+from .coefficients import stream_coefficient
 from .grid import PeriodicField, PeriodicGrid
-from .models import stream_coefficient
 
 _EPS = 1e-300
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jetlab import identities, identity_case_names, models, operator_identity_check, strip
+from jetlab import coefficients, identities, identity_case_names, operator_identity_check, strip
 from jetlab.identities import operator_sides
 
 
@@ -43,7 +43,7 @@ class TestOperatorIdentities:
 
     def test_checks_the_solvers_stream_coefficient(self, monkeypatch):
         # one b(m) for the strip solver and the (z, q) side: a wrong b is seen
-        assert strip.stream_coefficient is identities.stream_coefficient is models.stream_coefficient
+        assert strip.stream_coefficient is identities.stream_coefficient is coefficients.stream_coefficient
         monkeypatch.setattr(identities, "stream_coefficient", lambda m: 4.0 + 2.0 * m + 1e-6)
         for m in (1, 2):
             assert operator_identity_check(m, "q") > 1e-12

@@ -4,7 +4,8 @@ import pytest
 
 from jetlab import parse_config
 from jetlab.diagnostics import CSV_COLUMNS
-from jetlab.runner import preflight_output_dir, run_experiment, theorem_audit
+from jetlab.preflight import preflight_output_dir
+from jetlab.runner import run_experiment, theorem_audit
 
 
 def theorem_doc(out_dir, n=512):

@@ -560,30 +560,77 @@ def test_import_jetlab_loads_no_numpy():
     assert python(["-c", code], unpinned_env()).stdout == "['jetlab']\n"
 
 
-def loaded_modules(module: str) -> set:
-    """The ``jetlab`` modules that a fresh ``import jetlab.<module>`` loads."""
+def loaded_modules(module: str, prefixes=("jetlab",)) -> set:
+    """The modules named by ``prefixes`` that a fresh ``import jetlab.<module>`` loads."""
     code = (f"import sys, jetlab.{module}\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('jetlab')))")
+            f"print(*sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
     return set(python(["-c", code], jetlab_env()).stdout.split())
 
 
+def modules_after(argv) -> set:
+    """The ``jetlab`` modules loaded once ``main(argv)`` has run in a fresh process."""
+    code = ("import sys\n"
+            "from jetlab.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('jetlab')))")
+    return set(python(["-c", code], jetlab_env()).stdout.splitlines()[-1].split())
+
+
+# what main needs before it knows the command: the two leaves and grid
+STARTUP = {"jetlab", *(f"jetlab.{name}" for name in ("cli", "coefficients", "grid", "preflight"))}
+RUN_STACK = {f"jetlab.{name}" for name in (
+    "config", "evolve", "diagnostics", "runner", "models", "spectral")}
+
+
 def test_module_graph():
-    # the CLI's start-up loads these 9 modules and no others (jet-verify and
-    # identity-check load their own), and the identity suite, which reads b(m)
-    # from models, loads none of the run machinery
-    assert loaded_modules("cli") == {"jetlab", *(f"jetlab.{name}" for name in (
-        "cli", "config", "diagnostics", "evolve", "grid", "models", "runner", "spectral"))}
-    assert not loaded_modules("identities") & {f"jetlab.{name}" for name in (
-        "cli", "config", "runner", "evolve")}
+    # the CLI's start-up loads these 5 modules and no others; each command
+    # loads its own stack, and the identity suite reads b(m) from its leaf
+    assert loaded_modules("cli") == STARTUP
+    assert loaded_modules("identities") == {"jetlab", "jetlab.coefficients", "jetlab.identities"}
+
+
+@pytest.mark.parametrize("leaf", ["coefficients", "preflight"])
+def test_leaf_modules_load_no_numpy_and_no_other_jetlab_module(leaf):
+    assert loaded_modules(leaf, ("jetlab", "numpy")) == {"jetlab", f"jetlab.{leaf}"}
 
 
 def test_run_model_loads_no_strip_or_identities(tmp_path):
     config = small_run(tmp_path, directory=str(tmp_path / "out"))
-    code = ("import sys\n"
-            "from jetlab.cli import main\n"
-            "assert main(['run-model', sys.argv[1]]) == 0\n"
-            "print('loaded:', *(m for m in ('jetlab.strip', 'jetlab.identities') if m in sys.modules))")
-    assert python(["-c", code, str(config)], jetlab_env()).stdout.splitlines()[-1] == "loaded:"
+    assert not modules_after(["run-model", str(config)]) & {"jetlab.strip", "jetlab.identities"}
+
+
+def test_jet_verify_loads_only_the_strip_stack():
+    loaded = modules_after(["jet-verify", "2", "16", "linear", "--n", "16"])
+    assert not loaded & RUN_STACK
+    assert loaded == STARTUP | {"jetlab.strip"}
+
+
+def test_identity_check_loads_only_the_identity_suite():
+    loaded = modules_after(["identity-check", "1"])
+    assert not loaded & {"jetlab.models", "jetlab.spectral"}
+    assert loaded == STARTUP | {"jetlab.identities"}
+
+
+def test_run_model_and_sweep_call_through_the_cli_seam(tmp_path, monkeypatch):
+    # perfbench/child.py times each sweep member by rebinding cli.run_experiment;
+    # a command that went round it would leave cli.sweep.member_s.* reading 0
+    import jetlab.cli
+
+    runs, run_experiment = [], jetlab.cli.run_experiment
+
+    def counted(config):
+        runs.append(config.output_dir)
+        return run_experiment(config)
+
+    monkeypatch.setattr(jetlab.cli, "run_experiment", counted)
+    monkeypatch.setenv("JETLAB_WORKERS", "1")
+    out = tmp_path / "out"
+    config = small_run(tmp_path, directory=str(out))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"model.name": ["CCF", "CLM"]}))
+    assert main(["run-model", str(config)]) == 0
+    assert main(["sweep", str(config), str(grid)]) == 0
+    assert runs == [str(out), str(out / "sweep_0000"), str(out / "sweep_0001")]
 
 
 @pytest.mark.parametrize("preset,expected", [
