@@ -17,8 +17,8 @@ _EXPORTS = {  # submodule -> the names it exports
     "coefficients": ("closure_coefficient", "stream_coefficient"),
     "config": ("ExperimentConfig", "parse_config"),
     "diagnostics": (
-        "CSV_COLUMNS", "DiagnosticRecord", "RiccatiSample", "energy", "resolved_until",
-        "riccati_audit", "symmetry_and_sign_monitor",
+        "CSV_COLUMNS", "DiagnosticRecord", "energy", "resolved_until", "riccati_audit",
+        "symmetry_and_sign_monitor",
     ),
     "evolve": (
         "DT_UNDERFLOW", "REACHED_T_END", "SUP_CAP_HIT", "RunResult", "StepperConfig",

@@ -1,13 +1,13 @@
 """Conserved/monotone functionals and the blow-up inequality audit.
 
-Everything here is a pure function of immutable run data; post-processing
-many runs concurrently is safe.
+Each record is computed from one state of a run; ``fill_margin_fields``
+writes the margin columns of a run's record table in place, and everything
+else here reads its input without changing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -183,23 +183,20 @@ def _three_point_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return dy
 
 
-@dataclass(frozen=True)
-class RiccatiSample:
-    """Audited inequalities at one interior diagnostic sample."""
-
-    t: float
-    F: float
-    F_dot: float
-    riccati_margin: float  # F_dot - F^2/L
-    strong_margin: float  # F_dot - (c^2/2) int omega^2/x^2
-    cauchy_lhs: float  # F^2
-    cauchy_rhs: float  # c^2 (L/2) int omega^2/x^2
+#: A row of ``riccati_audit``: the audited inequalities at one interior record.
+#: riccati_margin is F_dot - F^2/L, strong_margin F_dot - (c^2/2) int omega^2/x^2,
+#: cauchy_lhs F^2 and cauchy_rhs c^2 (L/2) int omega^2/x^2.
+RICCATI_DTYPE = np.dtype([
+    (name, np.float64)
+    for name in ("t", "F", "F_dot", "riccati_margin", "strong_margin", "cauchy_lhs", "cauchy_rhs")
+])
 
 
-def riccati_audit(run) -> List[RiccatiSample]:
-    """Margins of the blow-up inequality chain at the interior records of a run.
+def riccati_audit(run) -> np.recarray:
+    """Margins of the blow-up inequality chain at the interior records of a run,
+    one ``RICCATI_DTYPE`` row per record.
 
-    A view over the record table: dF/dt and both margins are the columns
+    Read from the record table: dF/dt and both margins are the columns
     fill_margin_fields derived from the recorded F series, and the strong
     term was recorded with the same quadrature as F itself, which makes the
     Cauchy--Schwarz comparison an exact weighted-sum inequality.  The
@@ -208,15 +205,13 @@ def riccati_audit(run) -> List[RiccatiSample]:
     table = run.diagnostics
     if len(table) < RICCATI_MIN_SAMPLES:
         raise ValueError(f"riccati audit needs at least {RICCATI_MIN_SAMPLES} diagnostic samples")
-    names = ["t", "F", "F_dot_measured", "riccati_margin", "strong_margin", "strong_term"]
-    return [
-        RiccatiSample(
-            t, F, F_dot, riccati, strong,
-            cauchy_lhs=F**2,
-            cauchy_rhs=run.period_L * strong_term,  # c^2 (L/2) int = L * strong term
-        )
-        for t, F, F_dot, riccati, strong, strong_term in table[1:-1][names].tolist()
-    ]
+    interior = table[1:-1]
+    rows = np.empty(len(interior), RICCATI_DTYPE).view(np.recarray)
+    rows.t, rows.F, rows.F_dot = interior.t, interior.F, interior.F_dot_measured
+    rows.riccati_margin, rows.strong_margin = interior.riccati_margin, interior.strong_margin
+    rows.cauchy_lhs = np.float_power(interior.F, 2.0)  # libm's pow, as a float's ** rounds
+    rows.cauchy_rhs = run.period_L * interior.strong_term  # c^2 (L/2) int = L * strong term
+    return rows
 
 
 def fill_margin_fields(table: np.recarray, L: float) -> None:

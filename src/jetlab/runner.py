@@ -59,20 +59,17 @@ def theorem_audit(result: RunResult, config: ExperimentConfig) -> Dict[str, obje
                 sup_theta[1:] <= sup_theta[:-1] * (1.0 + 1e-9 * np.diff(res.t)) + 1e-300
             ),
         }
+        # the inequality chain, on the resolved interior records
+        if len(table) >= RICCATI_MIN_SAMPLES:
+            chain = riccati_audit(result)
+            chain = chain[chain.t < t_res]
+            lhs = chain.cauchy_lhs
+            verdicts["riccati_margin_ok"] = chain.riccati_margin >= -1e-4 * np.maximum(lhs, 1.0)
+            verdicts["cauchy_schwarz_ok"] = chain.cauchy_rhs - lhs >= -1e-9 * lhs
+            if F0 > 0:
+                rising = chain[chain.F > 0]
+                verdicts["envelope_ok"] = 1.0 / rising.F <= 1.0 / F0 - rising.t / L + 1e-3
     out.update((name, bool(np.all(holds))) for name, holds in verdicts.items())
-
-    if len(table) >= RICCATI_MIN_SAMPLES:
-        samples = [a for a in riccati_audit(result) if a.t < t_res]
-        out["riccati_margin_ok"] = all(
-            a.riccati_margin >= -1e-4 * max(a.F**2, 1.0) for a in samples
-        )
-        out["cauchy_schwarz_ok"] = all(
-            a.cauchy_rhs - a.cauchy_lhs >= -1e-9 * a.cauchy_lhs for a in samples
-        )
-        if F0 > 0:
-            out["envelope_ok"] = all(
-                1.0 / a.F <= 1.0 / F0 - a.t / L + 1e-3 for a in samples if a.F > 0
-            )
     return out
 
 

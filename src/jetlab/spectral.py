@@ -1,7 +1,9 @@
 """FFT-based periodic operators and singular-weight quadrature on the half period.
 
-All operators act on :class:`~jetlab.grid.PeriodicField` and are pure
-functions; nothing here keeps mutable state, so concurrent use is safe.
+The named operators act on :class:`~jetlab.grid.PeriodicField`;
+``apply_multiplier`` and ``dealias_filter`` act on arrays along their last
+axis.  ``multiplier`` and ``half_period_nodes`` cache their read-only
+arrays per grid for the life of the process; nothing else keeps state.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ def composite_weights(n_intervals: int) -> np.ndarray:
         raise ValueError("need at least one interval")
     if n_intervals == 1:
         return np.array([0.5, 0.5])  # trapezoid; the CKY law applies it on its last cell
-    if n_intervals == 2:
-        return np.array([1.0, 4.0, 1.0]) / 3.0
     w = np.zeros(n_intervals + 1)
     if n_intervals % 2 == 0:
         w[0] = w[-1] = 1.0 / 3.0

@@ -218,12 +218,15 @@ class TestHalfPeriodIntegral:
         final_order = np.log(errs[-2] / errs[-1]) / np.log(h[-2] / h[-1])
         assert final_order >= 3.5
 
-    @pytest.mark.parametrize("n_int", [4, 5, 7, 16, 17, 33, 128])
+    @pytest.mark.parametrize("n_int", [1, 2, 3, 4, 5, 7, 16, 17, 33, 128])
     def test_weights_positive_and_exact_for_constants(self, n_int):
         w = composite_weights(n_int)
         assert w.size == n_int + 1
         assert np.all(w > 0)
         assert abs(np.sum(w) - n_int) <= 1e-12 * n_int
+
+    def test_two_intervals_are_one_simpson_panel(self):
+        assert composite_weights(2).tobytes() == (np.array([1.0, 4.0, 1.0]) / 3.0).tobytes()
 
 
 class TestResampleAndTail:

@@ -173,6 +173,19 @@ def test_readme_names_every_generator():
     assert [name for name in GENERATORS if f"`{name}`" not in paragraph] == []
 
 
+def test_readme_names_every_audit_key(tmp_path):
+    # a tagged Q0 run past L/F(0), so that every key is present
+    config = parse_config(json.dumps({
+        "model": {"name": "Q0", "c": 1 / 3}, "grid": {"n": 64},
+        "stepper": {"t_end": 4.0, "dt_max": 0.01, "omega_sup_cap": 50.0, "record_every": 5},
+        "outputs": {"directory": str(tmp_path)}, "tags": ["theorem-hypotheses"],
+    }))
+    audits = run_experiment(config)["audits"]
+    text = README.read_text()
+    listed = text[text.index("The `audits` object"):].split("\n\n")[1]
+    assert re.findall(r"^- `(\w+)`", listed, re.M) == list(audits)
+
+
 def test_readme_names_every_multiplier():
     bullet = next(b for b in README.read_text().split("\n- ") if b.startswith("`spectral`:"))
     assert [name for name in MULTIPLIERS if f"`{name}`" not in bullet] == []
