@@ -22,11 +22,11 @@ _EXPORTS = {  # submodule -> the names it exports
     ),
     "evolve": (
         "DT_UNDERFLOW", "REACHED_T_END", "SUP_CAP_HIT", "RunResult", "StepperConfig",
-        "estimate_blowup_time", "run", "step_rk4",
+        "estimate_blowup_time", "run",
     ),
     "grid": ("PeriodicField", "PeriodicGrid"),
     "identities": ("identity_case_names", "operator_identity_check"),
-    "models": ("EvolutionState", "ModelSpec", "biot_savart", "rhs"),
+    "models": ("EvolutionState", "ModelSpec", "biot_savart"),
     "preflight": ("ConfigError",),
     "spectral": (
         "antiderivative_zero_mean", "hilbert_transform", "spectral_derivative",
@@ -35,7 +35,7 @@ _EXPORTS = {  # submodule -> the names it exports
     "strip": (
         "JetRecord", "MANUFACTURED_CASES", "ManufacturedChecks", "RankOneStripField",
         "StripField", "StripGrid", "closure_residual",
-        "elliptic_residual", "elliptic_residuals", "extract_jets", "jet_relation_residual",
+        "elliptic_residual", "elliptic_residuals", "jet_relation_residual",
         "manufactured_case", "manufactured_pass", "solve_elliptic",
     ),
 }

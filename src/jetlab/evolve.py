@@ -11,7 +11,7 @@ import numpy as np
 
 from .diagnostics import RECORD_DTYPE, compute_record, fill_margin_fields
 from .grid import PeriodicField, PeriodicGrid, is_plus_zero
-from .models import EvolutionState, KernelPlan, ModelSpec, state_rows
+from .models import EvolutionState, KernelPlan, ModelSpec, rhs, state_rows
 
 REACHED_T_END = "reached_t_end"
 SUP_CAP_HIT = "sup_cap_hit"
@@ -70,7 +70,7 @@ class RunResult:
         return estimate_blowup_time(self.sup_series)
 
 
-def _rk4(plan: KernelPlan, y: np.ndarray, dt: float, k: np.ndarray, out: np.ndarray) -> None:
+def step_rk4(plan: KernelPlan, y: np.ndarray, dt: float, k: np.ndarray, out: np.ndarray) -> None:
     """One classical RK4 step of the stacked rows ``y`` into ``out``, in two
     stage rows.  ``k[0]`` holds the rate at ``y`` and becomes the running sum
     k1 + 2*k2 + 2*k3 + k4, added in that order; ``k[1]`` holds the current
@@ -87,12 +87,12 @@ def _rk4(plan: KernelPlan, y: np.ndarray, dt: float, k: np.ndarray, out: np.ndar
 
     acc, rate = k
     with np.errstate(over="ignore", invalid="ignore"):
-        plan.evaluate(advanced(acc, dt / 2, 2), rate)
+        rhs(plan, advanced(acc, dt / 2, 2), rate)
         for coef, stage in ((dt / 2, 3), (dt, 4)):
             advanced(rate, coef, stage)
             rate *= 2
             acc += rate
-            plan.evaluate(out, rate)
+            rhs(plan, out, rate)
         acc += rate
         acc /= 6.0
         advanced(acc, dt, 4)
@@ -105,22 +105,6 @@ def _state(model: ModelSpec, grid: PeriodicGrid, y: np.ndarray, time: float) -> 
     if model.has_theta:
         theta = PeriodicField(grid, y[1].copy() if len(y) > 1 else np.zeros(grid.n_points))
     return EvolutionState(PeriodicField(grid, y[0].copy()), theta, time)
-
-
-def step_rk4(
-    model: ModelSpec, s: EvolutionState, dt: float, dealias: bool = False
-) -> EvolutionState:
-    """One classical 4-stage explicit step of the model's dynamics, run on the
-    stacked rows (omega[, theta]) with one finiteness check per stage."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    y = state_rows(model, s)
-    plan = KernelPlan(model, s.grid, dealias)
-    k = np.empty((2,) + y.shape)
-    plan.evaluate(y, k[0])
-    out = np.empty_like(y)
-    _rk4(plan, y, dt, k, out)
-    return _state(model, s.grid, out, s.time + dt)
 
 
 def run(
@@ -143,8 +127,9 @@ def run(
 
     The run steps the stacked rows (omega[, theta]) in one workspace: one
     :class:`KernelPlan`, the rows and their successor, and two stage rows
-    (see ``_rk4``).  It builds states only to record them.  A theta that starts at +0.0 at every node stays exactly
-    +0.0, so the run then steps omega's row alone and records theta as zeros.
+    (see :func:`step_rk4`).  It builds states only to record them.  A theta
+    that starts at +0.0 at every node stays exactly +0.0, so the run then
+    steps omega's row alone and records theta as zeros.
     """
     grid = init.grid
     y = state_rows(model, init)
@@ -182,7 +167,7 @@ def run(
                 f"step budget of {STEP_BUDGET} steps spent at t = {t:.6g} < t_end = {cfg.t_end:g}"
             )
         with np.errstate(over="ignore", invalid="ignore"):  # the speed is checked below
-            speed = float(np.max(np.abs(plan.evaluate(y, k[0]))))
+            speed = float(np.max(np.abs(rhs(plan, y, k[0]))))
         if not np.isfinite(speed):
             raise FloatingPointError("velocity is not finite")
         if step == 0:
@@ -194,7 +179,7 @@ def run(
             termination = DT_UNDERFLOW
             break
         try:
-            _rk4(plan, y, dt, k, y_next)
+            step_rk4(plan, y, dt, k, y_next)
         except FloatingPointError:
             termination = SUP_CAP_HIT  # left the representable range mid-step
             break

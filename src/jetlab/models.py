@@ -108,7 +108,7 @@ class KernelPlan:
     """One model's velocity law and rate on one grid, planned once per run.
 
     The plan holds the model row's multipliers and transport weight and, for
-    CKY, the validated half-line node arrays, so an evaluation only computes.
+    CKY, the validated half-line node arrays, so :func:`rhs` only computes.
     A rate costs one rfft of the stacked rows ``y = (omega[, theta])`` and
     one batched irfft of u, u_x, omega_x and theta_x; with ``dealias``,
     ``dealias_filter`` filters all nonlinear products in one more pair.
@@ -121,8 +121,8 @@ class KernelPlan:
     which theta_t = -u*theta_x keeps exactly (each stage adds coef*(+-0.0) to
     +0.0).  Its rate is omega's row alone, with ``+ 0.0`` where theta_x was
     added, so omega's rate keeps the sign of zero the two-row rate gives.
-    ``evolve.run`` steps such rows and ``biot_savart`` passes omega's row
-    alone; ``rhs`` and ``step_rk4`` always pass the full rows.
+    ``evolve.run`` steps such rows when theta starts at +0.0, and
+    ``biot_savart`` passes omega's row alone, since u does not read theta.
     """
 
     def __init__(self, model: ModelSpec, grid: PeriodicGrid, dealias: bool = False):
@@ -176,23 +176,6 @@ class KernelPlan:
 
     _REAL_SPACE_LAWS = {LOCAL: _local_velocity, HALF_LINE: _half_line_velocity}
 
-    def evaluate(self, y: np.ndarray, rate: np.ndarray) -> np.ndarray:
-        """u of the stacked rows ``y``; their rate is written to ``rate``."""
-        n = self.grid.n_points
-        y_hat = np.fft.rfft(y)
-        spectra = np.empty((self._n_velocity + len(y), n // 2 + 1), complex)
-        if self._multiplier is not None:
-            np.multiply(y_hat[0], self._multiplier, out=spectra[0])
-        if self._stretching:
-            np.multiply(spectra[0], self._derivative, out=spectra[1])
-        np.multiply(y_hat, self._derivative, out=spectra[-len(y) :])
-        del y_hat
-        back = np.fft.irfft(spectra, n=n)
-        del spectra
-        u = back[0] if self._multiplier is not None else self._real_law(self, y[0])
-        self._rate(y, u, back, rate)
-        return u
-
     def _rate(self, y: np.ndarray, u: np.ndarray, back: np.ndarray, rate: np.ndarray) -> None:
         # omega_t = -w*u*omega_x [+ u_x*omega] [+ theta_x], theta_t = -u*theta_x;
         # the products u*omega_x, u_x*omega and u*theta_x go straight to the
@@ -227,19 +210,25 @@ def biot_savart(model: ModelSpec, omega: PeriodicField) -> PeriodicField:
     """
     plan, y = KernelPlan(model, omega.grid), omega.values[None, :]  # u does not read theta
     with np.errstate(over="ignore", invalid="ignore"):  # PeriodicField rejects a u that overflows
-        u = plan.evaluate(y, np.empty_like(y))  # the scratch rate may overflow where u does not
+        u = rhs(plan, y, np.empty_like(y))  # the scratch rate may overflow where u does not
     return PeriodicField(omega.grid, u)
 
 
-def rhs(model: ModelSpec, s: EvolutionState, dealias: bool = False) -> np.ndarray:
-    """Right-hand side of the model's dynamical equation at state ``s``: the
-    rows (omega_t[, theta_t]), in the layout of :func:`state_rows`.
-
-    All x-derivatives are spectral; with ``dealias`` the 2/3-rule filter is
-    applied to the nonlinear products.
-    """
-    y = state_rows(model, s)
-    rate = np.empty_like(y)
-    KernelPlan(model, s.grid, dealias).evaluate(y, rate)
-    return rate
-
+def rhs(plan: KernelPlan, y: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """u of the stacked rows ``y`` = (omega[, theta]) under ``plan``; their rate
+    is written to ``rate``, with spectral x-derivatives and, if the plan
+    dealiases, the 2/3-rule filter applied to the nonlinear products."""
+    n = plan.grid.n_points
+    y_hat = np.fft.rfft(y)
+    spectra = np.empty((plan._n_velocity + len(y), n // 2 + 1), complex)
+    if plan._multiplier is not None:
+        np.multiply(y_hat[0], plan._multiplier, out=spectra[0])
+    if plan._stretching:
+        np.multiply(spectra[0], plan._derivative, out=spectra[1])
+    np.multiply(y_hat, plan._derivative, out=spectra[-len(y) :])
+    del y_hat
+    back = np.fft.irfft(spectra, n=n)
+    del spectra
+    u = back[0] if plan._multiplier is not None else plan._real_law(plan, y[0])
+    plan._rate(y, u, back, rate)
+    return u

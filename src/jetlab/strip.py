@@ -22,8 +22,8 @@ comes: ``jet-verify``'s
 pass, :func:`manufactured_pass`, holds its checkpoints and one block's
 arrays at a time, dropping each array once it is used and transforming in
 half-blocks, and the field routes (``solve_elliptic``,
-``elliptic_residuals``, ``extract_jets``) feed the same checks a field's
-blocks, with the same bits.
+``elliptic_residuals``) feed the same checks a field's blocks, with the
+same bits.
 
 Strip values are stored x-contiguous (Fortran order of the (n, M+1) array),
 so every transform over x reads and writes contiguous memory.  The solve,
@@ -519,10 +519,17 @@ def _boundary_second_derivative(values: np.ndarray, dq: float) -> np.ndarray:
     ) / dq**2
 
 
-def _jets(top: np.ndarray, omega: AnyStripField, m: int) -> Dict[str, JetRecord]:
-    """The jets of :func:`extract_jets` on both phi2 routes, by route, from
-    phi's top five q-columns ``top`` (n, 5), the column q = 1 last; the two
-    records share one phi1 and one omega(x, 1)."""
+def extract_jets(top: np.ndarray, omega: AnyStripField, m: int) -> Dict[str, JetRecord]:
+    """Boundary jets at q = 1 on both phi2 routes, by route, from phi's top
+    five q-columns ``top`` (n, 5), the column q = 1 last.
+
+    phi1 is the one-sided 4th-order derivative of phi.  phi2 via the "pde"
+    route comes from the stream equation evaluated at q = 1 (where phi = 0
+    kills the x-derivatives): phi2 = (-omega(.,1) - (4+2m)*phi1) / 4, which
+    is exact for the discrete solution; the "difference" route is the
+    independent one-sided second-derivative cross-check, 2nd order in dq.
+    The two records share one phi1 and one omega(x, 1).
+    """
     b = stream_coefficient(m)
     grid, x_grid = omega.grid, omega.grid.x_grid
     phi1 = _boundary_first_derivative(top, grid.dq)
@@ -533,26 +540,6 @@ def _jets(top: np.ndarray, omega: AnyStripField, m: int) -> Dict[str, JetRecord]
     }
     phi1, omega_b = PeriodicField(x_grid, phi1), PeriodicField(x_grid, omega_b)
     return {r: JetRecord(phi1, PeriodicField(x_grid, v), omega_b, m) for r, v in phi2.items()}
-
-
-def extract_jets(
-    phi: StripField, omega: AnyStripField, m: int, phi2_route: str = "pde"
-) -> JetRecord:
-    """Boundary jets at q = 1.
-
-    phi1 is the one-sided 4th-order derivative of the solved phi.  phi2 via
-    the default "pde" route comes from the stream equation evaluated at
-    q = 1 (where phi = 0 kills the x-derivatives):
-    phi2 = (-omega(.,1) - (4+2m)*phi1) / 4, which is exact for the discrete
-    solution; the "difference" route is the independent one-sided
-    second-derivative cross-check, 2nd order in dq.  Both read phi's top
-    five q-columns only, and share one phi1 and one omega(x, 1).
-    """
-    M = phi.grid.n_q_intervals
-    jets = _jets(phi.columns(M - 4, M + 1), omega, m)
-    if phi2_route not in jets:
-        raise ValueError(f"unknown phi2 route {phi2_route!r}")
-    return jets[phi2_route]
 
 
 def jet_relation_residual(jets: JetRecord) -> float:
@@ -628,15 +615,14 @@ def manufactured_pass(
     phi_exact: AnyStripField, omega: AnyStripField, m: int
 ) -> ManufacturedChecks:
     """Solve for ``omega`` and check phi against ``phi_exact`` in one pass:
-    the numbers, bit for bit, of solve_elliptic followed by the sup error,
-    elliptic_residuals and extract_jets on both routes, with no strip-sized
-    array; the two routes' jets share one phi1 and one omega(x, 1).  Each
-    segment of the solve is transformed back over its own bytes and fed to
-    the checks as it comes, from the top down; the band and one scratch
-    block serve the solve and the checks, and phi's top five q-columns are
-    kept for the jets.  Each block's array is dropped as soon as the next
-    step no longer needs it, so the pass holds one block's arrays at a time
-    beside the solve's checkpoints."""
+    the numbers, bit for bit, of solve_elliptic followed by the sup error
+    and elliptic_residuals, and the jets of :func:`extract_jets`, with no
+    strip-sized array.  Each segment of the solve is transformed back over
+    its own bytes and fed to the checks as it comes, from the top down; the
+    band and one scratch block serve the solve and the checks, and phi's top
+    five q-columns are kept for the jets.  Each block's array is dropped as
+    soon as the next step no longer needs it, so the pass holds one block's
+    arrays at a time beside the solve's checkpoints."""
     grid = omega.grid
     band, scratch = _band(m, grid.n_q_intervals, grid.dq), _scratch(grid)
     residual, load = _ResidualPass(band, omega, scratch), _stream_rhs(omega, scratch)
@@ -653,4 +639,4 @@ def manufactured_pass(
         residual.take(lo, hi, phi)
         del phi  # not alive beside the residual pass's block arrays
         residual.finish(lo, hi)
-    return ManufacturedChecks(error, residual.result(), _jets(top, omega, m))
+    return ManufacturedChecks(error, residual.result(), extract_jets(top, omega, m))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,21 @@ def blowup_run():
         dealias=False,
     )
     return run(model, init, cfg, snapshot_times=(0.3, 0.6, 0.9))
+
+
+def rebound_calls(monkeypatch, module, name: str) -> list:
+    """The argument tuple of each call of ``module.name`` from now on.  The
+    function is rebound in every jetlab module that holds it, as perfbench's
+    tracer rebinds the layers it wraps, so a call by any module's name counts."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, held in list(sys.modules.items()):
+        if module_name.split(".")[0] == "jetlab":
+            for attr, value in list(vars(held).items()):
+                if value is original:
+                    monkeypatch.setattr(held, attr, counted)
+    return calls

@@ -1,5 +1,6 @@
-"""Closed-form solutions of two members of the model family, and the
-one-record-at-a-time derivative and margin rules of the diagnostics, for tests.
+"""Closed-form solutions of two members of the model family, the
+one-record-at-a-time derivative and margin rules of the diagnostics, and the
+CLI's stepping and jet routes called on a state or a strip field, for tests.
 
 * Q0 with theta = 0 is inviscid Burgers: its law u = -c omega makes
   omega_t = c omega omega_x, so omega keeps its initial value along the
@@ -16,7 +17,7 @@ one-record-at-a-time derivative and margin rules of the diagnostics, for tests.
 
 import numpy as np
 
-from jetlab import PeriodicField
+from jetlab import EvolutionState, PeriodicField, evolve, models, strip
 
 
 def burgers_q0(omega0, omega0_x, c: float, x: np.ndarray, t: float) -> np.ndarray:
@@ -74,3 +75,27 @@ def with_margins(records: list, L: float) -> list:
         )
         for i, r in enumerate(records)
     ]
+
+
+def rate_of(model, s, dealias=False) -> np.ndarray:
+    """The rate rows (omega_t[, theta_t]) of the state ``s``, by ``models.rhs``."""
+    y = models.state_rows(model, s)
+    rate = np.empty_like(y)
+    models.rhs(models.KernelPlan(model, s.grid, dealias), y, rate)
+    return rate
+
+
+def stepped(model, s, dt: float, dealias=False) -> EvolutionState:
+    """The state one ``evolve.step_rk4`` step of ``dt`` after ``s``."""
+    y, plan = models.state_rows(model, s), models.KernelPlan(model, s.grid, dealias)
+    k, out = np.empty((2,) + y.shape), np.empty_like(y)
+    models.rhs(plan, y, k[0])
+    evolve.step_rk4(plan, y, dt, k, out)
+    theta = PeriodicField(s.grid, out[1]) if model.has_theta else None
+    return EvolutionState(PeriodicField(s.grid, out[0]), theta, s.time + dt)
+
+
+def jets_of(phi, omega, m: int, route: str = "pde"):
+    """``strip.extract_jets`` of the strip field ``phi``, on one phi2 route."""
+    M = phi.grid.n_q_intervals
+    return strip.extract_jets(phi.columns(M - 4, M + 1), omega, m)[route]

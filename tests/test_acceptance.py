@@ -18,18 +18,15 @@ from jetlab import (
     biot_savart,
     closure_coefficient,
     estimate_blowup_time,
-    extract_jets,
     hilbert_transform,
     identity_case_names,
     jet_relation_residual,
     manufactured_case,
     operator_identity_check,
     resolved_until,
-    rhs,
     riccati_audit,
     solve_elliptic,
     spectral_derivative,
-    step_rk4,
     StepperConfig,
     StripGrid,
     run,
@@ -42,6 +39,7 @@ from jetlab.spectral import half_period_integrals
 
 import oracles
 from conftest import F0_SIN, sin_state
+from oracles import jets_of, rate_of, stepped
 
 L_RUN = 2.0
 C_RUN = 1.0 / 3.0
@@ -105,7 +103,7 @@ def test_c03_manufactured_elliptic():
         err = float(np.max(np.abs(phi.values - phi_exact.columns(0, 257))))
         ok &= err <= 1e-6
         details.append(f"m={m} err={err:.1e}")
-        jets = extract_jets(phi, omega, m)
+        jets = jets_of(phi, omega, m)
         ok &= jet_relation_residual(jets) <= 1e-12
 
         errors = []
@@ -263,7 +261,7 @@ def _self_convergence(model, L, omega0_fn, theta0_fn, n, dt, t_end, every=20):
         state = EvolutionState(omega, theta, 0.0)
         snaps = [state.omega.values.copy()]
         for i in range(int(round(t_end / step))):
-            state = step_rk4(model, state, step)
+            state = stepped(model, state, step)
             if (i + 1) % stride == 0:
                 snaps.append(state.omega.values.copy())
         snapshots.append(snaps)
@@ -287,7 +285,7 @@ def test_c08_model_family_sanity():
     u = biot_savart(ModelSpec("clm"), omega)
     assert np.max(np.abs(spectral_derivative(u).values - hilbert_transform(omega).values)) <= 1e-12
     state = EvolutionState(omega, None, 0.0)
-    rate = rhs(ModelSpec("clm"), state)
+    rate = rate_of(ModelSpec("clm"), state)
     assert np.max(np.abs(rate[0] - 0.5 * np.sin(2 * grid.nodes))) <= 1e-12
     worst, sup = _self_convergence(ModelSpec("clm"), L, np.cos, None, 1024, 5e-4, 1.85)
     assert worst <= 1e-6
@@ -297,14 +295,14 @@ def test_c08_model_family_sanity():
     omega_s = PeriodicField(grid, np.sin(grid.nodes))
     u = biot_savart(ModelSpec("ccf"), omega_s)
     assert np.max(np.abs(u.values + np.cos(grid.nodes))) <= 1e-13
-    rate = rhs(ModelSpec("ccf"), EvolutionState(omega_s, None, 0.0))
+    rate = rate_of(ModelSpec("ccf"), EvolutionState(omega_s, None, 0.0))
     assert np.max(np.abs(rate[0] - np.cos(grid.nodes) ** 2)) <= 1e-12
     worst, sup = _self_convergence(ModelSpec("ccf"), L, np.sin, None, 512, 1e-3, 1.0)
     assert worst <= 1e-6
     details.append(f"CCF {worst:.1e}")
 
     # De Gregorio: cos is a steady state; generic datum for convergence
-    rate = rhs(ModelSpec("de_gregorio"), state)
+    rate = rate_of(ModelSpec("de_gregorio"), state)
     assert np.max(np.abs(rate[0])) <= 1e-13
     u = biot_savart(ModelSpec("de_gregorio"), omega)
     assert np.max(np.abs(u.values + np.cos(grid.nodes))) <= 1e-13
@@ -325,12 +323,12 @@ def test_c08_model_family_sanity():
         PeriodicField(grid, np.cos(grid.nodes) + 0.4 * np.sin(2 * grid.nodes)), None, 0.0
     )
     assert np.max(np.abs(
-        rhs(ModelSpec("okamoto", a_ok=0.0), generic)[0]
-        - rhs(ModelSpec("clm"), generic)[0]
+        rate_of(ModelSpec("okamoto", a_ok=0.0), generic)[0]
+        - rate_of(ModelSpec("clm"), generic)[0]
     )) == 0.0
     assert np.max(np.abs(
-        rhs(ModelSpec("okamoto", a_ok=1.0), generic)[0]
-        - rhs(ModelSpec("de_gregorio"), generic)[0]
+        rate_of(ModelSpec("okamoto", a_ok=1.0), generic)[0]
+        - rate_of(ModelSpec("de_gregorio"), generic)[0]
     )) == 0.0
     worst, sup = _self_convergence(ModelSpec("okamoto", a_ok=0.4), L, np.cos, None, 512, 1e-3, 1.7)
     assert worst <= 1e-6
@@ -345,7 +343,7 @@ def test_c08_model_family_sanity():
         PeriodicField(grid, -np.cos(grid.nodes)),
         0.0,
     )
-    hl_rate = rhs(ModelSpec("hou_luo"), hl_state)
+    hl_rate = rate_of(ModelSpec("hou_luo"), hl_state)
     u_hl = biot_savart(ModelSpec("hou_luo"), hl_state.omega)
     expected = (
         -u_hl.values * spectral_derivative(hl_state.omega).values
@@ -387,7 +385,7 @@ def test_c09_rk4_order():
     def fixed_run(dt):
         s = init
         for _ in range(int(round(t_end / dt))):
-            s = step_rk4(model, s, dt)
+            s = stepped(model, s, dt)
         return s
 
     ref = fixed_run(t_end / 3200)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from jetlab import ConfigError, parse_config, rhs
+from jetlab import ConfigError, parse_config
 from jetlab.cli import _memory_available, _worker_count, main
 from jetlab.config import GENERATORS, build_field
 from jetlab.grid import PeriodicGrid
@@ -17,6 +17,7 @@ from jetlab.runner import run_experiment
 from jetlab.spectral import half_period_integrals
 
 from conftest import sin_state
+from oracles import rate_of
 
 
 def minimal_q0(tmp_path, **overrides):
@@ -70,8 +71,8 @@ class TestParseConfig:
         from jetlab.models import EvolutionState
 
         no_theta = EvolutionState(state.omega, None, 0.0)
-        r_config = rhs(config.model, no_theta)
-        r_clm = rhs(ModelSpec("clm"), no_theta)
+        r_config = rate_of(config.model, no_theta)
+        r_clm = rate_of(ModelSpec("clm"), no_theta)
         assert np.max(np.abs(r_config[0] - r_clm[0])) == 0.0
 
     def test_unknown_model(self):

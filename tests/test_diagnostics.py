@@ -16,7 +16,6 @@ from jetlab import (
     resolved_until,
     run,
     spectral_derivative,
-    step_rk4,
     symmetry_and_sign_monitor,
 )
 from jetlab.config import parse_config
@@ -33,7 +32,7 @@ from jetlab.runner import emit_outputs
 from jetlab.spectral import half_period_integrals, tail_energy_fraction
 
 from conftest import F0_SIN, INT_PI_SIN_OVER_X, INT_SIN2_OVER_X2, sin_state
-from oracles import three_point_slopes, with_margins
+from oracles import stepped, three_point_slopes, with_margins
 
 
 class TestEnergy:
@@ -218,7 +217,7 @@ class TestStreamedRecords:
             s = states[-1]
             u = biot_savart(model, s.omega)
             dt = min(cfg.cfl * s.grid.dx / u.sup_norm, cfg.dt_max, cfg.t_end - s.time)
-            states.append(step_rk4(model, s, dt))
+            states.append(stepped(model, s, dt))
         recorded = states[:: cfg.record_every]
         if len(states) % cfg.record_every != 1:
             recorded.append(states[-1])

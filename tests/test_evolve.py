@@ -15,25 +15,24 @@ from jetlab import (
     StepperConfig,
     estimate_blowup_time,
     run,
-    step_rk4,
 )
 
-from jetlab import biot_savart, rhs
+from jetlab import biot_savart, evolve, models
 from jetlab.config import parse_config
 from jetlab.diagnostics import RECORD_DTYPE, compute_record
 from jetlab.evolve import FIT_FRACTION, FIT_RESIDUAL_THRESHOLD
-from jetlab.models import KernelPlan, state_rows
+from jetlab.models import KernelPlan, rhs, state_rows
 from jetlab.runner import run_experiment
 from jetlab.spectral import MULTIPLIERS, dealias_filter, multiplier
 
-from conftest import sin_state
-from oracles import with_margins
+from conftest import rebound_calls, sin_state
+from oracles import rate_of, stepped, with_margins
 
 
 def fixed_dt_run(model, init, dt, t_end):
     s = init
     for _ in range(int(round(t_end / dt))):
-        s = step_rk4(model, s, dt)
+        s = stepped(model, s, dt)
     return s
 
 
@@ -45,7 +44,7 @@ class TestStepRK4:
             PeriodicField(grid, np.full(64, 7.0)),
             0.0,
         )
-        out = step_rk4(ModelSpec("q0", c=1 / 3), s, 0.05)
+        out = stepped(ModelSpec("q0", c=1 / 3), s, 0.05)
         assert np.max(np.abs(out.omega.values)) == 0.0
         assert np.max(np.abs(out.theta.values - 7.0)) == 0.0
         assert out.time == pytest.approx(0.05)
@@ -82,17 +81,13 @@ class TestStepRK4:
         ratio = errors[0] / errors[1]
         assert 14.0 <= ratio <= 18.0
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            step_rk4(ModelSpec("q0", c=1 / 3), sin_state(64), 0.0)
-
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_reported(self):
         grid = PeriodicGrid(64, 2.0)
         huge = PeriodicField(grid, 1e300 * np.sin(np.pi * grid.nodes))
         s = EvolutionState(huge, PeriodicField(grid, np.zeros(64)), 0.0)
         with pytest.raises(FloatingPointError, match="numerical overflow in stage"):
-            step_rk4(ModelSpec("q0", c=1 / 3), s, 1e6)
+            stepped(ModelSpec("q0", c=1 / 3), s, 1e6)
 
 
 class TestRun:
@@ -161,40 +156,19 @@ class TestRun:
     @pytest.mark.parametrize("dealias", [False, True])
     def test_four_rate_evaluations_per_step(self, monkeypatch, dealias):
         # the rate evaluated for the CFL speed is reused as the step's first stage
-        calls = []
-        original = KernelPlan.evaluate
-
-        def counted(plan, y, rate):
-            calls.append(rate is not None)
-            return original(plan, y, rate)
-
-        monkeypatch.setattr(KernelPlan, "evaluate", counted)
+        calls = rebound_calls(monkeypatch, models, "rhs")
         model, init = ModelSpec("q0", c=1 / 3), sin_state(64, theta_amplitude=0.2)
         cfg = StepperConfig(t_end=10 * 2.0**-7, dt_max=2.0**-7, dealias=dealias)
         res = run(model, init, cfg)
         assert res.termination == REACHED_T_END and res.t_final == 10 * 2.0**-7
-        assert calls == [True] * 40
+        assert len(calls) == 40
 
     def test_reference_run_counts(self, monkeypatch, tmp_path):
-        # the theorem run: 1033 steps of four rates each, and one evaluation
-        # for its snapshot's u column, which writes a rate too; theta0 = +0.0,
-        # so every evaluation sees omega's row alone
-        import jetlab.evolve
-
-        calls, rows, steps = [], [], []
-        evaluate, rk4 = KernelPlan.evaluate, jetlab.evolve._rk4
-
-        def counted_evaluate(plan, y, rate):
-            calls.append(rate is not None)
-            rows.append(len(y))
-            return evaluate(plan, y, rate)
-
-        def counted_rk4(*args):
-            steps.append(args[2])
-            return rk4(*args)
-
-        monkeypatch.setattr(KernelPlan, "evaluate", counted_evaluate)
-        monkeypatch.setattr(jetlab.evolve, "_rk4", counted_rk4)
+        # the theorem run, counted as perfbench's tracer counts it: 1033
+        # steps of four rates each, and one rate for its snapshot's u column;
+        # theta0 = +0.0, so every rate sees omega's row alone
+        steps = rebound_calls(monkeypatch, evolve, "step_rk4")
+        calls = rebound_calls(monkeypatch, models, "rhs")
         doc = {
             "model": {"name": "Q0", "c": 1.0 / 3.0},
             "grid": {"n": 2048, "L": 2.0},
@@ -204,25 +178,17 @@ class TestRun:
         result = run_experiment(parse_config(json.dumps(doc)))["result"]
         assert result.termination == SUP_CAP_HIT and len(result.diagnostics) == 105
         assert len(steps) == 1033 and len(calls) == 4 * 1033 + 1 == 4133
-        assert calls.count(False) == 0
-        assert rows == [1] * 4133
+        assert [len(y) for _, y, _ in calls] == [1] * 4133
 
     @pytest.mark.parametrize("theta_amplitude, rows", [(0.0, 1), (0.2, 2)], ids=["zero", "nonzero"])
     def test_steps_in_two_stage_rows(self, monkeypatch, theta_amplitude, rows):
         # k[0] holds k1 and then the running sum, k[1] the current stage's
-        # rate; step_rk4 always steps theta's row
-        import jetlab.evolve
-
-        shapes, rk4 = [], jetlab.evolve._rk4
-
-        def recorded(plan, y, dt, k, out):
-            shapes.append((k.shape, out.shape))
-            return rk4(plan, y, dt, k, out)
-
-        monkeypatch.setattr(jetlab.evolve, "_rk4", recorded)
+        # rate; a step of a state's rows always steps theta's row
+        steps = rebound_calls(monkeypatch, evolve, "step_rk4")
         model, init = ModelSpec("q0", c=1 / 3), sin_state(64, theta_amplitude)
         run(model, init, StepperConfig(t_end=3 * 2.0**-7, dt_max=2.0**-7))
-        step_rk4(model, init, 2.0**-7)
+        stepped(model, init, 2.0**-7)
+        shapes = [(k.shape, out.shape) for _, _, _, k, out in steps]
         assert shapes == [((2, rows, 64), (rows, 64))] * 3 + [((2, 2, 64), (2, 64))]
 
     @pytest.mark.parametrize(
@@ -230,37 +196,22 @@ class TestRun:
     )
     def test_theta_row_is_stepped_unless_all_plus_zero(self, monkeypatch, entry, rows):
         # one entry of theta0 that is not +0.0 keeps theta's row in every evaluation
-        seen = []
-        original = KernelPlan.evaluate
-
-        def counted(plan, y, rate):
-            seen.append(len(y))
-            return original(plan, y, rate)
-
-        monkeypatch.setattr(KernelPlan, "evaluate", counted)
+        calls = rebound_calls(monkeypatch, models, "rhs")
         s = sin_state(64)
         theta = np.zeros(64)
         theta[5] = entry
         init = EvolutionState(s.omega, PeriodicField(s.grid, theta), 0.0)
         cfg = StepperConfig(t_end=10 * 2.0**-7, dt_max=2.0**-7)
         run(ModelSpec("q0", c=1 / 3), init, cfg)
-        assert seen == [rows] * 40
+        assert [len(y) for _, y, _ in calls] == [rows] * 40
 
     def test_tiny_period_steps_at_the_cfl_scale(self, monkeypatch):
         # dx and the speed both scale with L, so the CFL steps do not depend on
         # it.  At L = 1e-305 the speed, about 1e-306, is under any absolute
         # floor such as 1e-300, which shrinks dt about 10^6-fold; a budget of
         # the two steps the run needs then ends it at once.
-        import jetlab.evolve
-
-        steps, rk4 = [], jetlab.evolve._rk4
-
-        def counted_rk4(*args):
-            steps.append(args[2])
-            return rk4(*args)
-
-        monkeypatch.setattr(jetlab.evolve, "_rk4", counted_rk4)
-        monkeypatch.setattr(jetlab.evolve, "STEP_BUDGET", 2)
+        steps = rebound_calls(monkeypatch, evolve, "step_rk4")
+        monkeypatch.setattr(evolve, "STEP_BUDGET", 2)
         runs = []
         for L in (2.0, 1e-305):
             doc = {
@@ -272,7 +223,7 @@ class TestRun:
             config = parse_config(json.dumps(doc))
             result = run(config.model, config.initial_state(), config.stepper)
             assert result.termination == REACHED_T_END and result.t_final == 0.05
-            runs.append(steps[:])
+            runs.append([dt for _, _, dt, _, _ in steps])
             steps.clear()
         assert len(runs[0]) == 2 and runs[1] == runs[0]
 
@@ -580,17 +531,17 @@ class TestBitwiseAgainstReference:
         u_only, _ = reference_evaluate(model, s.grid, y[:1], with_rate=False)
         assert same_bits(u_only, u_ref)
         assert same_bits(biot_savart(model, s.omega).values, u_ref)
-        rate = rhs(model, s, dealias)
+        rate = rate_of(model, s, dealias)
         assert same_bits(rate[0], rate_ref[0])
         assert same_bits(rate[1], rate_ref[1]) if model.has_theta else len(rate) == 1
-        got, want = step_rk4(model, s, 1e-3, dealias), reference_step(model, s, 1e-3, dealias)
+        got, want = stepped(model, s, 1e-3, dealias), reference_step(model, s, 1e-3, dealias)
         assert same_bits(got.omega.values, want.omega.values) and got.time == want.time
         if model.has_theta:
             assert same_bits(got.theta.values, want.theta.values)
             # a one-row y stands for theta = +0.0: omega's rate is the two-row one
             y = state_rows(model, rough_state(model, n, zero_theta=True))
             rate = np.empty_like(y[:1])
-            KernelPlan(model, s.grid, dealias).evaluate(y[:1], rate)
+            rhs(KernelPlan(model, s.grid, dealias), y[:1], rate)
             assert same_bits(rate[0], reference_evaluate(model, s.grid, y, dealias)[1][0])
 
     def test_run(self, model, dealias, n):

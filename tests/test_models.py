@@ -12,17 +12,17 @@ from jetlab import (
     closure_coefficient,
     hilbert_transform,
     parse_config,
-    rhs,
     run,
     spectral_derivative,
-    step_rk4,
     stream_coefficient,
 )
 from jetlab.grid import reflect_values
-from jetlab.models import MODEL_TABLE, KernelPlan
+from jetlab.models import MODEL_TABLE, KernelPlan, state_rows
 from jetlab.spectral import (
     MULTIPLIERS, composite_weights, dealias_filter, half_period_nodes, multiplier,
 )
+
+from oracles import rate_of
 
 
 def make_state(grid, omega_fn, theta_fn=None, t=0.0):
@@ -131,14 +131,14 @@ class TestRhs:
         L = 2.0
         grid = PeriodicGrid(128, L)
         s = make_state(grid, lambda x: np.cos(2 * np.pi * x / L))
-        rate = rhs(ModelSpec("clm"), s)
+        rate = rate_of(ModelSpec("clm"), s)
         exact = 0.5 * np.sin(4 * np.pi * grid.nodes / L)
         assert np.max(np.abs(rate[0] - exact)) <= 1e-12
 
     def test_q0_example(self):
         grid = PeriodicGrid(128, 2.0)
         s = make_state(grid, lambda x: np.sin(np.pi * x), lambda x: np.zeros_like(x))
-        rate = rhs(ModelSpec("q0", c=1.0 / 3.0), s)
+        rate = rate_of(ModelSpec("q0", c=1.0 / 3.0), s)
         x = grid.nodes
         exact = np.sin(np.pi * x) * np.pi * np.cos(np.pi * x) / 3.0
         assert np.max(np.abs(rate[0] - exact)) <= 1e-12
@@ -148,23 +148,23 @@ class TestRhs:
         L = 2.0
         grid = PeriodicGrid(128, L)
         s = make_state(grid, lambda x: np.sin(2 * np.pi * x / L))
-        rate = rhs(ModelSpec("ccf"), s)
+        rate = rate_of(ModelSpec("ccf"), s)
         exact = (2 * np.pi / L) * np.cos(2 * np.pi * grid.nodes / L) ** 2
         assert np.max(np.abs(rate[0] - exact)) <= 1e-12
 
     def test_de_gregorio_cos_is_steady(self):
         grid = PeriodicGrid(128, 2 * np.pi)
         s = make_state(grid, np.cos)
-        rate = rhs(ModelSpec("de_gregorio"), s)
+        rate = rate_of(ModelSpec("de_gregorio"), s)
         assert np.max(np.abs(rate[0])) <= 1e-13
 
     def test_okamoto_interpolates_clm_and_de_gregorio(self):
         grid = PeriodicGrid(128, 2 * np.pi)
         s = make_state(grid, lambda x: np.cos(x) + 0.4 * np.sin(2 * x))
-        r_clm = rhs(ModelSpec("clm"), s)
-        r_dg = rhs(ModelSpec("de_gregorio"), s)
-        r_a0 = rhs(ModelSpec("okamoto", a_ok=0.0), s)
-        r_a1 = rhs(ModelSpec("okamoto", a_ok=1.0), s)
+        r_clm = rate_of(ModelSpec("clm"), s)
+        r_dg = rate_of(ModelSpec("de_gregorio"), s)
+        r_a0 = rate_of(ModelSpec("okamoto", a_ok=0.0), s)
+        r_a1 = rate_of(ModelSpec("okamoto", a_ok=1.0), s)
         assert np.max(np.abs(r_a0[0] - r_clm[0])) == 0.0
         assert np.max(np.abs(r_a1[0] - r_dg[0])) == 0.0
 
@@ -172,7 +172,7 @@ class TestRhs:
         L = 2 * np.pi
         grid = PeriodicGrid(128, L)
         s = make_state(grid, np.sin, lambda x: -np.cos(x))
-        rate = rhs(ModelSpec("hou_luo"), s)
+        rate = rate_of(ModelSpec("hou_luo"), s)
         u = biot_savart(ModelSpec("hou_luo"), s.omega)
         expected = (
             -u.values * spectral_derivative(s.omega).values
@@ -184,11 +184,7 @@ class TestRhs:
 
     def test_theta_presence_must_match(self):
         grid = PeriodicGrid(64, 2.0)
-        steps = (
-            rhs,
-            lambda model, s: step_rk4(model, s, 1e-3),
-            lambda model, s: run(model, s, StepperConfig(t_end=1e-3)),
-        )
+        steps = (state_rows, lambda model, s: run(model, s, StepperConfig(t_end=1e-3)))
         for step in steps:
             with pytest.raises(ValueError, match="theta presence must match"):
                 step(ModelSpec("clm"), make_state(grid, np.sin, lambda x: np.zeros_like(x)))
@@ -303,7 +299,7 @@ class TestKernelAgainstComposedFormulas:
             assert np.max(np.abs(actual - expected)) <= 1e-12 * scale
 
         close(biot_savart(model, s.omega).values, composed_velocity(model, s.omega))
-        rate = rhs(model, s, dealias)
+        rate = rate_of(model, s, dealias)
         d_omega, d_theta = composed_rate(model, s, dealias)
         close(rate[0], d_omega)
         if model.has_theta:
@@ -386,7 +382,7 @@ class TestStructuralProperties:
     @pytest.mark.parametrize("model", [ModelSpec("q0", c=1 / 3), ModelSpec("hou_luo")])
     def test_parity_propagation(self, model):
         s = self._symmetric_state()
-        rate = rhs(model, s)
+        rate = rate_of(model, s)
         odd = np.max(np.abs(rate[0] + reflect_values(rate[0])))
         even = np.max(np.abs(rate[1] - reflect_values(rate[1])))
         scale = max(np.max(np.abs(rate[0])), 1e-300)
@@ -400,7 +396,7 @@ class TestStructuralProperties:
         model = ModelSpec("q0", c=1 / 3)
         s = self._symmetric_state(n=256)
         n = s.grid.n_points
-        rate = rhs(model, s)
+        rate = rate_of(model, s)
 
         j = np.arange(n)
         scaled_idx = ((1 - lam) * (n // 2) + lam * j) % n  # nodes of x -> lam x
@@ -409,7 +405,7 @@ class TestStructuralProperties:
         scaled = EvolutionState(
             PeriodicField(s.grid, omega_s), PeriodicField(s.grid, theta_s), 0.0
         )
-        rate_s = rhs(model, scaled)
+        rate_s = rate_of(model, scaled)
 
         expect_omega = (mu**2 / lam) * rate[0][scaled_idx]
         expect_theta = (mu**3 / lam**2) * rate[1][scaled_idx]
@@ -423,7 +419,7 @@ class TestStructuralProperties:
         c = 1 / 3
         model = ModelSpec("q0", c=c)
         s = self._symmetric_state()
-        rate = rhs(model, s)
+        rate = rate_of(model, s)
         u = -c * s.omega.values
         u_x = -c * spectral_derivative(s.omega).values
         theta_x = spectral_derivative(s.theta).values
@@ -436,7 +432,7 @@ class TestStructuralProperties:
         # d/dt int theta = int u_x theta for pure transport: the discrete
         # integrals of theta_dot and u_x*theta agree to rounding
         s = self._symmetric_state()
-        rate = rhs(model, s)
+        rate = rate_of(model, s)
         u = biot_savart(model, s.omega)
         u_x = spectral_derivative(u).values
         L = s.grid.period_L
@@ -449,7 +445,7 @@ class TestStructuralProperties:
         # vanishes at interior extrema of theta
         model = ModelSpec("q0", c=1 / 3)
         s = self._symmetric_state()
-        rate = rhs(model, s)
+        rate = rate_of(model, s)
         theta_x = np.abs(spectral_derivative(s.theta).values)
         flat = theta_x <= 1e-12 * np.max(theta_x)
         assert np.max(np.abs(rate[1][flat])) <= 1e-11

@@ -15,7 +15,6 @@ from jetlab import (
     closure_residual,
     elliptic_residual,
     elliptic_residuals,
-    extract_jets,
     jet_relation_residual,
     manufactured_case,
     solve_elliptic,
@@ -23,6 +22,9 @@ from jetlab import (
 from jetlab import strip
 from jetlab.cli import main
 from jetlab.strip import _band
+
+from conftest import rebound_calls
+from oracles import jets_of
 
 
 def strip_grid(n=64, M=256, L=2 * np.pi):
@@ -125,7 +127,7 @@ class TestRankOneField:
         assert_same_bits(phi.values, solve_elliptic(m, dense).values)
         assert elliptic_residuals(phi, omega, m) == elliptic_residuals(phi, dense, m)
         for route in ("pde", "difference"):
-            jets, dense_jets = extract_jets(phi, omega, m, route), extract_jets(phi, dense, m, route)
+            jets, dense_jets = jets_of(phi, omega, m, route), jets_of(phi, dense, m, route)
             for name in ("phi1", "phi2", "omega_boundary"):
                 assert_same_bits(getattr(jets, name).values, getattr(dense_jets, name).values)
 
@@ -247,15 +249,8 @@ class TestSolveElliptic:
         zero = StripField(strip_grid(16, 32), np.zeros((16, 33)))
         phi = solve_elliptic(1, zero)
         with pytest.raises(ValueError, match="m must be 1 or 2"):
-            extract_jets(phi, zero, 3, route)
+            jets_of(phi, zero, 3, route)
 
-    def test_jets_reject_an_unknown_route(self):
-        zero = StripField(strip_grid(16, 32), np.zeros((16, 33)))
-        phi = solve_elliptic(1, zero)
-        with pytest.raises(ValueError, match="unknown phi2 route 'spline'"):
-            extract_jets(phi, zero, 1, "spline")
-        with pytest.raises(ValueError, match="m must be 1 or 2"):  # m is checked first
-            extract_jets(phi, zero, 3, "spline")
 
 
 def oracle_mode_matrices(m, grid):
@@ -661,14 +656,16 @@ class TestStreamedPass:
         assert checks.residuals == two_pass_residuals(phi, omega, m)
         assert set(checks.jets) == {"pde", "difference"}
         for route, jets in checks.jets.items():
-            expected = extract_jets(phi, omega, m, route)
+            expected = jets_of(phi, omega, m, route)
             for name in ("phi1", "phi2", "omega_boundary"):
                 assert_same_bits(getattr(jets, name).values, getattr(expected, name).values)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_routes_share_phi1_and_omega_boundary(self, m):
+    def test_routes_share_phi1_and_omega_boundary(self, monkeypatch, m):
         grid = strip_grid(16, 32)
+        calls = rebound_calls(monkeypatch, strip, "extract_jets")
         jets = strip.manufactured_pass(*manufactured_case("exp", m, grid), m).jets
+        assert len(calls) == 1
         assert jets["pde"].phi1 is jets["difference"].phi1
         assert jets["pde"].omega_boundary is jets["difference"].omega_boundary
 
@@ -720,7 +717,7 @@ class TestJets:
         grid = strip_grid(64, 256)
         phi_exact, omega = manufactured_case("linear", 1, grid)
         phi = solve_elliptic(1, omega)
-        jets = extract_jets(phi, omega, 1)
+        jets = jets_of(phi, omega, 1)
         sin_x = np.sin(grid.x_grid.nodes)
         assert np.max(np.abs(jets.phi1.values + sin_x)) <= 1e-10
         assert np.max(np.abs(jets.phi2.values)) <= 1e-10
@@ -730,7 +727,7 @@ class TestJets:
     def test_zero_jets(self):
         grid = strip_grid(16, 32)
         omega = StripField(grid, np.zeros((16, 33)))
-        jets = extract_jets(solve_elliptic(1, omega), omega, 1)
+        jets = jets_of(solve_elliptic(1, omega), omega, 1)
         assert jet_relation_residual(jets) == 0.0
         assert closure_residual(jets, 0.7) == 0.0
 
@@ -738,7 +735,7 @@ class TestJets:
         grid = strip_grid(64, 256)
         phi_exact, omega = manufactured_case("quadratic", 1, grid)
         phi = solve_elliptic(1, omega)
-        jets = extract_jets(phi, omega, 1)
+        jets = jets_of(phi, omega, 1)
         sin_x = np.sin(grid.x_grid.nodes)
         assert np.max(np.abs(jets.phi2.values - sin_x)) <= 1e-6
 
@@ -746,7 +743,7 @@ class TestJets:
         grid = strip_grid(64, 256)
         _, omega = manufactured_case("linear", 1, grid)
         phi = solve_elliptic(1, omega)
-        jets_diff = extract_jets(phi, omega, 1, phi2_route="difference")
+        jets_diff = jets_of(phi, omega, 1, route="difference")
         assert jet_relation_residual(jets_diff) <= 1e-5
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -756,8 +753,8 @@ class TestJets:
             grid = strip_grid(64, M)
             _, omega = manufactured_case("exp", m, grid)
             phi = solve_elliptic(m, omega)
-            pde = extract_jets(phi, omega, m, phi2_route="pde").phi2.values
-            diff = extract_jets(phi, omega, m, phi2_route="difference").phi2.values
+            pde = jets_of(phi, omega, m, route="pde").phi2.values
+            diff = jets_of(phi, omega, m, route="difference").phi2.values
             gaps.append(np.max(np.abs(pde - diff)))
         for g1, g2 in zip(gaps, gaps[1:]):
             assert 3.4 <= g1 / g2 <= 4.6
@@ -766,7 +763,7 @@ class TestJets:
         grid = strip_grid(64, 256)
         _, omega = manufactured_case("linear", 1, grid)
         phi = solve_elliptic(1, omega)
-        jets = extract_jets(phi, omega, 1)
+        jets = jets_of(phi, omega, 1)
         delta = 1e-3
         sin_x = np.sin(grid.x_grid.nodes)
         perturbed = JetRecord(
@@ -784,7 +781,7 @@ class TestJets:
         for case, a_jet in [("linear", 0.0), ("quadratic_minus", 1.0)]:
             _, omega = manufactured_case(case, 1, grid)
             phi = solve_elliptic(1, omega)
-            jets = extract_jets(phi, omega, 1)
+            jets = jets_of(phi, omega, 1)
             assert closure_residual(jets, a_jet) <= 1e-9
 
     def test_jet_relation_holds_for_random_forcing(self):
@@ -797,5 +794,5 @@ class TestJets:
             values += rng.randn() * np.cos(k * x)[:, None] * (q**k + 1)[None, :]
         omega = StripField(grid, values)
         for m in (1, 2):
-            jets = extract_jets(solve_elliptic(m, omega), omega, m)
+            jets = jets_of(solve_elliptic(m, omega), omega, m)
             assert jet_relation_residual(jets) <= 1e-12

@@ -48,10 +48,21 @@ def test_every_traced_layer_resolves():
     assert missing == []
 
 
-# The functions in src/jetlab that no CLI command enters, beside the routes that
-# perfbench/tracer.py's LAYERS pins.  ROADMAP item 6 cuts those routes and
-# re-points the tracer in one change; this list shrinks with that cut.  An entry
-# names a function or a class (then all its methods).
+# The routes that perfbench/tracer.py's LAYERS pins and no CLI command enters.
+# ROADMAP item 6 cuts them and re-points the tracer in one change, which empties
+# this tuple; a pinned route the CLI stops entering fails the guard.
+PINNED_UNENTERED = (
+    "strip.solve_elliptic",
+    "strip.solve_banded",
+    "strip.elliptic_residual",
+    "spectral.spectral_derivative",
+    "spectral.hilbert_transform",
+    "spectral.antiderivative_zero_mean",
+)
+
+# The other functions in src/jetlab that no CLI command enters; this list
+# shrinks with the same cut.  An entry names a function or a class (then all
+# its methods).
 UNENTERED = (
     "strip.StripField",  # the dense field: only the pinned solve_elliptic route builds one
     "strip.elliptic_residuals",  # called only by the pinned elliptic_residual
@@ -152,6 +163,7 @@ def test_cli_enters_every_function_but_the_named_ones(tmp_path, monkeypatch):
 
     unentered = defined_functions(package) - entered
     pinned = {f"{module.removeprefix('jetlab.')}.{attr}" for _, module, attr in tracer_layers()}
+    assert sorted(unentered & pinned) == sorted(PINNED_UNENTERED)
     assert sorted(name for name in unentered - pinned if not named(name, UNENTERED)) == []
     assert [entry for entry in UNENTERED if not any(named(n, [entry]) for n in unentered)] == []
 
