@@ -1,18 +1,18 @@
 """Conserved/monotone functionals and the blow-up inequality audit.
 
-Each record is computed from one state of a run; ``fill_margin_fields``
-writes the margin columns of a run's record table in place, and everything
-else here reads its input without changing it.
+Each record is computed from the stacked rows of one step of a run;
+``fill_margin_fields`` writes the margin columns of a run's record table in
+place, and everything else here reads its input without changing it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import PeriodicField, is_plus_zero, reflection_defect
-from .models import LOCAL, EvolutionState, ModelSpec
+from .grid import PeriodicGrid, is_plus_zero, reflection_defect, sup_norm
+from .models import LOCAL, ModelSpec
 from .spectral import (
     half_period_integrals,
     half_period_nodes,
@@ -66,99 +66,75 @@ def diagnostic_coupling(model: ModelSpec) -> float:
     return model.c if model.row.law == LOCAL else 1.0
 
 
-def energy(s: EvolutionState, c: float) -> float:
-    """E = integral of (u^2/2 - c*theta) with u = -c*omega, by trapezoid rule.
+def energy(grid: PeriodicGrid, y: np.ndarray, c: float) -> float:
+    """E = integral of (u^2/2 - c*theta) of the stacked rows ``y`` =
+    (omega[, theta]) with u = -c*omega, by trapezoid rule; a one-row ``y``
+    has theta = +0.0 at every node.
 
     On a uniform periodic grid the trapezoid rule is spectrally accurate.
     """
-    if s.theta is None:
-        raise ValueError("model has no theta")
-    u = -c * s.omega.values
+    u = -c * y[0]
     integrand = 0.5 * u
     integrand *= u
-    integrand -= np.multiply(c, s.theta.values, out=u)
-    return float(np.mean(integrand) * s.grid.period_L)
-
-
-def symmetry_and_sign_monitor(s: EvolutionState, theta_x: Optional[PeriodicField]) -> dict:
-    """Odd/even defects, endpoint pinning, half-period minima and the theta
-    scales sup|theta| and sup|theta_x| (0 without theta) for a state.
-
-    Reflection about x = 0 and about x = L/2 coincide on the periodic grid,
-    so the "combined over both symmetry points" defect is a single number.
-    ``theta_x`` is the spectral derivative of ``s.theta``, None without theta.
-    """
-    grid = s.grid
-    omega = s.omega.values
-    sup_omega = max(s.omega.sup_norm, _EPS)
-    odd_defect = float(np.max(reflection_defect(omega, np.add))) / sup_omega
-    endpoint = max(abs(omega[grid.index_of_zero]), abs(omega[0]))
-
-    half_idx = half_period_nodes(grid)[0]  # x in [0, L/2]
-    min_omega_half = float(np.min(omega[half_idx]))
-
-    even_defect = min_thetax_half = sup_theta = sup_theta_x = 0.0
-    if s.theta is not None:
-        theta = s.theta.values
-        sup_theta, sup_theta_x = s.theta.sup_norm, theta_x.sup_norm
-        if sup_theta != 0.0:  # a theta of zeros is even: its defect is 0 / _EPS
-            even_defect = float(np.max(reflection_defect(theta, np.subtract))) / max(sup_theta, _EPS)
-        min_thetax_half = float(np.min(theta_x.values[half_idx]))
-
-    return {
-        "odd_defect_omega": odd_defect,
-        "even_defect_theta": even_defect,
-        "endpoint_omega": float(endpoint),
-        "min_omega_half": min_omega_half,
-        "min_thetax_half": min_thetax_half,
-        "sup_theta": sup_theta,
-        "sup_theta_x": sup_theta_x,
-    }
+    if len(y) > 1:  # subtracting c * (+0.0) would change no bit
+        integrand -= np.multiply(c, y[1], out=u)
+    return float(np.mean(integrand) * grid.period_L)
 
 
 def compute_record(
-    model: ModelSpec, s: EvolutionState, bkm_integral: float
+    model: ModelSpec, grid: PeriodicGrid, y: np.ndarray, t: float, bkm_integral: float
 ) -> DiagnosticRecord:
-    """Instantaneous diagnostic row with its audit inputs; the F-derivative
-    margins are filled later.
+    """The diagnostic row of the stacked rows ``y`` = (omega[, theta]) at
+    time ``t``, with its audit inputs; the F-derivative margins are filled
+    later.
 
-    F and the strong term are computed only when omega vanishes at x = 0, G
-    only when theta_x does; otherwise they carry 0 so that arbitrary
-    exploratory data never aborts a run.  A theta of +0.0 at every node is
-    not transformed: it is its own theta_x, with theta_xx(0) = 0 and a tail
-    fraction of 0.
+    A theta model's one-row ``y`` has theta = +0.0 at every node, as in
+    ``models.rhs``, and a theta row of +0.0s is dropped to that: such a
+    theta is not transformed, and its sups, even defect, theta_x minimum,
+    G and tail fraction are 0.  F and the strong term are computed only
+    when omega vanishes at x = 0, G only when theta_x does; otherwise they
+    carry 0 so that arbitrary exploratory data never aborts a run.
+    Reflection about x = 0 and about x = L/2 coincide on the periodic grid,
+    so each symmetry defect, over both symmetry points, is one number.
     """
     c = diagnostic_coupling(model)
-    grid = s.grid
-    theta_zero = s.theta is not None and is_plus_zero(s.theta.values)
-    fields = [s.omega] if s.theta is None or theta_zero else [s.omega, s.theta]
+    if len(y) > 1 and is_plus_zero(y[1]):
+        y = y[:1]
+    omega, zero = y[0], grid.index_of_zero
+    half_idx = half_period_nodes(grid)[0]  # x in [0, L/2]
     # one transform of the stacked rows serves the tail fractions, read before
     # the spectra are differentiated in place; one inverse transform of them
     # gives omega'(0) for F and theta_x
-    spectra = np.fft.rfft(np.array([f.values for f in fields]))
-    tail = max(tail_energy_fraction(f, fhat) for f, fhat in zip(fields, spectra))
+    spectra = np.fft.rfft(y)
+    tail = max(tail_energy_fraction(row, fhat) for row, fhat in zip(y, spectra))
     spectra *= multiplier(grid, "derivative")
     slopes = np.fft.irfft(spectra, n=grid.n_points)
     del spectra
-    theta_x = None
-    if s.theta is not None:
-        theta_x = s.theta if theta_zero else PeriodicField(grid, slopes[1])
-    monitor = symmetry_and_sign_monitor(s, theta_x)
 
+    sup_omega = sup_norm(omega)
     F = strong = 0.0
-    if is_pinned_at_zero(s.omega):
-        inv_x, inv_x_squared = half_period_integrals(s.omega, slopes[0][grid.index_of_zero])
+    if is_pinned_at_zero(omega, sup_omega):
+        inv_x, inv_x_squared = half_period_integrals(grid, omega, slopes[0][zero])
         F = c * inv_x
         strong = 0.5 * c * c * inv_x_squared
-    E = energy(s, c) if s.theta is not None else 0.0
-    G = 0.0
-    if theta_x is not None and is_pinned_at_zero(theta_x):
-        G = c * half_period_integrals(theta_x, 0.0 if theta_zero else None)[0]
+    G = even_defect = min_thetax_half = sup_theta = sup_theta_x = 0.0
+    if len(y) > 1:
+        theta, theta_x = y[1], slopes[1]
+        sup_theta, sup_theta_x = sup_norm(theta), sup_norm(theta_x)
+        even_defect = float(np.max(reflection_defect(theta, np.subtract))) / max(sup_theta, _EPS)
+        min_thetax_half = float(np.min(theta_x[half_idx]))
+        if is_pinned_at_zero(theta_x, sup_theta_x):
+            G = c * half_period_integrals(grid, theta_x)[0]
 
     return DiagnosticRecord(
-        t=s.time, E=E, F=F, G=G, F_dot_measured=0.0, riccati_margin=0.0, strong_margin=0.0,
-        sup_omega=s.omega.sup_norm, bkm_integral=bkm_integral, tail_energy_fraction=tail,
-        strong_term=strong, **monitor,
+        t=t, E=energy(grid, y, c) if model.has_theta else 0.0, F=F, G=G,
+        F_dot_measured=0.0, riccati_margin=0.0, strong_margin=0.0,
+        sup_omega=sup_omega, bkm_integral=bkm_integral,
+        odd_defect_omega=float(np.max(reflection_defect(omega, np.add))) / max(sup_omega, _EPS),
+        even_defect_theta=even_defect,
+        endpoint_omega=float(max(abs(omega[zero]), abs(omega[0]))),
+        min_omega_half=float(np.min(omega[half_idx])), min_thetax_half=min_thetax_half,
+        tail_energy_fraction=tail, strong_term=strong, sup_theta=sup_theta, sup_theta_x=sup_theta_x,
     )
 
 

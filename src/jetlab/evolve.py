@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import RECORD_DTYPE, compute_record, fill_margin_fields
-from .grid import PeriodicField, PeriodicGrid, is_plus_zero
+from .grid import PeriodicField, PeriodicGrid, is_plus_zero, sup_norm
 from .models import EvolutionState, KernelPlan, ModelSpec, rhs, state_rows
 
 REACHED_T_END = "reached_t_end"
@@ -127,9 +127,10 @@ def run(
 
     The run steps the stacked rows (omega[, theta]) in one workspace: one
     :class:`KernelPlan`, the rows and their successor, and two stage rows
-    (see :func:`step_rk4`).  It builds states only to record them.  A theta
-    that starts at +0.0 at every node stays exactly +0.0, so the run then
-    steps omega's row alone and records theta as zeros.
+    (see :func:`step_rk4`).  Records read the rows; a state is built only
+    for a record nearer to a snapshot time than the states kept so far.  A
+    theta that starts at +0.0 at every node stays exactly +0.0, so the run
+    then steps omega's row alone, and its snapshots get a theta of zeros.
     """
     grid = init.grid
     y = state_rows(model, init)
@@ -142,15 +143,19 @@ def run(
     snapshots = [init] * len(snapshot_times)
     rows = bytearray()  # a float64 row of each record's fields, record after record
 
-    def record(s: EvolutionState, bkm: float) -> None:
+    def record(y: np.ndarray, t: float, bkm: float) -> None:
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan stays visible in the CSV
-            rows.extend(np.array(compute_record(model, s, bkm), dtype=np.float64))
-        for i, t_want in enumerate(snapshot_times):
-            if abs(s.time - t_want) < abs(snapshots[i].time - t_want):
+            rows.extend(np.array(compute_record(model, grid, y, t, bkm), dtype=np.float64))
+        nearer = [
+            i for i, want in enumerate(snapshot_times) if abs(t - want) < abs(snapshots[i].time - want)
+        ]
+        if nearer:
+            s = _state(model, grid, y, t)
+            for i in nearer:
                 snapshots[i] = s
 
     t = init.time
-    sup_omega = float(np.max(np.abs(y[0])))
+    sup_omega = sup_norm(y[0])
     bkm = 0.0
     step = 0
     termination = None
@@ -171,7 +176,7 @@ def run(
         if not np.isfinite(speed):
             raise FloatingPointError("velocity is not finite")
         if step == 0:
-            record(init, 0.0)  # t = 0, once its velocity is known to be finite
+            record(y, t, 0.0)  # t = 0, once its velocity is known to be finite
         # no speed floor: a quotient past the float range is inf, which dt_max clamps
         dt_cfl = cfg.cfl * grid.dx / speed if speed > 0.0 else math.inf
         dt = min(min(dt_cfl, cfg.dt_max), cfg.t_end - t)
@@ -185,16 +190,16 @@ def run(
             break
         y, y_next = y_next, y
         t += dt
-        sup_new = float(np.max(np.abs(y[0])))
+        sup_new = sup_norm(y[0])
         bkm += 0.5 * dt * (sup_omega + sup_new)
         sup_omega = sup_new
         step += 1
         if step % cfg.record_every == 0:
-            record(_state(model, grid, y, t), bkm)
+            record(y, t, bkm)
 
     del k, y_next  # the final record needs neither
     if not rows or np.frombuffer(rows)[-len(RECORD_DTYPE)] != t:  # the last record's t
-        record(init if step == 0 else _state(model, grid, y, t), bkm)
+        record(y, t, bkm)
     table = np.frombuffer(rows, RECORD_DTYPE).view(np.recarray)
     fill_margin_fields(table, grid.period_L)
     return RunResult(snapshots, table, termination, t, grid.period_L)

@@ -71,11 +71,12 @@ class PeriodicField:
 
     @property
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return sup_norm(self.values)
 
-    @property
-    def value_at_zero(self) -> float:
-        return float(self.values[self.grid.index_of_zero])
+
+def sup_norm(values: np.ndarray) -> float:
+    """sup|values|, the one rule every sup of a field or a row is read by."""
+    return float(np.max(np.abs(values)))
 
 
 def reflect_values(values: np.ndarray) -> np.ndarray:

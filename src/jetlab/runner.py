@@ -109,8 +109,8 @@ def emit_outputs(
             fh.write(f"# t = {state.time!r}\n")
             fh.write("x,omega,theta,u\n")
             theta = state.theta.values if state.theta is not None else np.zeros_like(u.values)
-            for row in zip(state.grid.nodes, state.omega.values, theta, u.values):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in np.column_stack((state.grid.nodes, state.omega.values, theta, u.values)):
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
         paths[f"snapshot_{i}"] = snap_path
     return paths
 

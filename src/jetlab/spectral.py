@@ -2,8 +2,10 @@
 
 The named operators act on :class:`~jetlab.grid.PeriodicField`;
 ``apply_multiplier`` and ``dealias_filter`` act on arrays along their last
-axis.  ``multiplier`` and ``half_period_nodes`` cache their read-only
-arrays per grid for the life of the process; nothing else keeps state.
+axis, and the pin test, the half-period integrals and the tail fraction on
+one row of node values.  ``multiplier`` and ``half_period_nodes`` cache
+their read-only arrays per grid for the life of the process; nothing else
+keeps state.
 """
 
 from __future__ import annotations
@@ -97,9 +99,10 @@ def composite_weights(n_intervals: int) -> np.ndarray:
     return w
 
 
-def is_pinned_at_zero(f: PeriodicField) -> bool:
-    """Whether ``f(0)`` vanishes relative to ``sup|f|``, as ``f(x)/x`` needs."""
-    return abs(f.value_at_zero) <= 1e-10 * max(f.sup_norm, _TINY)
+def is_pinned_at_zero(values: np.ndarray, sup: float) -> bool:
+    """Whether the row ``values`` vanishes at x = 0 (node n/2) relative to its
+    sup|values| = ``sup``, as ``f(x)/x`` needs."""
+    return abs(values[values.size // 2]) <= 1e-10 * max(sup, _TINY)
 
 
 @lru_cache(maxsize=32)  # cached for the reason given at ``multiplier``
@@ -116,23 +119,25 @@ def half_period_nodes(grid: PeriodicGrid) -> Tuple[np.ndarray, np.ndarray, np.nd
     return idx, x, weights
 
 
-def half_period_integrals(f: PeriodicField, slope_at_zero=None) -> Tuple[float, float]:
-    """Integrate ``f(x)/x`` and ``f(x)^2/x^2`` over ``[0, L/2]``.
+def half_period_integrals(
+    grid: PeriodicGrid, values: np.ndarray, slope_at_zero=None
+) -> Tuple[float, float]:
+    """Integrate ``f(x)/x`` and ``f(x)^2/x^2`` over ``[0, L/2]`` for the row
+    ``values`` of f on ``grid``.
 
     The removable singularity at ``x = 0`` is handled by replacing the ratio
     ``f(x)/x`` there with ``f'(0)``: ``slope_at_zero`` when the caller has it,
-    else the spectral derivative; this requires ``f(0) = 0``.  Both integrals
+    else the spectral derivative; this requires ``f(0) = 0``, which the
+    caller checks with :func:`is_pinned_at_zero`.  Both integrals
     use the one ratio at the grid nodes (no re-interpolation) with the
     order-4 composite rule above.  A square past the float range gives a
     second integral of +inf, without a warning; the first does not use it.
     """
-    if not is_pinned_at_zero(f):
-        raise ValueError("singular integrand: f(0) must vanish")
-    idx, x, weights = half_period_nodes(f.grid)
+    idx, x, weights = half_period_nodes(grid)
     ratio = np.empty(x.size)
-    ratio[1:] = f.values[idx[1:]] / x[1:]
+    ratio[1:] = values[idx[1:]] / x[1:]
     if slope_at_zero is None:
-        slope_at_zero = apply_multiplier(f.values, multiplier(f.grid, "derivative"))[idx[0]]
+        slope_at_zero = apply_multiplier(values, multiplier(grid, "derivative"))[idx[0]]
     ratio[0] = slope_at_zero
     with np.errstate(over="ignore"):
         return float(weights @ ratio), float(weights @ ratio**2)
@@ -152,14 +157,14 @@ def dealias_filter(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(fhat, n=n)
 
 
-def tail_energy_fraction(f: PeriodicField, fhat=None) -> float:
-    """Fraction of spectral energy carried by the top third of the modes;
-    ``fhat`` is ``rfft(f.values)`` when the caller has it."""
+def tail_energy_fraction(values: np.ndarray, fhat=None) -> float:
+    """Fraction of spectral energy of the row ``values`` carried by the top
+    third of the modes; ``fhat`` is ``rfft(values)`` when the caller has it."""
     if fhat is None:
-        fhat = np.fft.rfft(f.values)
+        fhat = np.fft.rfft(values)
     power = np.abs(fhat) ** 2
     power[1:-1] *= 2.0
     total = float(np.sum(power[1:]))  # mean mode carries no roughness
     if total <= _TINY:
         return 0.0
-    return float(np.sum(power[_two_thirds_cut(f.grid.n_points) + 1 :]) / total)
+    return float(np.sum(power[_two_thirds_cut(values.size) + 1 :]) / total)

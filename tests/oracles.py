@@ -1,6 +1,7 @@
 """Closed-form solutions of two members of the model family, the
 one-record-at-a-time derivative and margin rules of the diagnostics, and the
-CLI's stepping and jet routes called on a state or a strip field, for tests.
+CLI's stepping, record and jet routes called on a state or a strip field,
+for tests.
 
 * Q0 with theta = 0 is inviscid Burgers: its law u = -c omega makes
   omega_t = c omega omega_x, so omega keeps its initial value along the
@@ -17,7 +18,7 @@ CLI's stepping and jet routes called on a state or a strip field, for tests.
 
 import numpy as np
 
-from jetlab import EvolutionState, PeriodicField, evolve, models, strip
+from jetlab import EvolutionState, PeriodicField, diagnostics, evolve, models, strip
 
 
 def burgers_q0(omega0, omega0_x, c: float, x: np.ndarray, t: float) -> np.ndarray:
@@ -93,6 +94,11 @@ def stepped(model, s, dt: float, dealias=False) -> EvolutionState:
     evolve.step_rk4(plan, y, dt, k, out)
     theta = PeriodicField(s.grid, out[1]) if model.has_theta else None
     return EvolutionState(PeriodicField(s.grid, out[0]), theta, s.time + dt)
+
+
+def record_of(model, s, bkm_integral: float):
+    """``diagnostics.compute_record`` of the stacked rows of the state ``s``."""
+    return diagnostics.compute_record(model, s.grid, models.state_rows(model, s), s.time, bkm_integral)
 
 
 def jets_of(phi, omega, m: int, route: str = "pde"):

@@ -121,7 +121,8 @@ def test_c03_manufactured_elliptic():
 
 
 def test_c04_blowup_bound(blowup_run):
-    F0 = C_RUN * half_period_integrals(sin_state(2048).omega)[0]  # the run's initial data
+    omega0 = sin_state(2048).omega  # the run's initial data
+    F0 = C_RUN * half_period_integrals(omega0.grid, omega0.values)[0]
     t_star = estimate_blowup_time(blowup_run.sup_series)
     ok = (
         blowup_run.termination == SUP_CAP_HIT

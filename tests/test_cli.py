@@ -220,7 +220,7 @@ class TestRunModel:
         summary = run_experiment(config)
         audits = summary["audits"]
         omega0 = config.initial_state().omega
-        expected = 2.0 / (config.model.c * half_period_integrals(omega0)[0])
+        expected = 2.0 / (config.model.c * half_period_integrals(omega0.grid, omega0.values)[0])
         assert audits["bound_L_over_F0"] == pytest.approx(expected, rel=1e-12)
         # t_end is below the bound, so the blow-up claim is not yet testable
         assert "blowup_bound_holds" not in audits

@@ -16,8 +16,8 @@ from jetlab import (
     resolved_until,
     run,
     spectral_derivative,
-    symmetry_and_sign_monitor,
 )
+from jetlab import grid as grid_module, spectral
 from jetlab.config import parse_config
 from jetlab.diagnostics import (
     RECORD_DTYPE,
@@ -28,11 +28,15 @@ from jetlab.diagnostics import (
     fill_margin_fields,
 )
 from jetlab.evolve import REACHED_T_END, RunResult
+from jetlab.grid import reflection_defect
+from jetlab.models import state_rows
 from jetlab.runner import emit_outputs
-from jetlab.spectral import half_period_integrals, tail_energy_fraction
+from jetlab.spectral import half_period_integrals, half_period_nodes, tail_energy_fraction
 
-from conftest import F0_SIN, INT_PI_SIN_OVER_X, INT_SIN2_OVER_X2, sin_state
-from oracles import stepped, three_point_slopes, with_margins
+from conftest import F0_SIN, INT_PI_SIN_OVER_X, INT_SIN2_OVER_X2, rebound_calls, sin_state
+from oracles import record_of, stepped, three_point_slopes, with_margins
+
+Q0, CCF = ModelSpec("q0", c=1 / 3), ModelSpec("ccf")
 
 
 class TestEnergy:
@@ -43,42 +47,44 @@ class TestEnergy:
         )
         c = 0.25
         # E = -c K L for omega = 0, theta = K
-        assert energy(s, c) == pytest.approx(-c * 3.0 * 2.0, abs=1e-14)
+        assert energy(grid, state_rows(Q0, s), c) == pytest.approx(-c * 3.0 * 2.0, abs=1e-14)
 
     def test_sin_analytic_value(self):
         # omega = sin(pi x), theta = 0, c = 1/3, L = 2:
         # E = (1/2)(1/9) integral sin^2 = 1/18
         s = sin_state(256)
-        assert energy(s, 1 / 3) == pytest.approx(1.0 / 18.0, abs=1e-14)
+        assert energy(s.grid, state_rows(Q0, s), 1 / 3) == pytest.approx(1.0 / 18.0, abs=1e-14)
 
     def test_grid_refinement_consistency(self):
         s = sin_state(128, theta_amplitude=0.3)
-        E1 = energy(s, 1 / 3)
+        E1 = energy(s.grid, state_rows(Q0, s), 1 / 3)
         s2 = sin_state(256, theta_amplitude=0.3)
-        E2 = energy(s2, 1 / 3)
+        E2 = energy(s2.grid, state_rows(Q0, s2), 1 / 3)
         assert abs(E1 - E2) <= 1e-11 * max(abs(E1), 1.0)
 
     def test_requires_theta(self):
-        grid = PeriodicGrid(64, 2.0)
-        s = EvolutionState(PeriodicField(grid, np.sin(np.pi * grid.nodes)), None, 0.0)
-        with pytest.raises(ValueError, match="model has no theta"):
-            energy(s, 1.0)
+        # a model without theta records E = 0, though omega's u^2/2 is not 0;
+        # a theta model's one-row y has theta = +0.0, the bits of two rows
+        s = sin_state(64)
+        assert record_of(CCF, EvolutionState(s.omega, None, 0.0), 0.0).E == 0.0
+        y = state_rows(Q0, s)
+        assert energy(s.grid, y[:1], 1 / 3) == energy(s.grid, y, 1 / 3) == record_of(Q0, s, 0.0).E != 0.0
 
 
 class TestFunctionals:
     def test_F_sin_oracle(self):
         s = sin_state(1024)
-        assert half_period_integrals(s.omega)[0] / 3 == pytest.approx(F0_SIN, abs=1e-10)
+        assert half_period_integrals(s.grid, s.omega.values)[0] / 3 == pytest.approx(F0_SIN, abs=1e-10)
 
     def test_F_zero(self):
         grid = PeriodicGrid(64, 2.0)
-        assert half_period_integrals(PeriodicField(grid, np.zeros(64)))[0] == 0.0
+        assert half_period_integrals(grid, np.zeros(64))[0] == 0.0
 
     def test_G_oracle(self):
         # theta = 1 - cos(pi x): G = (1/3) integral_0^1 pi sin(pi x)/x dx
         grid = PeriodicGrid(1024, 2.0)
         theta = PeriodicField(grid, 1.0 - np.cos(np.pi * grid.nodes))
-        G = half_period_integrals(spectral_derivative(theta))[0] / 3
+        G = half_period_integrals(grid, spectral_derivative(theta).values)[0] / 3
         assert G == pytest.approx(
             INT_PI_SIN_OVER_X / 3.0, abs=1e-9
         )
@@ -101,15 +107,16 @@ class TestFunctionals:
         values = np.zeros(256)
         for k in range(1, 12):
             values += rng.randn() / k * np.sin(np.pi * k * x)
-        omega = PeriodicField(grid, values)
         c, L = 0.7, 2.0
-        inv_x, inv_x_squared = half_period_integrals(omega)
+        inv_x, inv_x_squared = half_period_integrals(grid, values)
         F = c * inv_x
         rhs = L * (0.5 * c * c * inv_x_squared)  # = c^2 (L/2) int omega^2/x^2
         assert F**2 <= rhs * (1 + 1e-13) + 1e-300
 
 
 class TestSymmetryMonitor:
+    """The record's symmetry and sign columns."""
+
     def test_exact_symmetries(self):
         grid = PeriodicGrid(256, 2.0)
         x = grid.nodes
@@ -118,16 +125,16 @@ class TestSymmetryMonitor:
             PeriodicField(grid, np.cos(np.pi * x)),
             0.0,
         )
-        m = symmetry_and_sign_monitor(s, spectral_derivative(s.theta))
-        assert m["odd_defect_omega"] <= 1e-15
-        assert m["even_defect_theta"] <= 1e-15
-        assert m["endpoint_omega"] <= 1e-15
+        m = record_of(Q0, s, 0.0)
+        assert m.odd_defect_omega <= 1e-15
+        assert m.even_defect_theta <= 1e-15
+        assert m.endpoint_omega <= 1e-15
 
     def test_even_function_maximally_defective(self):
         grid = PeriodicGrid(128, 2.0)
         s = EvolutionState(PeriodicField(grid, np.cos(np.pi * grid.nodes)), None, 0.0)
-        m = symmetry_and_sign_monitor(s, None)
-        assert m["odd_defect_omega"] == pytest.approx(2.0, abs=1e-14)
+        m = record_of(CCF, s, 0.0)
+        assert m.odd_defect_omega == pytest.approx(2.0, abs=1e-14)
 
     def test_reproducible_across_grids(self):
         # random asymmetric field built from fixed Fourier data whose even
@@ -146,10 +153,7 @@ class TestSymmetryMonitor:
                 vals += ak * np.sin(np.pi * k * x) + bk * np.cos(np.pi * k * x)
             return EvolutionState(PeriodicField(grid, vals), None, 0.0)
 
-        defects = [
-            symmetry_and_sign_monitor(build(n), None)["odd_defect_omega"]
-            for n in (128, 256, 512)
-        ]
+        defects = [record_of(CCF, build(n), 0.0).odd_defect_omega for n in (128, 256, 512)]
         assert 0.0 < defects[0] <= 2.0
         assert max(defects) - min(defects) <= 1e-12
         # direct recomputation oracle: loop over nodes
@@ -169,9 +173,9 @@ class TestSymmetryMonitor:
             PeriodicField(grid, 1.0 - np.cos(np.pi * x)),
             0.0,
         )
-        m = symmetry_and_sign_monitor(s, spectral_derivative(s.theta))
-        assert m["min_omega_half"] >= -1e-15  # sin(pi x) >= 0 on [0, 1]
-        assert m["min_thetax_half"] >= -1e-12  # theta_x = pi sin(pi x) >= 0
+        m = record_of(Q0, s, 0.0)
+        assert m.min_omega_half >= -1e-15  # sin(pi x) >= 0 on [0, 1]
+        assert m.min_thetax_half >= -1e-12  # theta_x = pi sin(pi x) >= 0
 
 
 class TestRiccatiAudit:
@@ -198,7 +202,7 @@ class TestRiccatiAudit:
 
 
 def _pinned(f):
-    return abs(f.value_at_zero) <= 1e-10 * max(f.sup_norm, 1e-300)
+    return abs(f.values[f.grid.index_of_zero]) <= 1e-10 * max(f.sup_norm, 1e-300)
 
 
 class TestStreamedRecords:
@@ -227,13 +231,13 @@ class TestStreamedRecords:
         for s, r in zip(recorded, res.diagnostics):
             theta_x = spectral_derivative(s.theta)
             pinned = _pinned(s.omega)
-            inv_x, inv_x_squared = half_period_integrals(s.omega) if pinned else (0.0, 0.0)
+            inv_x, inv_x_squared = half_period_integrals(s.grid, s.omega.values) if pinned else (0.0, 0.0)
             strong.append(0.5 * c * c * inv_x_squared)
             assert r.strong_term == strong[-1]
             assert r.sup_theta == float(np.max(np.abs(s.theta.values)))
             assert r.sup_theta_x == float(np.max(np.abs(theta_x.values)))
             assert r.F == c * inv_x
-            assert r.G == (c * half_period_integrals(theta_x)[0] if _pinned(theta_x) else 0.0)
+            assert r.G == (c * half_period_integrals(s.grid, theta_x.values)[0] if _pinned(theta_x) else 0.0)
         assert all(x > 0 for x in strong)
 
         t = np.array([r.t for r in res.diagnostics])
@@ -275,7 +279,7 @@ def random_series(size: int, seed: int):
 
 class TestRecords:
     def test_csv_row_parses_back(self, tmp_path):
-        rec = compute_record(ModelSpec("q0", c=1 / 3), sin_state(256), 0.125)
+        rec = record_of(Q0, sin_state(256), 0.125)
         config = parse_config(json.dumps({"model": {"name": "Q0"}, "outputs": {"directory": str(tmp_path)}}))
         table = np.array([rec], RECORD_DTYPE).view(np.recarray)
         emit_outputs(RunResult([], table, REACHED_T_END, 0.0, 2.0), config)
@@ -314,6 +318,37 @@ class TestRecords:
         assert table.tobytes() == expected.tobytes()
 
 
+def symmetry_and_sign_monitor(s, theta_x) -> dict:
+    """Odd/even defects, endpoint pinning, half-period minima and the theta
+    scales of a state, from its fields; ``theta_x`` is None without theta."""
+    grid = s.grid
+    omega = s.omega.values
+    sup_omega = max(s.omega.sup_norm, 1e-300)
+    odd_defect = float(np.max(reflection_defect(omega, np.add))) / sup_omega
+    endpoint = max(abs(omega[grid.index_of_zero]), abs(omega[0]))
+
+    half_idx = half_period_nodes(grid)[0]  # x in [0, L/2]
+    min_omega_half = float(np.min(omega[half_idx]))
+
+    even_defect = min_thetax_half = sup_theta = sup_theta_x = 0.0
+    if s.theta is not None:
+        theta = s.theta.values
+        sup_theta, sup_theta_x = s.theta.sup_norm, theta_x.sup_norm
+        if sup_theta != 0.0:  # a theta of zeros is even: its defect is 0 / 1e-300
+            even_defect = float(np.max(reflection_defect(theta, np.subtract))) / max(sup_theta, 1e-300)
+        min_thetax_half = float(np.min(theta_x.values[half_idx]))
+
+    return {
+        "odd_defect_omega": odd_defect,
+        "even_defect_theta": even_defect,
+        "endpoint_omega": float(endpoint),
+        "min_omega_half": min_omega_half,
+        "min_thetax_half": min_thetax_half,
+        "sup_theta": sup_theta,
+        "sup_theta_x": sup_theta_x,
+    }
+
+
 def per_row_record(model, s, bkm_integral):
     """compute_record with one transform pair per quantity, as it was before
     the record's rows were batched: the oracle it must match bit for bit."""
@@ -322,16 +357,16 @@ def per_row_record(model, s, bkm_integral):
     monitor = symmetry_and_sign_monitor(s, theta_x)
     F = strong = 0.0
     if _pinned(s.omega):
-        inv_x, inv_x_squared = half_period_integrals(s.omega)
+        inv_x, inv_x_squared = half_period_integrals(s.grid, s.omega.values)
         F, strong = c * inv_x, 0.5 * c * c * inv_x_squared
     G = 0.0
     if theta_x is not None and _pinned(theta_x):
-        G = c * half_period_integrals(theta_x)[0]
-    tail = tail_energy_fraction(s.omega)
+        G = c * half_period_integrals(s.grid, theta_x.values)[0]
+    tail = tail_energy_fraction(s.omega.values)
     if s.theta is not None:
-        tail = max(tail, tail_energy_fraction(s.theta))
+        tail = max(tail, tail_energy_fraction(s.theta.values))
     return dict(
-        t=s.time, E=energy(s, c) if s.theta is not None else 0.0, F=F, G=G,
+        t=s.time, E=energy(s.grid, state_rows(model, s), c) if s.theta is not None else 0.0, F=F, G=G,
         sup_omega=s.omega.sup_norm, bkm_integral=bkm_integral,
         tail_energy_fraction=tail, strong_term=strong, **monitor,
     )
@@ -367,18 +402,34 @@ class TestRecordTransforms:
 
     @pytest.mark.parametrize("with_theta,calls", [(True, 4), (False, 2)])
     def test_fft_calls_per_record(self, monkeypatch, with_theta, calls):
-        model = ModelSpec("q0", c=1 / 3) if with_theta else ModelSpec("ccf")
+        model = Q0 if with_theta else CCF
         s, records = rough_state(256, 1, with_theta), []
-        assert self.fft_calls(monkeypatch, lambda: records.append(compute_record(model, s, 0.0))) == calls
+        assert self.fft_calls(monkeypatch, lambda: records.append(record_of(model, s, 0.0))) == calls
         assert records[0].F != 0.0 and (records[0].G != 0.0) == with_theta  # F and G computed
+
+    @pytest.mark.parametrize(
+        "model,theta_amplitude,sups,pins",
+        [(CCF, None, 1, 1), (Q0, 0.0, 1, 1), (Q0, 0.5, 3, 2)],
+        ids=["no-theta", "theta-plus-zero", "theta"],
+    )
+    def test_each_sup_and_pin_test_once_per_record(self, monkeypatch, model, theta_amplitude, sups, pins):
+        # sup|.| once per row not known to be zero (omega[, theta, theta_x]),
+        # and the pin test once for omega and once for theta_x
+        s = sin_state(256, theta_amplitude or 0.0)
+        s = EvolutionState(s.omega, None if theta_amplitude is None else s.theta, 0.0)
+        sup_calls = rebound_calls(monkeypatch, grid_module, "sup_norm")
+        pin_calls = rebound_calls(monkeypatch, spectral, "is_pinned_at_zero")
+        record = record_of(model, s, 0.0)
+        assert (len(sup_calls), len(pin_calls)) == (sups, pins)
+        assert record.F != 0.0 and (record.G != 0.0) == bool(theta_amplitude)
 
     @pytest.mark.parametrize("n", [64, 256, 2048])
     @pytest.mark.parametrize("with_theta", [True, False])
     @pytest.mark.parametrize("odd", [True, False])
     def test_record_is_bitwise_the_per_row_formulas(self, n, with_theta, odd):
-        model = ModelSpec("q0", c=1 / 3) if with_theta else ModelSpec("ccf")
+        model = Q0 if with_theta else CCF
         s = rough_state(n, n, with_theta, odd)
-        record = compute_record(model, s, 0.5)
+        record = record_of(model, s, 0.5)
         expected = per_row_record(model, s, 0.5)
         assert {name: repr(getattr(record, name)) for name in expected} == {
             name: repr(value) for name, value in expected.items()
@@ -387,14 +438,23 @@ class TestRecordTransforms:
 
     @pytest.mark.parametrize("sign,calls", [(1.0, 2), (-1.0, 4)])
     def test_theta_of_zeros_is_not_transformed(self, monkeypatch, sign, calls):
-        # +0.0 everywhere skips theta's transforms; -0.0 is transformed
-        model, odd = ModelSpec("q0", c=1 / 3), rough_state(256, 3)
+        # +0.0 everywhere skips theta's transforms, in a two-row y as in the
+        # one-row y a run steps; -0.0 is transformed
+        model, odd = Q0, rough_state(256, 3)
         s = EvolutionState(odd.omega, PeriodicField(odd.grid, sign * np.zeros(256)), 0.25)
-        records = []
-        assert self.fft_calls(monkeypatch, lambda: records.append(compute_record(model, s, 0.5))) == calls
+        y, records = state_rows(model, s), []
+        assert self.fft_calls(monkeypatch, lambda: records.append(record_of(model, s, 0.5))) == calls
+        if sign > 0:
+            one_row = lambda: records.append(compute_record(model, s.grid, y[:1], 0.25, 0.5))
+            assert self.fft_calls(monkeypatch, one_row) == calls
+            assert np.array(records[1]).tobytes() == np.array(records[0]).tobytes()
         monkeypatch.undo()
         expected = per_row_record(model, s, 0.5)
         assert {name: repr(getattr(records[0], name)) for name in expected} == {
             name: repr(value) for name, value in expected.items()
         }
         assert (records[0].G, records[0].even_defect_theta, records[0].min_thetax_half) == (0.0,) * 3
+        # the tail is the max over omega's row, then theta's: a nan in omega stays
+        y[0, 7] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(compute_record(model, s.grid, y, 0.25, 0.5).tail_energy_fraction)

@@ -19,14 +19,14 @@ from jetlab import (
 
 from jetlab import biot_savart, evolve, models
 from jetlab.config import parse_config
-from jetlab.diagnostics import RECORD_DTYPE, compute_record
+from jetlab.diagnostics import RECORD_DTYPE
 from jetlab.evolve import FIT_FRACTION, FIT_RESIDUAL_THRESHOLD
 from jetlab.models import KernelPlan, rhs, state_rows
 from jetlab.runner import run_experiment
 from jetlab.spectral import MULTIPLIERS, dealias_filter, multiplier
 
 from conftest import rebound_calls, sin_state
-from oracles import rate_of, stepped, with_margins
+from oracles import rate_of, record_of, stepped, with_margins
 
 
 def fixed_dt_run(model, init, dt, t_end):
@@ -204,6 +204,25 @@ class TestRun:
         cfg = StepperConfig(t_end=10 * 2.0**-7, dt_max=2.0**-7)
         run(ModelSpec("q0", c=1 / 3), init, cfg)
         assert [len(y) for _, y, _ in calls] == [rows] * 40
+
+    @pytest.mark.parametrize("snapshot_times", [(), (0.0, 0.02)], ids=["none", "two"])
+    def test_records_build_no_fields(self, monkeypatch, snapshot_times):
+        # records read the stepped rows: a state, with its two fields, is
+        # built only for a record nearer to a snapshot time than the states
+        # kept so far, so a run without snapshots builds no field
+        init, built = sin_state(64, theta_amplitude=0.2), []
+        post_init = PeriodicField.__post_init__
+        monkeypatch.setattr(PeriodicField, "__post_init__", lambda f: built.append(f) or post_init(f))
+        cfg = StepperConfig(t_end=0.05, dt_max=0.004, record_every=1)
+        times = run(ModelSpec("q0", c=1 / 3), init, cfg, snapshot_times).diagnostics.t
+        kept, nearer = [init.time] * len(snapshot_times), 0
+        for t in times:
+            closer = [i for i, want in enumerate(snapshot_times) if abs(t - want) < abs(kept[i] - want)]
+            for i in closer:
+                kept[i] = t
+            nearer += bool(closer)
+        assert len(times) == 14 and nearer == (5 if snapshot_times else 0)
+        assert len(built) == 2 * nearer
 
     def test_tiny_period_steps_at_the_cfl_scale(self, monkeypatch):
         # dx and the speed both scale with L, so the CFL steps do not depend on
@@ -442,7 +461,7 @@ def reference_run(model, init, cfg, snapshot_times=()):
     state, snapshots, records = init, [init] * len(snapshot_times), []
 
     def record(s, bkm):
-        records.append(compute_record(model, s, bkm))
+        records.append(record_of(model, s, bkm))
         for i, t_want in enumerate(snapshot_times):
             if abs(s.time - t_want) < abs(snapshots[i].time - t_want):
                 snapshots[i] = s

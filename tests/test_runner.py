@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from jetlab import parse_config
+from jetlab import EvolutionState, PeriodicField, PeriodicGrid, biot_savart, parse_config
 from jetlab.diagnostics import CSV_COLUMNS, RECORD_DTYPE, resolved_until, riccati_audit
 from jetlab.evolve import REACHED_T_END, RunResult
 from jetlab.preflight import preflight_output_dir
-from jetlab.runner import run_experiment, theorem_audit
+from jetlab.runner import emit_outputs, run_experiment, theorem_audit
 
 
 def theorem_doc(out_dir, n=512):
@@ -206,3 +206,20 @@ class TestCsvBytes:
             b"inf", b"nan"
         )
         assert json.loads((tmp_path / "run.json").read_text())["audits"]["resolved_until"] is None
+
+    def test_snapshot_is_written_by_the_rule(self, tmp_path):
+        # a snapshot row is the repr of each of x, omega, theta and u as a
+        # Python float, as the per-value loop wrote it, signed zeros,
+        # subnormals and huge values included
+        config = parse_config(json.dumps({"model": {"name": "Q0"}, "outputs": {"directory": str(tmp_path)}}))
+        grid = PeriodicGrid(64, 2.0)
+        edges = np.resize([-0.0, 5e-324, 1e300, -1e300, 0.0, 0.1, -5e-324], 64)
+        state = EvolutionState(PeriodicField(grid, edges), PeriodicField(grid, edges[::-1].copy()), 0.375)
+        table = np.zeros(1, RECORD_DTYPE).view(np.recarray)
+        emit_outputs(RunResult([state], table, REACHED_T_END, 0.375, 2.0), config)
+        u = biot_savart(config.model, state.omega).values
+        rows = zip(grid.nodes, state.omega.values, state.theta.values, u)
+        lines = ["# t = 0.375", "x,omega,theta,u"] + [",".join(repr(float(v)) for v in row) for row in rows]
+        written = (tmp_path / "snapshot_000.csv").read_bytes()
+        assert written == ("\n".join(lines) + "\n").encode()
+        assert {b"-0.0", b"5e-324", b"1e+300", b"-1e+300"} <= set(written.replace(b"\n", b",").split(b","))

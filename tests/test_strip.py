@@ -244,12 +244,11 @@ class TestSolveElliptic:
         with pytest.raises(ValueError, match="m must be 1 or 2"):
             elliptic_residual(zero, zero, 3)
 
-    @pytest.mark.parametrize("route", ["pde", "difference"])
-    def test_jets_validate_m(self, route):
+    def test_jets_validate_m(self):
         zero = StripField(strip_grid(16, 32), np.zeros((16, 33)))
         phi = solve_elliptic(1, zero)
         with pytest.raises(ValueError, match="m must be 1 or 2"):
-            jets_of(phi, zero, 3, route)
+            jets_of(phi, zero, 3)
 
 
 

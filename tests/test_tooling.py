@@ -203,6 +203,25 @@ def test_readme_names_every_multiplier():
     assert [name for name in MULTIPLIERS if f"`{name}`" not in bullet] == []
 
 
+def test_bench_files_name_every_workload_and_metric():
+    # each committed perf record BENCH_<pr>.json gives, for every workload and
+    # end-to-end metric of BENCHMARK.json, the parent and change medians, the
+    # parent's IQR and the change's wins over its pairs
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {metric["name"] for metric in bench["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert {"parent", "change", "machine", "command", "seed", "seconds", "pairs"} <= set(record)
+        assert set(record["workloads"]) == {workload["name"] for workload in bench["workloads"]}
+        for workload, table in record["workloads"].items():
+            assert set(table) == metrics, (path.name, workload)
+            for row in table.values():
+                assert set(row) == {"parent_median", "change_median", "parent_iqr", "change_wins"}
+                assert 0 <= row["change_wins"] <= record["pairs"]
+
+
 def jetlab_env() -> dict:
     """This environment, with the repository's ``src`` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
