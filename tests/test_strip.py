@@ -244,11 +244,12 @@ class TestSolveElliptic:
         with pytest.raises(ValueError, match="m must be 1 or 2"):
             elliptic_residual(zero, zero, 3)
 
-    def test_jets_validate_m(self):
+    @pytest.mark.parametrize("route", ["pde", "difference"])
+    def test_jets_validate_m(self, route):
         zero = StripField(strip_grid(16, 32), np.zeros((16, 33)))
         phi = solve_elliptic(1, zero)
         with pytest.raises(ValueError, match="m must be 1 or 2"):
-            jets_of(phi, zero, 3)
+            jets_of(phi, zero, 3, route)
 
 
 
